@@ -302,6 +302,7 @@ def run_custom(config):
         rep = run_manufactured_level(
             mesh, steps, config.k, config.q, config.D,
             config.velocity_backend, config.solver_tol, level=config.levels[0],
+            solver_method=config.solver_method,
         )
     except SOLVER_ERRORS as exc:
         log.error("run failed: %s", exc)

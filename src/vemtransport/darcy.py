@@ -156,11 +156,14 @@ def analytic_velocity(u_callback, mesh, k, div_callback=None):
 
 
 class _FluxElement:
-    """Local mixed-VEM operators for one cell."""
+    """Local mixed-VEM operators for one cell.
 
-    def __init__(self, mesh, ci, k):
-        verts = mesh.cell_polygon(ci)
-        self.nv = len(verts)
+    rule is the cell's degree-2(k+1) polygon rule and f_values the flow
+    source at its points; they give the source moments f_moments.
+    """
+
+    def __init__(self, mesh, ci, k, rule, f_values):
+        self.nv = len(mesh.cells[ci])
         self.k = k
         self.area = mesh.cell_areas[ci]
         self.h = mesh.cell_diameters[ci]
@@ -171,9 +174,9 @@ class _FluxElement:
         self.edges = mesh.cell_edges[ci]
         self.n_loc = self.nv * (k + 1) + self.n_internal
 
-        rule = polygon_rule(verts, 2 * (k + 1))
         phi = self.basis_hi.evaluate(rule.points)
         w = rule.weights
+        self.f_moments = phi[:, :nk].T @ (w * f_values)
         H_full = phi.T @ (w[:, None] * phi)
         gx, gy = self.basis_hi.gradients(rule.points)
         G_full = gx.T @ (w[:, None] * gx) + gy.T @ (w[:, None] * gy)
@@ -242,6 +245,18 @@ class _FluxElement:
         self.A_unit = 0.5 * (consist + consist.T) + stab
 
 
+def _flux_elements(mesh, k, f):
+    """Flux elements of all cells; f is evaluated once, on the stacked
+    quadrature points of every cell."""
+    rules = [polygon_rule(mesh.cell_polygon(ci), 2 * (k + 1)) for ci in range(mesh.num_cells)]
+    offsets = np.cumsum([0] + [len(r.weights) for r in rules])
+    f_vals = np.asarray(f(np.vstack([r.points for r in rules])), dtype=float)
+    return [
+        _FluxElement(mesh, ci, k, rule, f_vals[offsets[ci] : offsets[ci + 1]])
+        for ci, rule in enumerate(rules)
+    ]
+
+
 def _global_flux_dofs(mesh, k, ci, flux_elem):
     """Global velocity dof ids aligned with the local ordering."""
     ids = []
@@ -275,7 +290,7 @@ def solve_darcy_mixed(mesh, problem, k, solver_tol=1e-10, solver_method="direct"
     n_p = mesh.num_cells * nk
     n_sys = n_u + n_p + (1 if pure_neumann else 0)
 
-    elems = [_FluxElement(mesh, ci, k) for ci in range(mesh.num_cells)]
+    elems = _flux_elements(mesh, k, problem.f)
 
     rows, cols, vals = [], [], []
     rhs = np.zeros(n_sys)
@@ -296,12 +311,8 @@ def solve_darcy_mixed(mesh, problem, k, solver_tol=1e-10, solver_method="direct"
         rows.append(c.ravel())
         cols.append(r.ravel())
         vals.append(fe.DIVR.ravel())
-        rule = polygon_rule(mesh.cell_polygon(ci), 2 * k + 2)
-        fv = np.asarray(problem.f(rule.points), dtype=float)
-        phi = fe.basis_hi.evaluate(rule.points)[:, :nk]
-        floc = phi.T @ (rule.weights * fv)
-        rhs[pdofs] += floc
-        total_f += floc[0] if nk else 0.0
+        rhs[pdofs] += fe.f_moments
+        total_f += fe.f_moments[0] if nk else 0.0
         if pure_neumann:
             r = np.full(nk, n_sys - 1)
             rows.extend([r, pdofs])

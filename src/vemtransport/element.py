@@ -10,6 +10,7 @@ H1-projection, which makes the L2 projector computable from the dofs.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 from .quadrature import edge_rule, polygon_rule
 from . import polygon as polyops
@@ -224,25 +225,18 @@ class VemElement:
         self.pi0_coef = np.linalg.solve(self.H, C)
         self.pi0_dof = D @ self.pi0_coef
 
-        # componentwise L2 projection of the gradient, at degree k (the
-        # default) and at degree k-1 (selectable in the convection form)
-        edge_quads_hi = self._edge_quadrature(2 * k)
-        nlow = n_poly(k - 1)
+        # componentwise L2 projection of the gradient at degree k
         self.pg_coef = []
-        self.pg_coef_low = []
         for dim in range(2):
             E = np.zeros((npol, ndof))
             for i in range(nv):
-                er, trace = edge_quads_hi[i]
+                er, trace = edge_quads[i]
                 phi = self.basis.evaluate(er.points)
                 nd = self.edge_normals_out[i, dim]
                 E[:, self.edge_trace_dofs[i]] += phi.T @ (er.weights[:, None] * trace) * nd
             dmap = self.basis.derivative_map(dim)
             E -= dmap.T @ C
             self.pg_coef.append(np.linalg.solve(self.H, E))
-            low = np.zeros((npol, ndof))
-            low[:nlow] = np.linalg.solve(self.H[:nlow, :nlow], E[:nlow])
-            self.pg_coef_low.append(low)
 
     def _build_matrices(self):
         eye = np.eye(self.n_dofs)
@@ -262,30 +256,30 @@ class VemElement:
         """Diffusion bilinear form with scalar coefficient."""
         return diffusion * self.stiff_unit
 
-    def convection_matrix(self, u_coef, reduce_gradient_degree=False):
+    def convection_matrix(self, u_coef):
         """Convection pairing for a polynomial velocity on this cell.
 
         u_coef is (2, n_poly): monomial coefficients of the projected
         velocity. Entry (i, j) integrates (u . grad phi_j, phi_i) with the
-        projected gradient and values. The gradient projection is taken at
-        degree k; set reduce_gradient_degree to use degree k-1 instead
-        (both agree on polynomial arguments).
+        projected gradient (degree k) and values.
         """
         phi = self._phi_conv
         w = self.rule_conv.weights
         u = phi @ np.asarray(u_coef).T  # (npts, 2)
-        pg = self.pg_coef_low if reduce_gradient_degree else self.pg_coef
-        gx = phi @ pg[0]
-        gy = phi @ pg[1]
+        gx = phi @ self.pg_coef[0]
+        gy = phi @ self.pg_coef[1]
         v0 = phi @ self.pi0_coef
         adv = u[:, 0:1] * gx + u[:, 1:2] * gy
         return v0.T @ (w[:, None] * adv)
 
     def reaction_matrix(self, f_callback):
         """Reaction form weighted by |f| at the quadrature points."""
-        vals = np.abs(np.asarray(f_callback(self.rule_data.points), dtype=float))
+        return self.data_gram(np.abs(np.asarray(f_callback(self.rule_data.points), dtype=float)))
+
+    def data_gram(self, values):
+        """Gram matrix of Pi0 of the basis weighted by values at the data-rule points."""
         v0 = self._phi_data @ self.pi0_coef
-        return v0.T @ ((self.rule_data.weights * vals)[:, None] * v0)
+        return v0.T @ ((self.rule_data.weights * values)[:, None] * v0)
 
     def load_vector(self, values):
         """Integrate values (given at the data-rule points) against Pi0 of the basis."""
@@ -333,14 +327,6 @@ def edge_trace_matrix(p0, p1, k, weight_values, degree=None):
     trace = lagrange_values(uniform_edge_params(k), er.params)
     w = er.weights * np.asarray(weight_values(er.params), dtype=float)
     return trace.T @ (w[:, None] * trace)
-
-
-def edge_trace_vector(p0, p1, k, values, degree=None):
-    """Integrals of a function against the edge trace basis."""
-    er = edge_rule(p0, p1, degree if degree is not None else 2 * k + 4)
-    trace = lagrange_values(uniform_edge_params(k), er.params)
-    w = er.weights * np.asarray(values(er.params), dtype=float)
-    return trace.T @ w
 
 
 def h1_project_callback(verts, k, g, quad_degree=None):
@@ -416,6 +402,23 @@ class VemSpace:
             ids += [base + j for j in range(self.n_moments)]
             self.cell_dofs.append(np.asarray(ids, dtype=int))
 
+        # nodal dof points: vertices, then edge interiors in canonical order
+        a = mesh.vertices[mesh.edges[:, 0]]
+        b = mesh.vertices[mesh.edges[:, 1]]
+        t = uniform_edge_params(k)[1:-1]
+        inner = a[:, None, :] + t[None, :, None] * (b - a)[:, None, :]
+        self.dof_points = np.vstack([mesh.vertices, inner.reshape(-1, 2)])
+
+        # the data rules of all cells stacked, with the monomial values
+        # there; data terms evaluate their callbacks once on these points
+        rules = [el.rule_data for el in self.elements]
+        self.data_offsets = np.cumsum([0] + [len(r.weights) for r in rules])
+        self.data_points = np.vstack([r.points for r in rules])
+        self.data_weights = np.concatenate([r.weights for r in rules])
+        self.data_cells = np.repeat(np.arange(nc), np.diff(self.data_offsets))
+        self.data_phi = np.vstack([el._phi_data for el in self.elements])
+        self.pi0_operator = self.cell_operator([el.pi0_coef for el in self.elements])
+
     @property
     def num_vertex_dofs(self):
         return self.mesh.num_vertices
@@ -429,11 +432,57 @@ class VemSpace:
         ids.append(int(self.mesh.edges[e, 1]))
         return np.asarray(ids, dtype=int)
 
+    def cell_operator(self, blocks):
+        """Sparse map from global dofs to per-cell coefficient rows.
+
+        blocks[c] acts on the dofs of cell c; the rows of all cells are
+        stacked in cell order. Built directly in CSR form from the
+        per-cell row lengths, without COO index temporaries.
+        """
+        nrows = [len(b) for b in blocks]
+        row_len = np.repeat([len(d) for d in self.cell_dofs], nrows)
+        indptr = np.concatenate([[0], np.cumsum(row_len)])
+        indices = np.concatenate([np.tile(d, n) for d, n in zip(self.cell_dofs, nrows)])
+        data = np.concatenate([np.ravel(b) for b in blocks])
+        return sp.csr_matrix((data, indices, indptr), shape=(sum(nrows), self.n_dofs))
+
+    def cell_moments(self, values):
+        """Integrals of point values against each cell's monomials.
+
+        values are given at data_points; returns shape (num_cells, n_poly).
+        """
+        weighted = self.data_phi * (self.data_weights * values)[:, None]
+        return np.add.reduceat(weighted, self.data_offsets[:-1], axis=0)
+
+    def cell_values(self, coef, table=None):
+        """Values at data_points of per-cell polynomials.
+
+        coef holds monomial coefficients, shape (num_cells, n_poly), or
+        flattened; table replaces the monomial values (e.g. by their
+        derivatives).
+        """
+        coef = np.reshape(coef, (self.mesh.num_cells, -1))[self.data_cells]
+        return np.einsum("pm,pm->p", self.data_phi if table is None else table, coef)
+
+    def load(self, values):
+        """Global vector of the integrals of values (given at data_points)
+        against Pi0 of every basis function."""
+        return self.pi0_operator.T @ self.cell_moments(values).ravel()
+
     def interpolate(self, g):
-        """Global dof vector interpolating a callback g(points) -> values."""
+        """Global dof vector interpolating a callback g(points) -> values.
+
+        g is called once, on the nodal dof points followed (for k >= 2) by
+        the data points that give the internal moments.
+        """
         out = np.zeros(self.n_dofs)
-        for ci, elem in enumerate(self.elements):
-            out[self.cell_dofs[ci]] = elem.interpolate(g)
+        nb = len(self.dof_points)
+        pts = np.vstack([self.dof_points, self.data_points]) if self.n_moments else self.dof_points
+        vals = np.asarray(g(pts), dtype=float)
+        out[:nb] = vals[:nb]
+        if self.n_moments:
+            mom = self.cell_moments(vals[nb:])[:, : self.n_moments]
+            out[nb:] = (mom / self.mesh.cell_areas[:, None]).ravel()
         return out
 
     def dof_map_to(self, other, perm):

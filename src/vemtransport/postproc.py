@@ -34,41 +34,39 @@ class ErrorReport:
 
 
 class ErrorEvaluator:
-    """Caches per-cell quadrature data for repeated norm evaluations."""
+    """Stacked quadrature data for repeated norm evaluations.
+
+    The exact fields are evaluated once per time, on the data-rule
+    points of all cells (VemSpace.data_points).
+    """
 
     def __init__(self, system):
-        self.system = system
-        self.cells = []
-        for ci, elem in enumerate(system.space.elements):
-            pts = elem.rule_data.points
-            gx, gy = elem.basis.gradients(pts)
-            self.cells.append(
-                {
-                    "dofs": system.space.cell_dofs[ci],
-                    "w": elem.rule_data.weights,
-                    "pts": pts,
-                    "phi": elem._phi_data,
-                    "gx": gx,
-                    "gy": gy,
-                    "pi0": elem.pi0_coef,
-                    "pin": elem.pin_coef,
-                }
-            )
+        space = system.space
+        self.space = space
+        self.pin_operator = space.cell_operator([el.pin_coef for el in space.elements])
+        grads = [el.basis.gradients(el.rule_data.points) for el in space.elements]
+        self.gx = np.vstack([g[0] for g in grads])
+        self.gy = np.vstack([g[1] for g in grads])
+
+    def projections(self, coeffs):
+        """L2-projection values and H1-type projection gradients of a dof
+        vector at the data points, shapes (npts,) and (npts, 2)."""
+        space = self.space
+        vals = space.cell_values(space.pi0_operator @ coeffs)
+        pin = self.pin_operator @ coeffs
+        grad = np.column_stack(
+            [space.cell_values(pin, self.gx), space.cell_values(pin, self.gy)]
+        )
+        return vals, grad
 
     def spatial_errors(self, coeffs, t, c_exact, grad_exact):
         """Squared L2 and H1-seminorm distances at one time."""
-        l2 = 0.0
-        h1 = 0.0
-        for cell in self.cells:
-            loc = coeffs[cell["dofs"]]
-            vals = cell["phi"] @ (cell["pi0"] @ loc)
-            ex = np.asarray(c_exact(t, cell["pts"]), dtype=float)
-            l2 += float(cell["w"] @ (ex - vals) ** 2)
-            pin = cell["pin"] @ loc
-            gex = np.asarray(grad_exact(t, cell["pts"]), dtype=float)
-            dx = gex[:, 0] - cell["gx"] @ pin
-            dy = gex[:, 1] - cell["gy"] @ pin
-            h1 += float(cell["w"] @ (dx**2 + dy**2))
+        pts, w = self.space.data_points, self.space.data_weights
+        vals, grad = self.projections(coeffs)
+        ex = np.asarray(c_exact(t, pts), dtype=float)
+        gex = np.asarray(grad_exact(t, pts), dtype=float)
+        l2 = float(w @ (ex - vals) ** 2)
+        h1 = float(w @ np.sum((gex - grad) ** 2, axis=1))
         return l2, h1
 
 

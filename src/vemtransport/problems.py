@@ -71,9 +71,13 @@ class ManufacturedProblem:
         return (ct + conv + f * np.sin(t) * g - self.D * lap) / f
 
     def c_inflow(self, t, p, normal):
-        """Inflow datum consistent with the exact total-flux condition."""
-        un = self.velocity(p) @ np.asarray(normal, dtype=float)
-        gn = self.grad_c(t, p) @ np.asarray(normal, dtype=float)
+        """Inflow datum consistent with the exact total-flux condition.
+
+        normal is one outward normal (2,) or one per point (npts, 2).
+        """
+        normal = np.asarray(normal, dtype=float)
+        un = np.sum(self.velocity(p) * normal, axis=1)
+        gn = np.sum(self.grad_c(t, p) * normal, axis=1)
         safe = np.where(un < -1e-12, un, -1.0)
         return np.where(un < -1e-12, self.c(t, p) - self.D * gn / safe, 0.0)
 

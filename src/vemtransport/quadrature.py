@@ -68,9 +68,15 @@ def _reference_triangle_rule(degree):
     return XI.ravel(), ETA.ravel(), W.ravel()
 
 
+@lru_cache(maxsize=64)
 def _gauss_01(npts):
+    """Gauss-Legendre nodes/weights on (0, 1), cached and read-only
+    (EdgeRule.params shares the node array)."""
     x, w = roots_legendre(npts)
-    return (x + 1.0) / 2.0, w / 2.0
+    t, w = (x + 1.0) / 2.0, w / 2.0
+    t.flags.writeable = False
+    w.flags.writeable = False
+    return t, w
 
 
 def gauss_interval(a, b, npts):

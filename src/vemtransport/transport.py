@@ -11,12 +11,16 @@ inflow region.
 import numpy as np
 import scipy.sparse as sp
 
-from .element import VemSpace, edge_trace_matrix, edge_trace_vector
+from .element import VemSpace, lagrange_values, uniform_edge_params
 from .linalg import PatternMatrix
+from .quadrature import edge_rule
 
 
 class TransportProblem:
     """Coefficients and data callbacks for the transport equation.
+
+    Every data callback receives a stacked (npts, 2) array of points and
+    returns one value per point.
 
     Parameters
     ----------
@@ -28,16 +32,15 @@ class TransportProblem:
         Source/sink density shared with the flow problem.
     c_tilde : callable (t, points) -> values
         Injected concentration, active where f > 0.
-    c_inflow : callable (t, points, normal) -> values
-        Inflow concentration, active where u . n < 0.
+    c_inflow : callable (t, points, normals) -> values
+        Inflow concentration, active where u . n < 0; normals is (npts, 2),
+        the outward unit normal at each boundary point.
     c0 : callable (points) -> values
         Initial condition.
     t_final : float
         End of the simulation window.
     f_time_dependent : bool
         When False the spatial operators are assembled once and reused.
-    reduce_gradient_degree : bool
-        Project the convected gradient at degree k-1 instead of k.
     """
 
     def __init__(
@@ -50,7 +53,6 @@ class TransportProblem:
         c0=None,
         t_final=1.0,
         f_time_dependent=False,
-        reduce_gradient_degree=False,
     ):
         if D <= 0.0:
             raise ValueError("diffusion coefficient must be positive")
@@ -62,22 +64,33 @@ class TransportProblem:
         self.c0 = c0 or (lambda p: np.zeros(len(p)))
         self.t_final = t_final
         self.f_time_dependent = f_time_dependent
-        self.reduce_gradient_degree = reduce_gradient_degree
 
 
 class TransportSystem:
-    """Assembled global operators for one mesh/degree/problem triple."""
+    """Assembled global operators for one mesh/degree/problem triple.
+
+    Problem data is evaluated once per time on stacked points: the data
+    rules of all cells (source, injection, reaction) and a Gauss rule of
+    degree 2k+4 on all boundary edges (inflow and boundary form).
+    """
 
     def __init__(self, mesh, k, problem):
         self.mesh = mesh
         self.k = k
         self.problem = problem
         self.space = VemSpace(mesh, k)
-        self._edge_cache = []
-        for e in mesh.boundary_edges:
-            e = int(e)
-            p0, p1 = mesh.edge_points(e)
-            self._edge_cache.append((e, p0, p1, self.space.edge_trace_dofs(e)))
+        edges = [int(e) for e in mesh.boundary_edges]
+        rules = [edge_rule(*mesh.edge_points(e), 2 * k + 4) for e in edges]
+        params = rules[0].params
+        self._bd_points = np.vstack([r.points for r in rules])
+        self._bd_normals = np.repeat([mesh.outward_normal(e) for e in edges], len(params), axis=0)
+        self._bd_dofs = np.array([self.space.edge_trace_dofs(e) for e in edges])
+        self._bd_trace = lagrange_values(uniform_edge_params(k), params)
+        weights = np.array([r.weights for r in rules])
+        un = np.array([problem.velocity.edge_outward_flux_values(e, params) for e in edges])
+        # per-point weights of the boundary form and of the inflow functional
+        self._bd_abs_flux = weights * np.abs(un)
+        self._bd_inflow = weights * -np.minimum(un, 0.0)
         self._mass = None
         self._parts_cache = {}
 
@@ -110,22 +123,19 @@ class TransportSystem:
         pm_a = self._new_pattern()
         pm_k = self._new_pattern()
         pm_r = self._new_pattern()
+        fabs = np.abs(np.asarray(problem.f(t, space.data_points), dtype=float))
+        offsets = space.data_offsets
         for ci, elem in enumerate(space.elements):
             dofs = space.cell_dofs[ci]
             pm_a.scatter_add(dofs, elem.stiffness_matrix(problem.D))
             u_coef = problem.velocity.velocity_coefficients(ci)
-            pm_k.scatter_add(
-                dofs,
-                elem.convection_matrix(
-                    u_coef, reduce_gradient_degree=problem.reduce_gradient_degree
-                ),
-            )
-            pm_r.scatter_add(dofs, elem.reaction_matrix(lambda p: problem.f(t, p)))
-        lam = sp.lil_matrix((space.n_dofs, space.n_dofs))
-        for e, p0, p1, dofs in self._edge_cache:
-            weight = lambda params: np.abs(problem.velocity.edge_outward_flux_values(e, params))
-            block = edge_trace_matrix(p0, p1, self.k, weight)
-            lam[np.ix_(dofs, dofs)] += block
+            pm_k.scatter_add(dofs, elem.convection_matrix(u_coef))
+            pm_r.scatter_add(dofs, elem.data_gram(fabs[offsets[ci] : offsets[ci + 1]]))
+        trace, dofs = self._bd_trace, self._bd_dofs
+        blocks = np.einsum("eq,qi,qj->eij", self._bd_abs_flux, trace, trace)
+        rows = np.broadcast_to(dofs[:, :, None], blocks.shape).ravel()
+        cols = np.broadcast_to(dofs[:, None, :], blocks.shape).ravel()
+        lam = sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(space.n_dofs, space.n_dofs))
         K = pm_k.matrix()
         parts = (
             pm_a.matrix(),
@@ -150,23 +160,12 @@ class TransportSystem:
     def rhs(self, t):
         """Source and inflow functionals (F_plus, G_inflow) at time t."""
         space, problem = self.space, self.problem
-        F = np.zeros(space.n_dofs)
-        for ci, elem in enumerate(space.elements):
-            pts = elem.data_points
-            fv = np.asarray(problem.f(t, pts), dtype=float)
-            vals = np.maximum(fv, 0.0) * np.asarray(problem.c_tilde(t, pts), dtype=float)
-            F[space.cell_dofs[ci]] += elem.load_vector(vals)
-        G = np.zeros(space.n_dofs)
-        for e, p0, p1, dofs in self._edge_cache:
-            normal = self.mesh.outward_normal(e)
-
-            def values(params):
-                un = problem.velocity.edge_outward_flux_values(e, params)
-                pts = p0[None, :] + params[:, None] * (p1 - p0)[None, :]
-                ci_vals = np.asarray(problem.c_inflow(t, pts, normal), dtype=float)
-                return -np.minimum(un, 0.0) * ci_vals
-
-            G[dofs] += edge_trace_vector(p0, p1, self.k, values)
+        pts = space.data_points
+        fv = np.asarray(problem.f(t, pts), dtype=float)
+        F = space.load(np.maximum(fv, 0.0) * np.asarray(problem.c_tilde(t, pts), dtype=float))
+        ci = np.asarray(problem.c_inflow(t, self._bd_points, self._bd_normals), dtype=float)
+        moments = (self._bd_inflow * ci.reshape(self._bd_inflow.shape)) @ self._bd_trace
+        G = np.bincount(self._bd_dofs.ravel(), moments.ravel(), minlength=space.n_dofs)
         return F, G
 
     def initial_condition(self):

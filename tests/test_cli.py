@@ -130,6 +130,30 @@ class TestCliDispatch:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["threads"] == 2
 
+    def test_custom_run_passes_solver_method(self, tmp_path, monkeypatch):
+        seen = {}
+        real = cli.run_manufactured_level
+
+        def recording(*args, **kwargs):
+            seen.update(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_manufactured_level", recording)
+        cfg = ExperimentConfig.from_dict(
+            {
+                "kind": "custom",
+                "mesh_family": "quad",
+                "levels": [1],
+                "steps_per_level": [1],
+                "k": 1,
+                "velocity_backend": "darcy",
+                "solver_method": "iterative",
+                "out_dir": str(tmp_path),
+            }
+        )
+        assert cli.run_custom(cfg) == 0
+        assert seen["solver_method"] == "iterative"
+
     def test_solver_failure_exit_3_with_partial_table(self, tmp_path, monkeypatch):
         calls = {"n": 0}
         real = cli.run_manufactured_level

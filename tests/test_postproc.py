@@ -41,35 +41,19 @@ def constant_state_run(mesh, k=1, q=1, n_slabs=4):
 
 class TestErrorNorms:
     def test_self_comparison_vanishes(self):
-        # feed the solution's own projections back as the "exact" fields;
-        # the evaluator visits cells in order, so a stateful callback can
-        # serve the matching projected values
+        # feed the solution's own projections, at the stacked evaluation
+        # points, back as the "exact" fields
         mesh = generate_quad(4)
         system, slabs = constant_state_run(mesh)
         ev = ErrorEvaluator(system)
-        state = {"i": 0}
-
-        def c_exact(t, pts):
-            cell = ev.cells[state["i"] % len(ev.cells)]
-            coeffs = _current[0][cell["dofs"]]
-            state["i"] += 1
-            return cell["phi"] @ (cell["pi0"] @ coeffs)
-
-        def grad_exact(t, pts):
-            cell = ev.cells[state["g"] % len(ev.cells)]
-            coeffs = _current[0][cell["dofs"]]
-            state["g"] = state.get("g", 0) + 1
-            pin = cell["pin"] @ coeffs
-            return np.column_stack([cell["gx"] @ pin, cell["gy"] @ pin])
-
-        state["g"] = 0
         worst = 0.0
         for slab in slabs:
             for t in slab.node_times:
-                _current = [slab.evaluate(t)]
-                state["i"] = 0
-                state["g"] = 0
-                l2, h1 = ev.spatial_errors(_current[0], t, c_exact, grad_exact)
+                coeffs = slab.evaluate(t)
+                vals, grad = ev.projections(coeffs)
+                l2, h1 = ev.spatial_errors(
+                    coeffs, t, lambda t, pts: vals, lambda t, pts: grad
+                )
                 worst = max(worst, l2, h1)
         assert worst < 1e-24  # squared norms
 

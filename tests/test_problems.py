@@ -81,6 +81,24 @@ class TestManufacturedData:
             ci = mp.c_inflow(t, wall, normal)
             assert np.max(np.abs(total_flux - ci * un)) < 1e-12
 
+    def test_inflow_datum_takes_one_normal_per_point(self):
+        # stacked boundary points from two walls, each with its own normal,
+        # give the same values as one call per wall with a single normal
+        mp = ManufacturedProblem(D=1e-2)
+        s = np.linspace(0.01, 0.99, 9)
+        walls = [
+            (np.column_stack([np.zeros_like(s), s]), np.array([-1.0, 0.0])),
+            (np.column_stack([s, np.zeros_like(s)]), np.array([0.0, -1.0])),
+            (np.column_stack([np.ones_like(s), s]), np.array([1.0, 0.0])),
+        ]
+        pts = np.vstack([w for w, _ in walls])
+        normals = np.vstack([np.tile(n, (len(w), 1)) for w, n in walls])
+        stacked = mp.c_inflow(0.45, pts, normals)
+        single = np.concatenate([mp.c_inflow(0.45, w, n) for w, n in walls])
+        assert np.max(np.abs(stacked - single)) < 1e-14
+        assert np.all(stacked[: 2 * len(s)] != 0.0)
+        assert np.all(stacked[2 * len(s) :] == 0.0)  # outflow wall
+
     def test_darcy_pressure_generates_velocity(self):
         mp = ManufacturedProblem()
         p = self.rng.random((20, 2))
