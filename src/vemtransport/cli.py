@@ -3,7 +3,8 @@
 Subcommands reproduce the shipped studies: space-time convergence over
 mesh/time refinement pairs, degree escalation on the coarsest pair,
 robustness over the diffusion sweep, and the five-well injection
-example. Exit codes: 0 success, 2 configuration error, 3 solver failure.
+example. All of them run through `run`. Exit codes: 0 success, 2
+configuration error, 3 solver failure.
 """
 
 import argparse
@@ -11,13 +12,13 @@ import json
 import logging
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, ExperimentConfig, list_presets, load_preset
+from .config import KINDS, ConfigError, ExperimentConfig, list_presets, load_preset
 from .darcy import DarcyError, DarcyProblem, analytic_velocity, solve_darcy_mixed
 from .geometry import generate_family, generate_hexa
 from .linalg import LinalgError
@@ -32,38 +33,22 @@ log = logging.getLogger("vemtransport")
 SOLVER_ERRORS = (DarcyError, TimeSteppingError, LinalgError)
 
 
-class _MeshCache:
-    def __init__(self):
-        self._store = {}
-
-    def get(self, family, level, seed):
-        key = (family, level, seed)
-        if key not in self._store:
-            self._store[key] = generate_family(family, level, rng_seed=seed)
-        return self._store[key]
-
-
-def build_velocity(mesh, problem_data, k, backend, solver_tol, solver_method="direct"):
-    """Velocity field for a manufactured-style problem on one mesh."""
-    if backend == "analytic":
-        return analytic_velocity(problem_data.velocity, mesh, k)
-    dprob = DarcyProblem(
-        K_perm=problem_data.K_perm,
-        mu=problem_data.mu,
-        f=problem_data.darcy_f,
-        g_D=problem_data.darcy_g_D,
-        dirichlet_edges=frozenset(int(e) for e in mesh.boundary_edges),
-    )
-    velocity, _ = solve_darcy_mixed(
-        mesh, dprob, k, solver_tol=solver_tol, solver_method=solver_method
-    )
-    return velocity
-
-
 def run_manufactured_level(mesh, steps, k, q, D, backend, solver_tol, level=0, solver_method="direct"):
     """One space-time solve of the smooth benchmark; returns its report."""
     data = ManufacturedProblem(D=D)
-    velocity = build_velocity(mesh, data, k, backend, solver_tol, solver_method)
+    if backend == "analytic":
+        velocity = analytic_velocity(data.velocity, mesh, k)
+    else:
+        dprob = DarcyProblem(
+            K_perm=data.K_perm,
+            mu=data.mu,
+            f=data.darcy_f,
+            g_D=data.darcy_g_D,
+            dirichlet_edges=frozenset(int(e) for e in mesh.boundary_edges),
+        )
+        velocity, _ = solve_darcy_mixed(
+            mesh, dprob, k, solver_tol=solver_tol, solver_method=solver_method
+        )
     tprob = TransportProblem(
         D=D,
         velocity=velocity,
@@ -83,137 +68,130 @@ def _write_text(path, text):
     Path(path).write_text(text, encoding="utf-8")
 
 
-def write_manifest(out_dir, config, timings, extra=None):
+def write_manifest(out_dir, config, timings, extra):
     payload = {
         "config": config.to_dict(),
         "config_hash": config.config_hash(),
         "version": __version__,
         "timings_seconds": {k: round(v, 3) for k, v in timings.items()},
+        **extra,
     }
-    if extra:
-        payload.update(extra)
     _write_text(Path(out_dir) / "manifest.json", json.dumps(payload, indent=1, sort_keys=True))
 
 
-def _map_levels(config, worker, items):
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            return list(pool.map(worker, items))
-    return [worker(it) for it in items]
+def _timed(timings, label, fn, *args, **kwargs):
+    """Call fn, recording its seconds under `label`.
+
+    Returns (result, None), or (None, failure record) when fn raises a
+    solver error.
+    """
+    t0 = time.perf_counter()
+    try:
+        result = fn(*args, **kwargs)
+    except SOLVER_ERRORS as exc:
+        log.error("%s failed: %s", label, exc)
+        return None, {"solve": label, "error": str(exc)}
+    timings[label] = time.perf_counter() - t0
+    return result, None
 
 
-def run_convergence(config):
-    """Refinement study over paired mesh/time levels; emits the rate table."""
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    cache = _MeshCache()
-    timings = {}
-    reports = []
-    failed = None
-    t_all = time.perf_counter()
-    for level, steps in zip(config.levels, config.steps_per_level):
-        t0 = time.perf_counter()
-        try:
-            mesh = cache.get(config.mesh_family, level, config.rng_seed)
-            rep = run_manufactured_level(
-                mesh, steps, config.k, config.q, config.D,
-                config.velocity_backend, config.solver_tol, level=level,
-                solver_method=config.solver_method,
+class Solve(NamedTuple):
+    """One manufactured space-time solve of a study."""
+
+    label: str
+    level: int
+    steps: int
+    k: int
+    q: int
+    D: float
+
+
+def manufactured_solves(config):
+    """The solves of a convergence, kconv, drobust or custom study, in order."""
+    c = config
+    if c.kind == "convergence":
+        return [Solve(f"level_{lv}", lv, n, c.k, c.q, c.D) for lv, n in zip(c.levels, c.steps_per_level)]
+    if c.kind == "kconv":
+        lv, n = c.levels[0], c.steps_per_level[0]
+        return [Solve(f"k_{k}", lv, n, k, k, c.D) for k in c.k_range]
+    if c.kind == "drobust":
+        # a multi-level config sweeps at level 2
+        lv = c.levels[0] if len(c.levels) == 1 else 2
+        n = dict(zip(c.levels, c.steps_per_level)).get(lv, 6)
+        return [Solve(f"D_{D:.3e}", lv, n, c.k, c.q, D) for D in c.d_values]
+    return [Solve(f"level_{c.levels[0]}", c.levels[0], c.steps_per_level[0], c.k, c.q, c.D)]
+
+
+def _sweep_csv(head, keys, reports):
+    lines = [f"{head},err,h1_final,l2_final"]
+    for key, rep in zip(keys, reports):
+        lines.append(f"{key},{rep.indicator:.12e},{rep.h1_final:.12e},{rep.l2_final:.12e}")
+    return "\n".join(lines) + "\n"
+
+
+def write_convergence(out, solves, reports):
+    text, csv_text = rate_table(reports)
+    _write_text(out / "convergence.csv", csv_text)
+    _write_text(out / "convergence.txt", text + "\n")
+    return {"observed_rate_err": observed_rate(reports)} if len(reports) >= 2 else {}
+
+
+def write_kconv(out, solves, reports):
+    _write_text(out / "kconv.csv", _sweep_csv("k", [s.k for s in solves], reports))
+    return {}
+
+
+def write_drobust(out, solves, reports):
+    _write_text(out / "drobust.csv", _sweep_csv("D", [f"{s.D:.3e}" for s in solves], reports))
+    errs = [rep.indicator for rep in reports]
+    return {"err_max_over_min": max(errs) / min(errs)}
+
+
+def write_custom(out, solves, reports):
+    _write_text(out / "errors.csv", rate_table(reports)[1])
+    return {}
+
+
+#: kind -> writer of the rows that finished; returns summary numbers for the manifest
+WRITERS = {
+    "convergence": write_convergence,
+    "kconv": write_kconv,
+    "drobust": write_drobust,
+    "custom": write_custom,
+}
+
+
+def run_manufactured(config, out, timings):
+    """Run the study's solves in order up to the first solver failure,
+    then write the rows that finished; returns (summary, failure)."""
+    meshes = {}
+    solves, reports = [], []
+    failure = None
+    for solve in manufactured_solves(config):
+        if solve.level not in meshes:
+            meshes[solve.level] = generate_family(
+                config.mesh_family, solve.level, rng_seed=config.rng_seed
             )
-        except SOLVER_ERRORS as exc:
-            log.error("level %d failed: %s", level, exc)
-            failed = (level, str(exc))
-            break
-        timings[f"level_{level}"] = time.perf_counter() - t0
-        reports.append(rep)
-        log.info("level %d: h=%.4g err=%.6e", level, rep.h, rep.indicator)
-    timings["total"] = time.perf_counter() - t_all
-    if reports:
-        text, csv_text = rate_table(reports)
-        _write_text(out / "convergence.csv", csv_text)
-        _write_text(out / "convergence.txt", text + "\n")
-    extra = {"failed_level": failed}
-    if len(reports) >= 2:
-        extra["observed_rate_err"] = observed_rate(reports)
-    write_manifest(out, config, timings, extra)
-    return 3 if failed else 0
-
-
-def run_kconv(config):
-    """Degree escalation on the coarsest space-time pair."""
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    timings = {}
-    mesh = generate_family(config.mesh_family, config.levels[0], rng_seed=config.rng_seed)
-    steps = config.steps_per_level[0]
-    rows = []
-    t_all = time.perf_counter()
-    for k in config.k_range:
-        t0 = time.perf_counter()
-        try:
-            rep = run_manufactured_level(
-                mesh, steps, k, k, config.D, config.velocity_backend,
-                config.solver_tol, level=config.levels[0],
-                solver_method=config.solver_method,
-            )
-        except SOLVER_ERRORS as exc:
-            log.error("degree %d failed: %s", k, exc)
-            write_manifest(out, config, timings, {"failed_degree": k, "error": str(exc)})
-            return 3
-        timings[f"k_{k}"] = time.perf_counter() - t0
-        rows.append((k, rep.indicator, rep.h1_final, rep.l2_final))
-        log.info("k=%d err=%.6e", k, rep.indicator)
-    timings["total"] = time.perf_counter() - t_all
-    lines = ["k,err,h1_final,l2_final"]
-    for k, err, h1, l2 in rows:
-        lines.append(f"{k},{err:.12e},{h1:.12e},{l2:.12e}")
-    _write_text(out / "kconv.csv", "\n".join(lines) + "\n")
-    write_manifest(out, config, timings)
-    return 0
-
-
-def run_drobust(config):
-    """Diffusion sweep at a fixed space-time resolution."""
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    level = config.levels[0] if len(config.levels) == 1 else 2
-    steps = dict(zip(config.levels, config.steps_per_level)).get(level, 6)
-    mesh = generate_family(config.mesh_family, level, rng_seed=config.rng_seed)
-    timings = {}
-    t_all = time.perf_counter()
-
-    def worker(D):
-        return run_manufactured_level(
-            mesh, steps, config.k, config.q, D,
-            config.velocity_backend, config.solver_tol, level=level,
+        rep, failure = _timed(
+            timings, solve.label, run_manufactured_level,
+            meshes[solve.level], solve.steps, solve.k, solve.q, solve.D,
+            config.velocity_backend, config.solver_tol, level=solve.level,
             solver_method=config.solver_method,
         )
-
-    try:
-        reports = _map_levels(config, worker, config.d_values)
-    except SOLVER_ERRORS as exc:
-        log.error("sweep failed: %s", exc)
-        write_manifest(out, config, timings, {"error": str(exc)})
-        return 3
-    timings["total"] = time.perf_counter() - t_all
-    lines = ["D,err,h1_final,l2_final"]
-    for D, rep in zip(config.d_values, reports):
-        lines.append(f"{D:.3e},{rep.indicator:.12e},{rep.h1_final:.12e},{rep.l2_final:.12e}")
-        log.info("D=%.1e err=%.6e", D, rep.indicator)
-    _write_text(out / "drobust.csv", "\n".join(lines) + "\n")
-    errs = [rep.indicator for rep in reports]
-    write_manifest(out, config, timings, {"err_max_over_min": max(errs) / min(errs)})
-    return 0
+        if failure:
+            break
+        solves.append(solve)
+        reports.append(rep)
+        log.info("%s: h=%.4g err=%.6e", solve.label, rep.h, rep.indicator)
+    summary = WRITERS[config.kind](out, solves, reports) if reports else {}
+    return summary, failure
 
 
-def run_wells(config, snapshot_times=(1.0, 2.0, 4.0)):
+def run_wells(config, out, timings):
     """Five-well injection example: impermeable box, central source,
-    corner sinks; writes the vertex min/max ledger and VTK snapshots."""
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    corner sinks; writes the vertex min/max ledger and VTK snapshots at
+    t = 1, 2, 4. Returns (summary, failure)."""
     wells = get_problem(config.problem)
-    timings = {}
-    t_all = time.perf_counter()
     mesh = generate_hexa(config.wells_level, distortion=0.0)
     write_polymesh(mesh, out / "mesh.txt")
     write_vtk(mesh, out / "mesh.vtk")
@@ -223,16 +201,18 @@ def run_wells(config, snapshot_times=(1.0, 2.0, 4.0)):
     log.warning(
         "pure-Neumann flow: removed mean %.6e from the source for solvability", removed_mean
     )
-    t0 = time.perf_counter()
+    summary = {"f_mean_removed": removed_mean}
     dprob = DarcyProblem(
         K_perm=wells.K_perm, mu=wells.mu, f=corrected_f, g_N=wells.g_N,
         dirichlet_edges=frozenset(),
     )
-    velocity, pressure = solve_darcy_mixed(
-        mesh, dprob, config.k, solver_tol=config.solver_tol,
-        solver_method=config.solver_method,
+    flow, failure = _timed(
+        timings, "darcy", solve_darcy_mixed, mesh, dprob, config.k,
+        solver_tol=config.solver_tol, solver_method=config.solver_method,
     )
-    timings["darcy"] = time.perf_counter() - t0
+    if failure:
+        return summary, failure
+    velocity, pressure = flow
     cell_centers = mesh.cell_centroids
     u_cells = np.vstack(
         [velocity.velocity_values(ci, cell_centers[ci : ci + 1])[0] for ci in range(mesh.num_cells)]
@@ -253,20 +233,15 @@ def run_wells(config, snapshot_times=(1.0, 2.0, 4.0)):
     system = TransportSystem(mesh, config.k, tprob)
     n_steps = int(round(wells.t_final / wells.dt))
     partition = TimePartition.uniform(wells.t_final, n_steps)
-    t0 = time.perf_counter()
-    try:
-        slabs = advance(system, partition, config.q)
-    except TimeSteppingError as exc:
-        log.error("wells run failed: %s", exc)
-        write_manifest(out, config, timings, {"error": str(exc)})
-        return 3
-    timings["transport"] = time.perf_counter() - t0
+    slabs, failure = _timed(timings, "transport", advance, system, partition, config.q)
+    if failure:
+        return summary, failure
 
     nv = system.space.num_vertex_dofs
     rows = minmax_trace(slabs, nv)
     _write_text(out / "minmax.csv", minmax_csv(rows))
     snaps, times = [], []
-    for t_snap in snapshot_times:
+    for t_snap in (1.0, 2.0, 4.0):
         for slab in slabs:
             if abs(slab.t_end - t_snap) < 1e-12:
                 snaps.append(slab.trace_out[:nv])
@@ -278,49 +253,29 @@ def run_wells(config, snapshot_times=(1.0, 2.0, 4.0)):
     positivity_ok = global_min >= -0.05 * max(global_max, 1e-300)
     if not positivity_ok:
         log.warning("positivity check failed: min=%.3e max=%.3e", global_min, global_max)
-    timings["total"] = time.perf_counter() - t_all
-    write_manifest(
-        out, config, timings,
-        {
-            "f_mean_removed": removed_mean,
-            "vertex_min": global_min,
-            "vertex_max": global_max,
-            "positivity_ok": bool(positivity_ok),
-        },
+    summary.update(
+        vertex_min=global_min, vertex_max=global_max, positivity_ok=bool(positivity_ok)
     )
-    return 0
+    return summary, None
 
 
-def run_custom(config):
-    """Single manufactured run at one level; writes its error report."""
+def run(config):
+    """Run one study into config.out_dir; returns the exit code.
+
+    Every study writes manifest.json with its timings, summary numbers
+    and "failure": null, or the failed solve's label and error message.
+    A solver failure stops the study, keeps the rows that finished in
+    its tables, and returns 3.
+    """
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    mesh = generate_family(config.mesh_family, config.levels[0], rng_seed=config.rng_seed)
-    steps = config.steps_per_level[0]
-    t0 = time.perf_counter()
-    try:
-        rep = run_manufactured_level(
-            mesh, steps, config.k, config.q, config.D,
-            config.velocity_backend, config.solver_tol, level=config.levels[0],
-            solver_method=config.solver_method,
-        )
-    except SOLVER_ERRORS as exc:
-        log.error("run failed: %s", exc)
-        write_manifest(out, config, {}, {"error": str(exc)})
-        return 3
-    _, csv_text = rate_table([rep])
-    _write_text(out / "errors.csv", csv_text)
-    write_manifest(out, config, {"total": time.perf_counter() - t0})
-    return 0
-
-
-RUNNERS = {
-    "convergence": run_convergence,
-    "kconv": run_kconv,
-    "drobust": run_drobust,
-    "wells": run_wells,
-    "custom": run_custom,
-}
+    timings = {}
+    t_all = time.perf_counter()
+    study = run_wells if config.kind == "wells" else run_manufactured
+    summary, failure = study(config, out, timings)
+    timings["total"] = time.perf_counter() - t_all
+    write_manifest(out, config, timings, {**summary, "failure": failure})
+    return 3 if failure else 0
 
 
 def _build_config(args, kind):
@@ -336,15 +291,8 @@ def _build_config(args, kind):
             raise ConfigError(f"config kind {config.kind!r} does not match {kind!r}")
     else:
         config = ExperimentConfig(kind=kind)
-    overrides = {}
     if args.out is not None:
-        overrides["out_dir"] = args.out
-    if args.threads is not None:
-        overrides["threads"] = args.threads
-    if overrides:
-        data = config.to_dict()
-        data.update(overrides)
-        config = ExperimentConfig.from_dict(data)
+        config = ExperimentConfig.from_dict({**config.to_dict(), "out_dir": args.out})
     return config
 
 
@@ -356,12 +304,11 @@ def main(argv=None):
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument("--list-presets", action="store_true", help="list shipped presets")
     sub = parser.add_subparsers(dest="command")
-    for kind in RUNNERS:
+    for kind in KINDS:
         p = sub.add_parser(kind, help=f"run a {kind} experiment")
         p.add_argument("--config", help="path to a JSON config")
         p.add_argument("--preset", help="name of a shipped preset")
         p.add_argument("--out", help="output directory override")
-        p.add_argument("--threads", type=int, help="worker threads for sweeps")
     args = parser.parse_args(argv)
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     if args.list_presets:
@@ -376,7 +323,7 @@ def main(argv=None):
         log.error("%s", exc)
         return 2
     try:
-        return RUNNERS[args.command](config)
+        return run(config)
     except OSError as exc:
         log.error("cannot write outputs: %s", exc)
         return 2

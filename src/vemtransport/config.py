@@ -38,13 +38,10 @@ class ExperimentConfig:
     k_range: list = field(default_factory=lambda: [1, 2, 3, 4])
     d_values: list = field(default_factory=lambda: list(DEFAULT_D_VALUES))
     wells_level: int = 3
-    t_final: float = None
-    n_steps: int = None
     out_dir: str = "out"
     rng_seed: int = 2024
     solver_tol: float = 1e-10
     solver_method: str = "direct"
-    threads: int = 1
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -73,8 +70,6 @@ class ExperimentConfig:
             raise ConfigError("k_range entries must be >= 1")
         if self.solver_method not in ("direct", "iterative"):
             raise ConfigError(f"unknown solver method {self.solver_method!r}")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
         if self.problem != "manufactured" and not self.problem.startswith("wells:"):
             raise ConfigError(f"unknown problem {self.problem!r}")
         if self.kind == "wells" and not self.problem.startswith("wells:"):

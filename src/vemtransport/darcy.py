@@ -186,8 +186,11 @@ class _FluxElement:
 
         jw = 2.0 * np.arange(k + 1) + 1.0
         # edge moment blocks: (2j+1) * int_e P_j m_alpha for the hi basis
+        # the edge rules also serve the Pi_dof rows below; they stay local,
+        # since keeping them on every element raises the peak memory
         self.T_edges = []
         signs = []
+        edge_data = []
         for e, direction in self.edges:
             p0, p1 = mesh.edge_points(e)
             er = edge_rule(p0, p1, 2 * k + 2)
@@ -196,6 +199,7 @@ class _FluxElement:
             T = phi_e.T @ (er.weights[:, None] * P) * jw[None, :]
             self.T_edges.append(T)
             signs.append(direction)
+            edge_data.append((er, P, phi_e[:, :nk]))
 
         # divergence moments: int div(v) m_alpha for |alpha| <= k
         DIVR = np.zeros((nk, self.n_loc))
@@ -223,13 +227,9 @@ class _FluxElement:
 
         # dofs of the projected field, for the stabilization
         Pi_dof = np.zeros((self.n_loc, self.n_loc))
-        for li, (e, _) in enumerate(self.edges):
-            p0, p1 = mesh.edge_points(e)
-            er = edge_rule(p0, p1, 2 * k + 2)
-            phi_e = self.basis_hi.evaluate(er.points)[:, :nk]
+        for li, ((e, _), (er, P, phi_e)) in enumerate(zip(self.edges, edge_data)):
             n_e = mesh.edge_normals[e]
             un = n_e[0] * (phi_e @ self.vel_x) + n_e[1] * (phi_e @ self.vel_y)
-            P = _legendre_values(k, er.params)
             rows = slice(li * (k + 1), (li + 1) * (k + 1))
             Pi_dof[rows, :] = P.T @ (er.weights[:, None] * un) / er.length
         if self.n_internal:

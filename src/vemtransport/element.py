@@ -12,7 +12,7 @@ H1-projection, which makes the L2 projector computable from the dofs.
 import numpy as np
 import scipy.sparse as sp
 
-from .quadrature import edge_rule, polygon_rule
+from .quadrature import edge_rule, lagrange_values, polygon_rule
 from . import polygon as polyops
 
 
@@ -78,18 +78,6 @@ class MonomialBasis:
         if b >= 2:
             out[self.index(a, b - 2)] += b * (b - 1) / self.scale**2
         return out
-
-
-def lagrange_values(nodes, t):
-    """Lagrange basis values on `nodes` evaluated at points t, shape (nt, nn)."""
-    nodes = np.asarray(nodes, dtype=float)
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.ones((len(t), len(nodes)))
-    for a in range(len(nodes)):
-        for b in range(len(nodes)):
-            if a != b:
-                out[:, a] *= (t - nodes[b]) / (nodes[a] - nodes[b])
-    return out
 
 
 def uniform_edge_params(k):

@@ -188,3 +188,16 @@ def map_radau(rule, t_start, t_end):
     nodes = t_start + tau * rule.nodes
     nodes[-1] = t_end
     return nodes, tau * rule.weights
+
+
+def lagrange_values(nodes, t):
+    """Lagrange basis on `nodes` evaluated at scalar or array t, shape (nt, nn);
+    used for edge traces and for slab polynomials in time."""
+    nodes = np.asarray(nodes, dtype=float)
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    out = np.ones((len(t), len(nodes)))
+    for a in range(len(nodes)):
+        for b in range(len(nodes)):
+            if a != b:
+                out[:, a] *= (t - nodes[b]) / (nodes[a] - nodes[b])
+    return out

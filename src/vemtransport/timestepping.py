@@ -11,7 +11,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .linalg import Factorization, LinalgError
-from .quadrature import gauss_interval, gauss_radau, map_radau
+from .quadrature import gauss_interval, gauss_radau, lagrange_values, map_radau
 
 
 class TimeSteppingError(RuntimeError):
@@ -42,17 +42,6 @@ class TimePartition:
     @property
     def tau_max(self):
         return float(np.max(np.diff(self.nodes)))
-
-
-def lagrange_basis_at(nodes, t):
-    """Values of the Lagrange basis on `nodes` at scalar or array t."""
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.ones((len(t), len(nodes)))
-    for a in range(len(nodes)):
-        for b in range(len(nodes)):
-            if a != b:
-                out[:, a] *= (t - nodes[b]) / (nodes[a] - nodes[b])
-    return out
 
 
 def lagrange_derivative_matrix(nodes):
@@ -91,7 +80,7 @@ class SlabSolution:
     def evaluate(self, t):
         """Value of the slab polynomial at time t (vector of dofs)."""
         xi = (np.asarray(t, dtype=float) - self.t_start) / (self.t_end - self.t_start)
-        basis = lagrange_basis_at(self._ref_nodes, xi)
+        basis = lagrange_values(self._ref_nodes, xi)
         out = basis @ self.values
         return out[0] if np.ndim(t) == 0 else out
 
@@ -105,7 +94,7 @@ def slab_matrix(M, a0_blocks, radau, tau):
     """
     q1 = len(radau.nodes)
     Dref = lagrange_derivative_matrix(radau.nodes)
-    ell0 = lagrange_basis_at(radau.nodes, 0.0)[0]
+    ell0 = lagrange_values(radau.nodes, 0.0)[0]
     w = radau.weights
     blocks = [[None] * q1 for _ in range(q1)]
     for j in range(q1):
@@ -120,7 +109,7 @@ def slab_matrix(M, a0_blocks, radau, tau):
 
 def slab_rhs(M, radau, tau, rhs_blocks, carry):
     """Right-hand side of one slab: weighted loads plus the carried trace."""
-    ell0 = lagrange_basis_at(radau.nodes, 0.0)[0]
+    ell0 = lagrange_values(radau.nodes, 0.0)[0]
     w = radau.weights
     Mc = M @ carry
     return np.concatenate(
@@ -136,8 +125,9 @@ def build_slab_system(M, a0_blocks, radau, tau, rhs_blocks, carry):
 def advance(system, partition, q, c0=None, on_slab=None):
     """March the transport system over all slabs; returns the slab list.
 
-    The block matrix and its factorization are reused across slabs when
-    the operators are stationary and the step size does not change.
+    The spatial operators are stationary, so the block matrix and its
+    factorization are reused across slabs while the step size does not
+    change.
     Solver failures are reported with the offending slab index.
     """
     radau = gauss_radau(q)
@@ -156,22 +146,13 @@ def advance(system, partition, q, c0=None, on_slab=None):
                 F, G = system.rhs(t)
                 rhs_blocks.append(F + G)
             rhs = slab_rhs(M, radau, tau, rhs_blocks, carry)
-            reuse = (
-                system.stationary
-                and cached is not None
-                and abs(cached[0] - tau) < 1e-14 * max(1.0, tau)
-            )
-            if reuse:
+            if cached is not None and abs(cached[0] - tau) < 1e-14 * max(1.0, tau):
                 _, fact, matrix = cached
             else:
-                if system.stationary:
-                    a0_blocks = [system.advection_operator(0.0)] * len(node_times)
-                else:
-                    a0_blocks = [system.advection_operator(t) for t in node_times]
+                a0_blocks = [system.advection_operator()] * len(node_times)
                 matrix = slab_matrix(M, a0_blocks, radau, tau)
                 fact = Factorization(matrix)
-                if system.stationary:
-                    cached = (tau, fact, matrix)
+                cached = (tau, fact, matrix)
             x = fact.solve(rhs)
             res = np.linalg.norm(matrix @ x - rhs)
             scale = np.linalg.norm(rhs)
@@ -203,7 +184,7 @@ class WeightedInterpolant:
 
     def __call__(self, t):
         xi = (np.asarray(t, dtype=float) - self.t_start) / self.tau
-        return lagrange_basis_at(self.radau.nodes, xi) @ self.scaled
+        return lagrange_values(self.radau.nodes, xi) @ self.scaled
 
 
 def l_tau(node_values, radau, t_start=0.0, tau=1.0):

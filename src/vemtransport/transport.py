@@ -11,9 +11,9 @@ inflow region.
 import numpy as np
 import scipy.sparse as sp
 
-from .element import VemSpace, lagrange_values, uniform_edge_params
+from .element import VemSpace, uniform_edge_params
 from .linalg import PatternMatrix
-from .quadrature import edge_rule
+from .quadrature import edge_rule, lagrange_values
 
 
 class TransportProblem:
@@ -39,8 +39,9 @@ class TransportProblem:
         Initial condition.
     t_final : float
         End of the simulation window.
-    f_time_dependent : bool
-        When False the spatial operators are assembled once and reused.
+
+    f is the flow's source and, like the flow, stationary: the spatial
+    operators evaluate it at t = 0 and are assembled once.
     """
 
     def __init__(
@@ -52,7 +53,6 @@ class TransportProblem:
         c_inflow=None,
         c0=None,
         t_final=1.0,
-        f_time_dependent=False,
     ):
         if D <= 0.0:
             raise ValueError("diffusion coefficient must be positive")
@@ -63,7 +63,6 @@ class TransportProblem:
         self.c_inflow = c_inflow or (lambda t, p, n: np.zeros(len(p)))
         self.c0 = c0 or (lambda p: np.zeros(len(p)))
         self.t_final = t_final
-        self.f_time_dependent = f_time_dependent
 
 
 class TransportSystem:
@@ -92,7 +91,8 @@ class TransportSystem:
         self._bd_abs_flux = weights * np.abs(un)
         self._bd_inflow = weights * -np.minimum(un, 0.0)
         self._mass = None
-        self._parts_cache = {}
+        self._parts = None
+        self._a0 = None
 
     # -- assembly ------------------------------------------------------
 
@@ -110,20 +110,19 @@ class TransportSystem:
             self._mass = pm.matrix()
         return self._mass
 
-    def operator_parts(self, t=0.0):
-        """Diffusion, skew convection, boundary, and reaction matrices at time t.
+    def operator_parts(self):
+        """Diffusion, skew convection, boundary, and reaction matrices.
 
         Returns (A, B_skew, Lam, R) with the advection operator equal to
-        A + B_skew + (Lam + R) / 2. Cached when f is time-independent.
+        A + B_skew + (Lam + R) / 2; assembled once.
         """
-        key = None if self.problem.f_time_dependent else "static"
-        if key is not None and key in self._parts_cache:
-            return self._parts_cache[key]
+        if self._parts is not None:
+            return self._parts
         space, problem = self.space, self.problem
         pm_a = self._new_pattern()
         pm_k = self._new_pattern()
         pm_r = self._new_pattern()
-        fabs = np.abs(np.asarray(problem.f(t, space.data_points), dtype=float))
+        fabs = np.abs(np.asarray(problem.f(0.0, space.data_points), dtype=float))
         offsets = space.data_offsets
         for ci, elem in enumerate(space.elements):
             dofs = space.cell_dofs[ci]
@@ -137,25 +136,20 @@ class TransportSystem:
         cols = np.broadcast_to(dofs[:, None, :], blocks.shape).ravel()
         lam = sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(space.n_dofs, space.n_dofs))
         K = pm_k.matrix()
-        parts = (
+        self._parts = (
             pm_a.matrix(),
             0.5 * (K - K.T).tocsr(),
             lam.tocsr(),
             pm_r.matrix(),
         )
-        if key is not None:
-            self._parts_cache[key] = parts
-        return parts
+        return self._parts
 
-    def advection_operator(self, t=0.0):
-        """The full spatial operator A0(t)."""
-        if not self.problem.f_time_dependent and "a0" in self._parts_cache:
-            return self._parts_cache["a0"]
-        A, B, Lam, R = self.operator_parts(t)
-        a0 = (A + B + 0.5 * (Lam + R)).tocsr()
-        if not self.problem.f_time_dependent:
-            self._parts_cache["a0"] = a0
-        return a0
+    def advection_operator(self):
+        """The full spatial operator A0 (assembled once)."""
+        if self._a0 is None:
+            A, B, Lam, R = self.operator_parts()
+            self._a0 = (A + B + 0.5 * (Lam + R)).tocsr()
+        return self._a0
 
     def rhs(self, t):
         """Source and inflow functionals (F_plus, G_inflow) at time t."""
@@ -171,8 +165,3 @@ class TransportSystem:
     def initial_condition(self):
         """Dof vector interpolating the initial concentration."""
         return self.space.interpolate(self.problem.c0)
-
-    @property
-    def stationary(self):
-        """True when the spatial operators can be reused across time."""
-        return not self.problem.f_time_dependent

@@ -11,7 +11,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import roots_legendre
 
-from vemtransport.element import MonomialBasis, lagrange_values, uniform_edge_params
+from vemtransport.element import MonomialBasis, uniform_edge_params
+from vemtransport.quadrature import lagrange_values
 
 
 def gauss_on_segment(p0, p1, npts):

@@ -1,10 +1,29 @@
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from vemtransport import cli
 from vemtransport.config import ConfigError, ExperimentConfig, list_presets, load_preset
+from vemtransport.darcy import DarcyError
 from vemtransport.timestepping import TimeSteppingError
+
+WELLS_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "wells-homo"
+
+
+def failing_after(n_ok, monkeypatch):
+    """Let the first n_ok manufactured solves run; the next one raises."""
+    calls = {"n": 0}
+    real = cli.run_manufactured_level
+
+    def flaky(mesh, steps, k, q, D, backend, tol, **kwargs):
+        calls["n"] += 1
+        if calls["n"] > n_ok:
+            raise TimeSteppingError("synthetic failure")
+        return real(mesh, steps, k, q, D, backend, tol, **kwargs)
+
+    monkeypatch.setattr(cli, "run_manufactured_level", flaky)
 
 
 class TestConfig:
@@ -27,9 +46,9 @@ class TestConfig:
             {"D": float("inf")},
             {"levels": [0]},
             {"velocity_backend": "teleport"},
-            {"threads": 0},
             {"problem": "mystery"},
             {"d_values": [1.0, -2.0]},
+            {"solver_method": "cholesky"},
         ],
     )
     def test_validation(self, bad):
@@ -113,7 +132,7 @@ class TestCliDispatch:
         csv2 = (tmp_path / "run2" / "errors.csv").read_bytes()
         assert csv1 == csv2  # byte-identical reruns
 
-    def test_out_and_threads_overrides(self, tmp_path):
+    def test_out_override(self, tmp_path):
         cfg = {
             "kind": "custom",
             "mesh_family": "quad",
@@ -126,9 +145,22 @@ class TestCliDispatch:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         out = tmp_path / "overridden"
-        assert cli.main(["custom", "--config", str(path), "--out", str(out), "--threads", "2"]) == 0
+        assert cli.main(["custom", "--config", str(path), "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["config"]["threads"] == 2
+        assert manifest["config"]["out_dir"] == str(out)
+        assert manifest["failure"] is None
+        assert (out / "errors.csv").is_file()
+
+    @pytest.mark.parametrize("key, value", [("threads", 1), ("t_final", 1.0), ("n_steps", 4)])
+    def test_removed_config_keys_exit_2(self, tmp_path, key, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"kind": "custom", key: value, "out_dir": str(tmp_path)}))
+        assert cli.main(["custom", "--config", str(path)]) == 2
+
+    def test_threads_flag_exit_2(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["custom", "--out", str(tmp_path), "--threads", "2"])
+        assert exc.value.code == 2
 
     def test_custom_run_passes_solver_method(self, tmp_path, monkeypatch):
         seen = {}
@@ -151,20 +183,11 @@ class TestCliDispatch:
                 "out_dir": str(tmp_path),
             }
         )
-        assert cli.run_custom(cfg) == 0
+        assert cli.run(cfg) == 0
         assert seen["solver_method"] == "iterative"
 
     def test_solver_failure_exit_3_with_partial_table(self, tmp_path, monkeypatch):
-        calls = {"n": 0}
-        real = cli.run_manufactured_level
-
-        def flaky(mesh, steps, k, q, D, backend, tol, **kwargs):
-            calls["n"] += 1
-            if calls["n"] >= 2:
-                raise TimeSteppingError("synthetic failure")
-            return real(mesh, steps, k, q, D, backend, tol, **kwargs)
-
-        monkeypatch.setattr(cli, "run_manufactured_level", flaky)
+        failing_after(1, monkeypatch)
         cfg = ExperimentConfig.from_dict(
             {
                 "kind": "convergence",
@@ -176,30 +199,67 @@ class TestCliDispatch:
                 "out_dir": str(tmp_path),
             }
         )
-        assert cli.run_convergence(cfg) == 3
+        assert cli.run(cfg) == 3
         text = (tmp_path / "convergence.csv").read_text()
         assert len(text.strip().split("\n")) == 2  # header plus the level that ran
         manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["failed_level"][0] == 2
+        assert manifest["failure"] == {"solve": "level_2", "error": "synthetic failure"}
 
-
-class TestDrobustThreads:
-    def test_threaded_sweep_matches_serial(self, tmp_path):
-        base = {
-            "kind": "drobust",
-            "mesh_family": "quad",
-            "levels": [1],
-            "steps_per_level": [1],
-            "k": 1,
-            "velocity_backend": "analytic",
-            "d_values": [1.0, 1e-2],
-        }
-        cfg1 = ExperimentConfig.from_dict({**base, "out_dir": str(tmp_path / "serial")})
-        cfg2 = ExperimentConfig.from_dict(
-            {**base, "out_dir": str(tmp_path / "threaded"), "threads": 2}
+    @pytest.mark.parametrize(
+        "kind, sweep, table, first_row, failed",
+        [
+            ("kconv", {"k_range": [1, 2]}, "kconv.csv", "1,", "k_2"),
+            ("drobust", {"d_values": [1.0, 1e-2]}, "drobust.csv", "1.000e+00,", "D_1.000e-02"),
+        ],
+        ids=["kconv", "drobust"],
+    )
+    def test_sweep_failure_keeps_finished_rows(
+        self, tmp_path, monkeypatch, kind, sweep, table, first_row, failed
+    ):
+        failing_after(1, monkeypatch)
+        cfg = ExperimentConfig.from_dict(
+            {
+                "kind": kind,
+                "mesh_family": "quad",
+                "levels": [1],
+                "steps_per_level": [1],
+                "k": 1,
+                "velocity_backend": "analytic",
+                "out_dir": str(tmp_path),
+                **sweep,
+            }
         )
-        assert cli.run_drobust(cfg1) == 0
-        assert cli.run_drobust(cfg2) == 0
-        a = (tmp_path / "serial" / "drobust.csv").read_text()
-        b = (tmp_path / "threaded" / "drobust.csv").read_text()
-        assert a == b
+        assert cli.run(cfg) == 3
+        lines = (tmp_path / table).read_text().strip().split("\n")
+        assert len(lines) == 2 and lines[1].startswith(first_row)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["failure"]["solve"] == failed
+
+
+class TestWells:
+    def test_darcy_failure_exit_3_with_manifest(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise DarcyError("synthetic flow failure")
+
+        monkeypatch.setattr(cli, "solve_darcy_mixed", broken)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"kind": "wells", "wells_level": 1, "out_dir": str(tmp_path)}))
+        assert cli.main(["wells", "--config", str(path)]) == 3
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["failure"] == {"solve": "darcy", "error": "synthetic flow failure"}
+
+    def test_preset_run_matches_reference(self, tmp_path):
+        assert cli.main(["wells", "--preset", "wells-homo", "--out", str(tmp_path)]) == 0
+        # the file list the benchmark's output gate expects
+        expected = ["minmax.csv", "mesh.txt", "mesh.vtk", "darcy.vtk", "concentration_0000.vtk",
+                    "concentration_0001.vtk", "concentration_0002.vtk",
+                    "concentration_series.json", "manifest.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(expected)
+        series = json.loads((tmp_path / "concentration_series.json").read_text())["series"]
+        assert [entry["time"] for entry in series] == [1.0, 2.0, 4.0]
+        got = np.loadtxt(tmp_path / "minmax.csv", delimiter=",", skiprows=1)
+        ref = np.loadtxt(WELLS_REFERENCE / "minmax.csv", delimiter=",", skiprows=1)
+        assert got.shape == ref.shape
+        # the gate's tolerance: 1e-12 relative with a 1e-14 absolute floor
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref) + 1e-14)
+        assert json.loads((tmp_path / "manifest.json").read_text())["failure"] is None

@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from vemtransport.quadrature import gauss_interval, gauss_radau
+from vemtransport.quadrature import gauss_interval, gauss_radau, lagrange_values
 from vemtransport.timestepping import (
     SlabSolution,
     TimePartition,
     TimeSteppingError,
     build_slab_system,
     l_tau,
-    lagrange_basis_at,
     lagrange_derivative_matrix,
     pi_tau,
     slab_matrix,
@@ -185,7 +184,7 @@ class TestWeightedInterpolant:
             for vals in samples:
                 lt = l_tau(vals, radau, t_start=0.0, tau=tau)
                 tq, wq = gauss_interval(0.0, tau, q + 2)
-                basis = lagrange_basis_at(radau.nodes, tq / tau)
+                basis = lagrange_values(radau.nodes, tq / tau)
                 denom = (wq @ (basis @ vals) ** 2) / tau
                 worst = max(worst, lt(np.array([0.0]))[0] ** 2 / denom)
             fitted.append(worst)

@@ -61,11 +61,11 @@ class TestAdvectionOperator:
     def test_zero_velocity_zero_reaction_reduces_to_diffusion(self, hexa1):
         vel = analytic_velocity(lambda p: np.zeros((len(p), 2)), hexa1, 1)
         system = TransportSystem(hexa1, 1, TransportProblem(D=0.8, velocity=vel, f=zeros_f))
-        A, B, Lam, R = system.operator_parts(0.0)
+        A, B, Lam, R = system.operator_parts()
         assert abs(B).max() == 0.0
         assert abs(Lam).max() == 0.0
         assert abs(R).max() == 0.0
-        a0 = system.advection_operator(0.0)
+        a0 = system.advection_operator()
         assert abs(a0 - A).max() < 1e-15
 
     def test_quadratic_form_identity(self, hexa1):
@@ -73,8 +73,8 @@ class TestAdvectionOperator:
         vel = analytic_velocity(exp_field, hexa1, 1)
         f = lambda t, p: np.exp(p[:, 0]) + np.exp(p[:, 1])
         system = TransportSystem(hexa1, 1, TransportProblem(D=1.0, velocity=vel, f=f))
-        A, B, Lam, R = system.operator_parts(0.0)
-        A0 = system.advection_operator(0.0)
+        A, B, Lam, R = system.operator_parts()
+        A0 = system.advection_operator()
         rng = np.random.default_rng(0)
         for _ in range(100):
             v = rng.standard_normal(system.space.n_dofs)
@@ -90,14 +90,14 @@ class TestAdvectionOperator:
         vel = analytic_velocity(unit_x_field, quad1, 1)
         system = TransportSystem(quad1, 1, TransportProblem(D=1.0, velocity=vel, f=zeros_f))
         ones = system.space.interpolate(lambda p: np.ones(len(p)))
-        val = ones @ (system.advection_operator(0.0) @ ones)
+        val = ones @ (system.advection_operator() @ ones)
         assert abs(val - 1.0) < 1e-12
 
     def test_coercivity_nonnegative(self, hexa1):
         vel = analytic_velocity(exp_field, hexa1, 2)
         f = lambda t, p: np.sin(5 * p[:, 0])  # sign changing
         system = TransportSystem(hexa1, 2, TransportProblem(D=1e-3, velocity=vel, f=f))
-        A0 = system.advection_operator(0.0)
+        A0 = system.advection_operator()
         rng = np.random.default_rng(1)
         for _ in range(50):
             v = rng.standard_normal(system.space.n_dofs)
@@ -183,7 +183,7 @@ class TestNormEquivalenceSmoke:
             mesh = generate_quad(n)
             vel = analytic_velocity(exp_field, mesh, 1)
             system = TransportSystem(mesh, 1, TransportProblem(D=1.0, velocity=vel, f=zeros_f))
-            A, _, Lam, _ = system.operator_parts(0.0)
+            A, _, Lam, _ = system.operator_parts()
             M = system.mass()
             ratios = []
             for _ in range(30):
