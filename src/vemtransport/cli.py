@@ -15,8 +15,6 @@ import time
 from pathlib import Path
 from typing import NamedTuple
 
-import numpy as np
-
 from . import __version__
 from .config import KINDS, ConfigError, ExperimentConfig, list_presets, load_preset
 from .darcy import DarcyError, DarcyProblem, analytic_velocity, solve_darcy_mixed
@@ -213,16 +211,12 @@ def run_wells(config, out, timings):
     if failure:
         return summary, failure
     velocity, pressure = flow
-    cell_centers = mesh.cell_centroids
-    u_cells = np.vstack(
-        [velocity.velocity_values(ci, cell_centers[ci : ci + 1])[0] for ci in range(mesh.num_cells)]
-    )
-    p_cells = np.array(
-        [pressure.values(ci, cell_centers[ci : ci + 1])[0] for ci in range(mesh.num_cells)]
-    )
     write_vtk(
         mesh, out / "darcy.vtk",
-        cell_data={"velocity": u_cells, "pressure": p_cells},
+        cell_data={
+            "velocity": velocity.cell_velocity.centroid_values(),
+            "pressure": pressure.centroid_values(),
+        },
         title="flow field",
     )
 

@@ -15,9 +15,10 @@ import numpy as np
 import scipy.sparse as sp
 from numpy.polynomial import legendre
 
-from .element import MonomialBasis, n_poly
+from .element import gram, monomial_gradients, monomial_maps, monomials, n_poly
+from .geometry import split_stacked, stack_rules
 from .linalg import solve
-from .quadrature import edge_rule, polygon_rule
+from .quadrature import edge_rule
 
 
 class DarcyError(RuntimeError):
@@ -58,23 +59,38 @@ class DarcyProblem:
 
 
 class CellPolynomials:
-    """Elementwise polynomials in the per-cell scaled monomial bases."""
+    """Elementwise polynomials in the per-cell scaled monomial bases
+    (centered at the cell centroid, scaled by the cell diameter).
+
+    coeffs is (num_cells, n_poly), or (num_cells, m, n_poly) for a field
+    with m components.
+    """
 
     def __init__(self, mesh, k, coeffs):
         self.mesh = mesh
         self.k = k
-        self.coeffs = coeffs
-        self._bases = [
-            MonomialBasis(k, mesh.cell_centroids[ci], mesh.cell_diameters[ci])
-            for ci in range(mesh.num_cells)
-        ]
+        self.coeffs = np.asarray(coeffs, dtype=float)
 
     def values(self, ci, points):
-        phi = self._bases[ci].evaluate(points)
+        phi = monomials(points, self.mesh.cell_centroids[ci], self.mesh.cell_diameters[ci], self.k)
         c = self.coeffs[ci]
         if c.ndim == 1:
             return phi @ c
         return phi @ c.T
+
+    def group_values(self, cg, points):
+        """Values on the cells of group cg at points (n, m, 2): (n, m),
+        or (n, m, components)."""
+        phi = monomials(points, cg.centroid, cg.diameter, self.k)
+        c = self.coeffs[cg.cells]
+        if c.ndim == 2:
+            return np.einsum("cpi,ci->cp", phi, c)
+        return phi @ np.swapaxes(c, 1, 2)
+
+    def centroid_values(self):
+        """Values at every cell's centroid: there only the constant
+        monomial is nonzero."""
+        return self.coeffs[..., 0]
 
 
 class DiscreteVelocity:
@@ -111,7 +127,8 @@ class DiscreteVelocity:
         return self.cell_velocity.values(ci, points)
 
     def velocity_coefficients(self, ci):
-        """Monomial coefficients (2, n_poly) in the cell basis."""
+        """Monomial coefficients (2, n_poly) in the cell basis; an array of
+        cell ids gives (len(ci), 2, n_poly)."""
         return self.cell_velocity.coeffs[ci]
 
     def divergence_values(self, ci, points):
@@ -125,146 +142,131 @@ def analytic_velocity(u_callback, mesh, k, div_callback=None):
 
     Edge fluxes are L2 projections of u . n onto degree-k edge
     polynomials; element polynomials are L2 projections onto [P_k]^2.
+    Each callback is called once on the edge points and once on the
+    stacked cell points.
     """
-    ne = mesh.num_edges
-    flux = np.zeros((ne, k + 1))
+    ends = mesh.vertices[mesh.edges]
+    er = edge_rule(ends[:, 0], ends[:, 1], 2 * k + 10)
+    uvals = np.asarray(u_callback(er.points.reshape(-1, 2)), dtype=float)
+    un = np.einsum("eqd,ed->eq", uvals.reshape(er.points.shape), mesh.edge_normals)
     jw = 2.0 * np.arange(k + 1) + 1.0
-    for e in range(ne):
-        p0, p1 = mesh.edge_points(e)
-        er = edge_rule(p0, p1, 2 * k + 10)
-        uvals = np.asarray(u_callback(er.points), dtype=float)
-        un = uvals @ mesh.edge_normals[e]
-        P = _legendre_values(k, er.params)
-        flux[e] = jw * (P.T @ (er.weights * un)) / er.length
+    flux = jw * ((er.weights * un) @ _legendre_values(k, er.params)) / er.length[:, None]
 
-    coeffs = []
-    div_coeffs = [] if div_callback is not None else None
-    for ci in range(mesh.num_cells):
-        basis = MonomialBasis(k, mesh.cell_centroids[ci], mesh.cell_diameters[ci])
-        rule = polygon_rule(mesh.cell_polygon(ci), 2 * k + 6)
-        phi = basis.evaluate(rule.points)
-        H = phi.T @ (rule.weights[:, None] * phi)
-        uvals = np.asarray(u_callback(rule.points), dtype=float)
-        rhs = phi.T @ (rule.weights[:, None] * uvals)
-        coeffs.append(np.linalg.solve(H, rhs).T)
-        if div_callback is not None:
-            dv = np.asarray(div_callback(rule.points), dtype=float)
-            div_coeffs.append(np.linalg.solve(H, phi.T @ (rule.weights * dv)))
+    rules, points = stack_rules(mesh.cell_groups, 2 * k + 6)
+    shapes = [w.shape for _, w in rules]
+    u_parts = split_stacked(u_callback(points), shapes)
+    d_parts = split_stacked(div_callback(points), shapes) if div_callback else [None] * len(rules)
+    coeffs = np.zeros((mesh.num_cells, 2, n_poly(k)))
+    div = np.zeros((mesh.num_cells, n_poly(k)))
+    for cg, (pts, w), u, dv in zip(mesh.cell_groups, rules, u_parts, d_parts):
+        phi = monomials(pts, cg.centroid, cg.diameter, k)
+        H = gram(phi, w, phi)
+        coeffs[cg.cells] = np.swapaxes(np.linalg.solve(H, gram(phi, w, u)), 1, 2)
+        if div_callback:
+            div[cg.cells] = np.linalg.solve(H, gram(phi, w, dv[..., None]))[..., 0]
     cell_vel = CellPolynomials(mesh, k, coeffs)
-    cell_div = CellPolynomials(mesh, k, div_coeffs) if div_coeffs is not None else None
+    cell_div = CellPolynomials(mesh, k, div) if div_callback else None
     return DiscreteVelocity(mesh, k, "analytic", flux, cell_vel, cell_div)
 
 
-class _FluxElement:
-    """Local mixed-VEM operators for one cell.
+class _FluxGroup:
+    """Local mixed-VEM operators of a cell group, stacked over its cells.
 
-    rule is the cell's degree-2(k+1) polygon rule and f_values the flow
-    source at its points; they give the source moments f_moments.
+    rule is the group's degree-2(k+1) polygon rule (points, weights) and
+    f_values the flow source at its points; of these only the source
+    moments f_moments are kept. udofs and pdofs are the global velocity
+    and pressure dofs of every cell, in the local order.
     """
 
-    def __init__(self, mesh, ci, k, rule, f_values):
-        self.nv = len(mesh.cells[ci])
-        self.k = k
-        self.area = mesh.cell_areas[ci]
-        self.h = mesh.cell_diameters[ci]
-        self.basis_hi = MonomialBasis(k + 1, mesh.cell_centroids[ci], self.h)
+    def __init__(self, mesh, cg, k, rule, f_values):
+        nc, nv = cg.verts.shape[:2]
+        area, h, c = cg.area, cg.diameter, cg.centroid
         nk = n_poly(k)
         nk1 = n_poly(k + 1)
-        self.n_internal = nk - 1
-        self.edges = mesh.cell_edges[ci]
-        self.n_loc = self.nv * (k + 1) + self.n_internal
+        n_edge = nv * (k + 1)
+        n_loc = n_edge + nk - 1
+        points, w = rule
+        phi = monomials(points, c, h, k + 1)
+        self.f_moments = (np.swapaxes(phi[..., :nk], 1, 2) @ (w * f_values)[..., None])[..., 0]
+        H_full = gram(phi, w, phi)
+        gx, gy = monomial_gradients(points, c, h, k + 1)
+        G_full = gram(gx, w, gx) + gram(gy, w, gy)
+        self.int_m = H_full[:, 0, :nk]  # integrals of the pressure monomials
 
-        phi = self.basis_hi.evaluate(rule.points)
-        w = rule.weights
-        self.f_moments = phi[:, :nk].T @ (w * f_values)
-        H_full = phi.T @ (w[:, None] * phi)
-        gx, gy = self.basis_hi.gradients(rule.points)
-        G_full = gx.T @ (w[:, None] * gx) + gy.T @ (w[:, None] * gy)
-        self.H_k = H_full[:nk, :nk]
-        self.H_cross = H_full[:, :nk]
-        self.int_m = H_full[0, :nk]  # integrals of the pressure monomials
-
+        # edge moment blocks (2j+1) * int_e P_j m_alpha for the degree-(k+1)
+        # basis, on each edge's canonical rule; signed by the traversal
+        # direction they give the edge columns, (nc, nk1, n_edge)
         jw = 2.0 * np.arange(k + 1) + 1.0
-        # edge moment blocks: (2j+1) * int_e P_j m_alpha for the hi basis
-        # the edge rules also serve the Pi_dof rows below; they stay local,
-        # since keeping them on every element raises the peak memory
-        self.T_edges = []
-        signs = []
-        edge_data = []
-        for e, direction in self.edges:
-            p0, p1 = mesh.edge_points(e)
-            er = edge_rule(p0, p1, 2 * k + 2)
-            P = _legendre_values(k, er.params)
-            phi_e = self.basis_hi.evaluate(er.points)
-            T = phi_e.T @ (er.weights[:, None] * P) * jw[None, :]
-            self.T_edges.append(T)
-            signs.append(direction)
-            edge_data.append((er, P, phi_e[:, :nk]))
+        ends = mesh.vertices[mesh.edges[cg.edges]]
+        er = edge_rule(ends[..., 0, :], ends[..., 1, :], 2 * k + 2)
+        P = _legendre_values(k, er.params)
+        phi_e = monomials(er.points, c[:, None], h[:, None], k + 1)
+        T = np.swapaxes(phi_e, 2, 3) @ (er.weights[..., None] * P) * jw
+        edge_cols = np.swapaxes(T * cg.directions[:, :, None, None], 1, 2).reshape(nc, nk1, n_edge)
 
         # divergence moments: int div(v) m_alpha for |alpha| <= k
-        DIVR = np.zeros((nk, self.n_loc))
-        for li, T in enumerate(self.T_edges):
-            cols = slice(li * (k + 1), (li + 1) * (k + 1))
-            DIVR[:, cols] += signs[li] * T[:nk, :]
-        for a in range(1, nk):
-            DIVR[a, self.nv * (k + 1) + a - 1] -= self.area / self.h
+        DIVR = np.zeros((nc, nk, n_loc))
+        DIVR[:, :, :n_edge] = edge_cols[:, :nk]
+        DIVR[:, 1:, n_edge:] = -(area / h)[:, None, None] * np.eye(nk - 1)
         self.DIVR = DIVR
-        self.div_map = np.linalg.solve(self.H_k, DIVR)
+        self.div_map = np.linalg.solve(H_full[:, :nk, :nk], DIVR)
 
         # projection onto gradients of degree-(k+1) polynomials
-        PRHS = np.zeros((nk1 - 1, self.n_loc))
-        for li, T in enumerate(self.T_edges):
-            cols = slice(li * (k + 1), (li + 1) * (k + 1))
-            PRHS[:, cols] += signs[li] * T[1:, :]
-        PRHS -= (self.H_cross @ self.div_map)[1:, :]
-        G_red = G_full[1:, 1:]
-        self.pi_grad = np.linalg.solve(G_red, PRHS)
+        PRHS = np.zeros((nc, nk1 - 1, n_loc))
+        PRHS[:, :, :n_edge] = edge_cols[:, 1:]
+        PRHS -= (H_full[:, :, :nk] @ self.div_map)[:, 1:, :]
+        pi_grad = np.linalg.solve(G_full[:, 1:, 1:], PRHS)
+        dmaps = monomial_maps(k + 1)[:2, :nk, 1:]
+        vel_x = dmaps[0] / h[:, None, None] @ pi_grad
+        vel_y = dmaps[1] / h[:, None, None] @ pi_grad
+        self.vel = np.stack([vel_x, vel_y], axis=1)
 
-        dx = self.basis_hi.derivative_map(0)
-        dy = self.basis_hi.derivative_map(1)
-        self.vel_x = dx[:nk, 1:] @ self.pi_grad
-        self.vel_y = dy[:nk, 1:] @ self.pi_grad
+        # dofs of the projected field, for the stabilization: edge moments
+        # of its canonical normal flux, then the internal moments
+        normals = mesh.edge_normals[cg.edges]
+        phik_e = phi_e[..., :nk]
+        un = (normals[..., 0, None, None] * (phik_e @ vel_x[:, None])
+              + normals[..., 1, None, None] * (phik_e @ vel_y[:, None]))
+        Pi_dof = np.zeros((nc, n_loc, n_loc))
+        edge_rows = P.T @ (er.weights[..., None] * un) / er.length[..., None, None]
+        Pi_dof[:, :n_edge] = edge_rows.reshape(nc, n_edge, n_loc)
+        wgx = np.swapaxes(w[..., None] * gx[..., 1:nk], 1, 2)
+        wgy = np.swapaxes(w[..., None] * gy[..., 1:nk], 1, 2)
+        inner = wgx @ (phi[..., :nk] @ vel_x) + wgy @ (phi[..., :nk] @ vel_y)
+        Pi_dof[:, n_edge:] = (h / area)[:, None, None] * inner
 
-        # dofs of the projected field, for the stabilization
-        Pi_dof = np.zeros((self.n_loc, self.n_loc))
-        for li, ((e, _), (er, P, phi_e)) in enumerate(zip(self.edges, edge_data)):
-            n_e = mesh.edge_normals[e]
-            un = n_e[0] * (phi_e @ self.vel_x) + n_e[1] * (phi_e @ self.vel_y)
-            rows = slice(li * (k + 1), (li + 1) * (k + 1))
-            Pi_dof[rows, :] = P.T @ (er.weights[:, None] * un) / er.length
-        if self.n_internal:
-            phik = phi[:, :nk]
-            Ux = phik @ self.vel_x
-            Uy = phik @ self.vel_y
-            for a in range(1, nk):
-                vals = gx[:, a][:, None] * Ux + gy[:, a][:, None] * Uy
-                Pi_dof[self.nv * (k + 1) + a - 1, :] = self.h / self.area * (w @ vals)
+        consist = np.swapaxes(PRHS, 1, 2) @ pi_grad
+        rest = np.eye(n_loc) - Pi_dof
+        stab = (area[:, None, None] * np.swapaxes(rest, 1, 2)) @ rest
+        self.A_unit = 0.5 * (consist + np.swapaxes(consist, 1, 2)) + stab
 
-        consist = PRHS.T @ self.pi_grad
-        stab = self.area * (np.eye(self.n_loc) - Pi_dof).T @ (np.eye(self.n_loc) - Pi_dof)
-        self.A_unit = 0.5 * (consist + consist.T) + stab
+        edge_dofs = cg.edges[:, :, None] * (k + 1) + np.arange(k + 1)
+        internal = mesh.num_edges * (k + 1) + cg.cells[:, None] * (nk - 1) + np.arange(nk - 1)
+        self.udofs = np.hstack([edge_dofs.reshape(nc, -1), internal])
+        n_u = mesh.num_edges * (k + 1) + mesh.num_cells * (nk - 1)
+        self.pdofs = n_u + cg.cells[:, None] * nk + np.arange(nk)
 
 
-def _flux_elements(mesh, k, f):
-    """Flux elements of all cells; f is evaluated once, on the stacked
-    quadrature points of every cell."""
-    rules = [polygon_rule(mesh.cell_polygon(ci), 2 * (k + 1)) for ci in range(mesh.num_cells)]
-    offsets = np.cumsum([0] + [len(r.weights) for r in rules])
-    f_vals = np.asarray(f(np.vstack([r.points for r in rules])), dtype=float)
+def _flux_groups(mesh, k, f):
+    """Flux groups of all cells; f is evaluated once, on the stacked
+    quadrature points of every cell. The rules and their monomial values
+    are locals here, so they are freed before the saddle solve."""
+    rules, points = stack_rules(mesh.cell_groups, 2 * (k + 1))
+    f_vals = split_stacked(f(points), [w.shape for _, w in rules])
     return [
-        _FluxElement(mesh, ci, k, rule, f_vals[offsets[ci] : offsets[ci + 1]])
-        for ci, rule in enumerate(rules)
+        _FluxGroup(mesh, cg, k, rule, fv)
+        for cg, rule, fv in zip(mesh.cell_groups, rules, f_vals)
     ]
 
 
-def _global_flux_dofs(mesh, k, ci, flux_elem):
-    """Global velocity dof ids aligned with the local ordering."""
-    ids = []
-    for e, _ in mesh.cell_edges[ci]:
-        ids += [e * (k + 1) + j for j in range(k + 1)]
-    base = mesh.num_edges * (k + 1) + ci * flux_elem.n_internal
-    ids += [base + j for j in range(flux_elem.n_internal)]
-    return np.asarray(ids, dtype=int)
+def _boundary_moments(mesh, edges, g, k):
+    """Legendre moments int_e P_j g of boundary data g on the given edges,
+    (n, k+1), from one call of g on the stacked edge points; also returns
+    the edge rules and g's values."""
+    ends = mesh.vertices[mesh.edges[edges]]
+    er = edge_rule(ends[:, 0], ends[:, 1], 2 * k + 8)
+    gvals = np.asarray(g(er.points.reshape(-1, 2)), dtype=float).reshape(er.weights.shape)
+    return (er.weights * gvals) @ _legendre_values(k, er.params), er, gvals
 
 
 def solve_darcy_mixed(mesh, problem, k, solver_tol=1e-10, solver_method="direct"):
@@ -290,54 +292,45 @@ def solve_darcy_mixed(mesh, problem, k, solver_tol=1e-10, solver_method="direct"
     n_p = mesh.num_cells * nk
     n_sys = n_u + n_p + (1 if pure_neumann else 0)
 
-    elems = _flux_elements(mesh, k, problem.f)
+    groups = _flux_groups(mesh, k, problem.f)
 
     rows, cols, vals = [], [], []
+
+    def add(r, c, block):
+        """Stacked local blocks (n, a, b) at global rows r (n, a), cols c (n, b)."""
+        rows.append(np.broadcast_to(r[:, :, None], block.shape).ravel())
+        cols.append(np.broadcast_to(c[:, None, :], block.shape).ravel())
+        vals.append(block.ravel())
+
     rhs = np.zeros(n_sys)
-    total_f = 0.0
     coef = problem.mu / problem.K_perm
-    for ci, fe in enumerate(elems):
-        udofs = _global_flux_dofs(mesh, k, ci, fe)
-        pdofs = n_u + ci * nk + np.arange(nk)
-        A_loc = coef * fe.A_unit
-        r, c = np.meshgrid(udofs, udofs, indexing="ij")
-        rows.append(r.ravel())
-        cols.append(c.ravel())
-        vals.append(A_loc.ravel())
-        r, c = np.meshgrid(pdofs, udofs, indexing="ij")
-        rows.append(r.ravel())
-        cols.append(c.ravel())
-        vals.append(fe.DIVR.ravel())
-        rows.append(c.ravel())
-        cols.append(r.ravel())
-        vals.append(fe.DIVR.ravel())
-        rhs[pdofs] += fe.f_moments
-        total_f += fe.f_moments[0] if nk else 0.0
+    for g in groups:
+        add(g.udofs, g.udofs, coef * g.A_unit)
+        add(g.pdofs, g.udofs, g.DIVR)
+        add(g.udofs, g.pdofs, np.swapaxes(g.DIVR, 1, 2))
+        rhs[g.pdofs] = g.f_moments
         if pure_neumann:
-            r = np.full(nk, n_sys - 1)
-            rows.extend([r, pdofs])
-            cols.extend([pdofs, r])
-            vals.extend([fe.int_m, fe.int_m])
+            gauge = np.full((len(g.pdofs), 1), n_sys - 1)
+            add(gauge, g.pdofs, g.int_m[:, None, :])
+            add(g.pdofs, gauge, g.int_m[:, :, None])
+    total_f = sum(float(g.f_moments[:, 0].sum()) for g in groups)
 
     jw = 2.0 * np.arange(k + 1) + 1.0
-    constrained = {}
+    bd = np.asarray(mesh.boundary_edges, dtype=int)
+    on_dirichlet = np.isin(bd, list(dirichlet))
+    sign = np.array([mesh.boundary_sign(e) for e in bd])
+    if on_dirichlet.any():
+        moments, _, _ = _boundary_moments(mesh, bd[on_dirichlet], problem.g_D, k)
+        idx = bd[on_dirichlet, None] * (k + 1) + np.arange(k + 1)
+        rhs[idx] += sign[on_dirichlet, None] * jw * moments
+    idx = np.zeros(0, dtype=int)
     total_gn = 0.0
-    for e in boundary:
-        sign = mesh.boundary_sign(e)
-        p0, p1 = mesh.edge_points(e)
-        er = edge_rule(p0, p1, 2 * k + 8)
-        P = _legendre_values(k, er.params)
-        if e in dirichlet:
-            gvals = np.asarray(problem.g_D(er.points), dtype=float)
-            contrib = sign * jw * (P.T @ (er.weights * gvals))
-            for j in range(k + 1):
-                rhs[e * (k + 1) + j] += contrib[j]
-        else:
-            gvals = np.asarray(problem.g_N(er.points), dtype=float)
-            moments = sign * (P.T @ (er.weights * gvals)) / er.length
-            for j in range(k + 1):
-                constrained[e * (k + 1) + j] = moments[j]
-            total_gn += float(er.weights @ gvals)
+    if not on_dirichlet.all():
+        neumann = bd[~on_dirichlet]
+        moments, er, gvals = _boundary_moments(mesh, neumann, problem.g_N, k)
+        idx = (neumann[:, None] * (k + 1) + np.arange(k + 1)).ravel()
+        values = (sign[~on_dirichlet, None] * moments / er.length[:, None]).ravel()
+        total_gn = float(np.sum(er.weights * gvals))
 
     if pure_neumann:
         mismatch = abs(total_f - total_gn)
@@ -352,10 +345,9 @@ def solve_darcy_mixed(mesh, problem, k, solver_tol=1e-10, solver_method="direct"
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n_sys, n_sys),
     ).tocsr()
+    del rows, cols, vals
 
-    if constrained:
-        idx = np.fromiter(constrained.keys(), dtype=int)
-        values = np.fromiter(constrained.values(), dtype=float)
+    if len(idx):
         rhs -= A[:, idx] @ values
         mask = np.ones(n_sys, dtype=bool)
         mask[idx] = False
@@ -369,41 +361,38 @@ def solve_darcy_mixed(mesh, problem, k, solver_tol=1e-10, solver_method="direct"
         x, report = solve(A, rhs, tol=solver_tol, method=solver_method)
 
     flux = x[: mesh.num_edges * (k + 1)].reshape(mesh.num_edges, k + 1) * jw[None, :]
-    vel_coeffs = []
-    div_coeffs = []
-    for ci, fe in enumerate(elems):
-        udofs = _global_flux_dofs(mesh, k, ci, fe)
-        uloc = x[udofs]
-        vel_coeffs.append(np.vstack([fe.vel_x @ uloc, fe.vel_y @ uloc]))
-        div_coeffs.append(fe.div_map @ uloc)
+    vel_coeffs = np.zeros((mesh.num_cells, 2, nk))
+    div_coeffs = np.zeros((mesh.num_cells, nk))
+    for g, cg in zip(groups, mesh.cell_groups):
+        uloc = x[g.udofs]
+        vel_coeffs[cg.cells] = (g.vel @ uloc[:, None, :, None])[..., 0]
+        div_coeffs[cg.cells] = (g.div_map @ uloc[:, :, None])[..., 0]
     pressure = x[n_u : n_u + n_p].reshape(mesh.num_cells, nk)
 
     cell_vel = CellPolynomials(mesh, k, vel_coeffs)
     cell_div = CellPolynomials(mesh, k, div_coeffs)
     velocity = DiscreteVelocity(mesh, k, "mixed_vem", flux, cell_vel, cell_div)
-    pressure_poly = CellPolynomials(mesh, k, [pressure[ci] for ci in range(mesh.num_cells)])
-    return velocity, pressure_poly
+    return velocity, CellPolynomials(mesh, k, pressure)
+
+
+def _l2_distance(mesh, poly, callback, degree):
+    """L2 distance between elementwise polynomials and a callback, which
+    is called once on the stacked rule points of all cells."""
+    rules, points = stack_rules(mesh.cell_groups, degree)
+    exact = split_stacked(callback(points), [w.shape for _, w in rules])
+    total = 0.0
+    for cg, (pts, w), ex in zip(mesh.cell_groups, rules, exact):
+        diff = poly.group_values(cg, pts) - ex
+        total += float(np.sum(w * (diff**2 if diff.ndim == 2 else np.sum(diff**2, axis=-1))))
+    return np.sqrt(total)
 
 
 def velocity_l2_error(velocity, u_callback, quad_degree=None):
     """L2 distance between the element velocity polynomials and a field."""
-    mesh = velocity.mesh
     deg = quad_degree if quad_degree is not None else 2 * velocity.k + 6
-    total = 0.0
-    for ci in range(mesh.num_cells):
-        rule = polygon_rule(mesh.cell_polygon(ci), deg)
-        diff = velocity.velocity_values(ci, rule.points) - np.asarray(
-            u_callback(rule.points), dtype=float
-        )
-        total += float(rule.weights @ np.sum(diff**2, axis=1))
-    return np.sqrt(total)
+    return _l2_distance(velocity.mesh, velocity.cell_velocity, u_callback, deg)
 
 
 def pressure_l2_error(pressure, p_callback, mesh, quad_degree=6):
     """L2 distance between elementwise pressures and a reference field."""
-    total = 0.0
-    for ci in range(mesh.num_cells):
-        rule = polygon_rule(mesh.cell_polygon(ci), quad_degree)
-        diff = pressure.values(ci, rule.points) - np.asarray(p_callback(rule.points), dtype=float)
-        total += float(rule.weights @ diff**2)
-    return np.sqrt(total)
+    return _l2_distance(mesh, pressure, p_callback, quad_degree)

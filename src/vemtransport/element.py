@@ -1,18 +1,24 @@
-"""Per-element virtual element machinery and the global scalar space.
+"""Virtual element local spaces, built a cell group at a time, and the
+global scalar space.
 
-Each polygonal cell carries a scaled monomial basis, the H1-type and L2
-projectors computed from the degrees of freedom (vertex values, uniform
-edge points, internal moments), dofi-dofi stabilizations, and factories
-for the local mass, diffusion, convection, reaction, and boundary-edge
-matrices. Degrees k >= 2 use the standard enhancement convention: the
-missing moments of degree k-1 and k are identified with those of the
-H1-projection, which makes the L2 projector computable from the dofs.
+The cells of a mesh are grouped by vertex count (PolyMesh.cell_groups)
+and every group is built at once on stacked arrays: scaled monomial
+bases, the H1-type and L2 projectors computed from the degrees of
+freedom (vertex values, uniform edge points, internal moments),
+dofi-dofi stabilizations, and the local mass, diffusion, convection and
+reaction matrices. Degrees k >= 2 use the standard enhancement
+convention: the missing moments of degree k-1 and k are identified with
+those of the H1-projection, which makes the L2 projector computable
+from the dofs. VemElement is a group of one cell.
 """
+
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
-from .quadrature import edge_rule, lagrange_values, polygon_rule
+from .geometry import CellGroup
+from .quadrature import edge_rule, lagrange_values
 from . import polygon as polyops
 
 
@@ -30,6 +36,55 @@ def n_poly(k):
     return (k + 1) * (k + 2) // 2 if k >= 0 else 0
 
 
+def _relative(points, center, scale):
+    center = np.asarray(center, dtype=float)
+    scale = np.asarray(scale, dtype=float)
+    return (np.asarray(points, dtype=float) - center[..., None, :]) / scale[..., None, None]
+
+
+def monomials(points, center, scale, k):
+    """Scaled monomials ((x - center)/scale)^s, |s| <= k, at points.
+
+    points is (..., m, 2), center (..., 2) and scale (...), one per
+    leading index; returns (..., m, n_poly(k)).
+    """
+    exps = monomial_exponents(k)
+    rel = _relative(points, center, scale)
+    return rel[..., 0, None] ** exps[:, 0] * rel[..., 1, None] ** exps[:, 1]
+
+
+def monomial_gradients(points, center, scale, k):
+    """x and y derivatives of the scaled monomials, each (..., m, n_poly(k))."""
+    exps = monomial_exponents(k)
+    rel = _relative(points, center, scale)
+    a, b = exps[:, 0], exps[:, 1]
+    x, y = rel[..., 0, None], rel[..., 1, None]
+    with np.errstate(invalid="ignore"):
+        gx = a * x ** np.maximum(a - 1, 0) * y**b
+        gy = b * x**a * y ** np.maximum(b - 1, 0)
+    scale = np.asarray(scale, dtype=float)[..., None, None]
+    return gx / scale, gy / scale
+
+
+def monomial_maps(k):
+    """Unit-scale coefficient maps of the scaled monomials, shape (3, n, n):
+    d/dx and d/dy (column i: monomial i; divide by the scale for a cell
+    basis) and the Laplacian (row i; divide by the squared scale)."""
+    exps = monomial_exponents(k)
+    index = {tuple(e): i for i, e in enumerate(exps)}
+    maps = np.zeros((3, len(exps), len(exps)))
+    for i, (a, b) in enumerate(exps):
+        if a > 0:
+            maps[0, index[(a - 1, b)], i] = a
+        if b > 0:
+            maps[1, index[(a, b - 1)], i] = b
+        if a >= 2:
+            maps[2, i, index[(a - 2, b)]] += a * (a - 1)
+        if b >= 2:
+            maps[2, i, index[(a, b - 2)]] += b * (b - 1)
+    return maps
+
+
 class MonomialBasis:
     """Scaled monomials ((x - x_K)/h_K)^s, |s| <= k, on one cell."""
 
@@ -39,45 +94,22 @@ class MonomialBasis:
         self.scale = float(scale)
         self.exps = monomial_exponents(k)
         self.size = len(self.exps)
-        self._index = {tuple(e): i for i, e in enumerate(self.exps)}
 
     def evaluate(self, points):
         """Values at points, shape (npts, size)."""
-        rel = (np.atleast_2d(points) - self.center) / self.scale
-        return rel[:, 0][:, None] ** self.exps[:, 0] * rel[:, 1][:, None] ** self.exps[:, 1]
+        return monomials(np.atleast_2d(points), self.center, self.scale, self.k)
 
     def gradients(self, points):
         """Gradient values, shapes ((npts, size), (npts, size))."""
-        rel = (np.atleast_2d(points) - self.center) / self.scale
-        a = self.exps[:, 0]
-        b = self.exps[:, 1]
-        with np.errstate(invalid="ignore"):
-            gx = a * rel[:, 0][:, None] ** np.maximum(a - 1, 0) * rel[:, 1][:, None] ** b
-            gy = b * rel[:, 0][:, None] ** a * rel[:, 1][:, None] ** np.maximum(b - 1, 0)
-        return gx / self.scale, gy / self.scale
-
-    def index(self, a, b):
-        return self._index[(a, b)]
+        return monomial_gradients(np.atleast_2d(points), self.center, self.scale, self.k)
 
     def derivative_map(self, dim):
         """Matrix mapping coefficients of p to coefficients of dp/dx_dim."""
-        mat = np.zeros((self.size, self.size))
-        for i, (a, b) in enumerate(self.exps):
-            if dim == 0 and a > 0:
-                mat[self.index(a - 1, b), i] = a / self.scale
-            if dim == 1 and b > 0:
-                mat[self.index(a, b - 1), i] = b / self.scale
-        return mat
+        return monomial_maps(self.k)[dim] / self.scale
 
     def laplacian_coeffs(self, i):
         """Monomial coefficients of the Laplacian of basis member i."""
-        a, b = self.exps[i]
-        out = np.zeros(self.size)
-        if a >= 2:
-            out[self.index(a - 2, b)] += a * (a - 1) / self.scale**2
-        if b >= 2:
-            out[self.index(a, b - 2)] += b * (b - 1) / self.scale**2
-        return out
+        return monomial_maps(self.k)[2, i] / self.scale**2
 
 
 def uniform_edge_params(k):
@@ -85,8 +117,155 @@ def uniform_edge_params(k):
     return np.arange(k + 1) / k if k >= 1 else np.array([0.0, 1.0])
 
 
+def _t(a):
+    return np.swapaxes(a, -1, -2)
+
+
+def gram(a, w, b):
+    """Stacked weighted Gram matrices a^T diag(w) b over the point axis:
+    a (..., m, i), w (..., m), b (..., m, j) -> (..., i, j)."""
+    return _t(a) @ (w[..., None] * b)
+
+
+def local_trace_dofs(nv, k):
+    """Local dofs along each edge of an nv-gon, (nv, k+1), in traversal
+    order [start, interior..., end]."""
+    i = np.arange(nv)[:, None]
+    interior = nv + i * (k - 1) + np.arange(k - 1)[None, :]
+    return np.hstack([i, interior, (i + 1) % nv])
+
+
+class ElementGroup:
+    """Projectors, stabilizations and local matrices of a cell group.
+
+    Every array has the cell as its leading axis. group is a
+    geometry.CellGroup, k the polynomial degree (k >= 1). The group keeps
+    the monomial values at two rules: the data rule (degree 2k+2, for the
+    data terms) and the convection rule (degree 3k).
+    """
+
+    def __init__(self, group, k):
+        if k < 1:
+            raise ValueError("degree k must be >= 1")
+        self.k = k
+        self.nv = nv = group.verts.shape[1]
+        self.area = area = group.area
+        self.centroid = c = group.centroid
+        self.diameter = h = group.diameter
+        self.n_poly = npol = n_poly(k)
+        self.n_moments = nm = n_poly(k - 2)
+        self.n_dofs = ndof = nv * k + nm
+        trace_dofs = local_trace_dofs(nv, k)
+        nc = len(area)
+
+        starts = group.verts
+        ends = np.roll(starts, -1, axis=1)
+        tang = ends - starts
+        lengths = np.hypot(tang[..., 0], tang[..., 1])
+        normals = np.stack([tang[..., 1], -tang[..., 0]], axis=-1) / lengths[..., None]
+        perimeter = lengths.sum(axis=1)
+        params = uniform_edge_params(k)
+        inner = starts[:, :, None, :] + params[1:-1, None] * tang[:, :, None, :]
+        self.dof_points = np.concatenate([starts, inner.reshape(nc, -1, 2)], axis=1)
+
+        # rules with the same point count are built once (e.g. 2k and 3k at k = 1)
+        rules = {}
+
+        def rule(degree):
+            n = max(1, (degree + 2) // 2)
+            if n not in rules:
+                points, weights = group.rule(degree)
+                rules[n] = (points, weights, monomials(points, c, h, k))
+            return rules[n]
+
+        points, w, phi = rule(max(2 * k, 2))
+        self.H = H = gram(phi, w, phi)
+        gx, gy = monomial_gradients(points, c, h, k)
+        self.G_stiff = gram(gx, w, gx) + gram(gy, w, gy)
+        self.data_points, self.data_weights, self.data_phi = rule(2 * k + 2)
+        _, self.conv_weights, self.conv_phi = rule(3 * k)
+
+        # dof matrix: dofs of each monomial
+        D = np.zeros((nc, ndof, npol))
+        D[:, : nv * k] = monomials(self.dof_points, c, h, k)
+        D[:, nv * k :] = H[:, :nm, :] / area[:, None, None]
+
+        # edge integrals of the monomials (and their normal derivatives)
+        # against the trace basis
+        er = edge_rule(starts, ends, 2 * k)
+        trace = lagrange_values(params, er.params)
+        cv, hv = c[:, None], h[:, None]
+        phi_e = monomials(er.points, cv, hv, k)
+        egx, egy = monomial_gradients(er.points, cv, hv, k)
+        gn = egx * normals[..., 0, None, None] + egy * normals[..., 1, None, None]
+        weighted_trace = er.weights[..., None] * trace
+        flux = _t(gn) @ weighted_trace
+        moments = _t(phi_e) @ weighted_trace
+
+        # H1-type projector: gradient matching plus boundary-mean constraint
+        B = np.zeros((nc, npol, ndof))
+        p0_row = np.zeros((nc, ndof))
+        g0_row = np.zeros((nc, npol))
+        for i in range(nv):
+            B[:, :, trace_dofs[i]] += flux[:, i]
+            p0_row[:, trace_dofs[i]] += er.weights[:, i] @ trace
+            g0_row += (er.weights[:, i, None, :] @ phi_e[:, i])[:, 0]
+        maps = monomial_maps(k)
+        B[:, :, nv * k :] -= area[:, None, None] * (maps[2, :, :nm] / h[:, None, None] ** 2)
+        G = self.G_stiff.copy()
+        G[:, 0, :] = g0_row / perimeter[:, None]
+        B[:, 0, :] = p0_row / perimeter[:, None]
+        self.D = D
+        self.pin_coef = np.linalg.solve(G, B)
+        self.pin_dof = D @ self.pin_coef
+
+        # L2 projector: stored moments up to k-2, higher moments from the
+        # H1 projection (enhancement convention)
+        C = np.zeros((nc, npol, ndof))
+        C[:, :nm, nv * k :] = area[:, None, None] * np.eye(nm)
+        C[:, nm:, :] = (H @ self.pin_coef)[:, nm:, :]
+        self.pi0_coef = np.linalg.solve(H, C)
+        self.pi0_dof = D @ self.pi0_coef
+
+        # componentwise L2 projection of the gradient at degree k, (2, nc, npol, ndof)
+        pg = []
+        for dim in range(2):
+            E = np.zeros((nc, npol, ndof))
+            for i in range(nv):
+                E[:, :, trace_dofs[i]] += moments[:, i] * normals[:, i, dim, None, None]
+            E -= _t(maps[dim] / h[:, None, None]) @ C
+            pg.append(np.linalg.solve(H, E))
+        self.pg_coef = np.stack(pg)
+
+        rest = np.eye(ndof) - self.pi0_dof
+        mass = _t(self.pi0_coef) @ H @ self.pi0_coef + (area[:, None, None] * _t(rest)) @ rest
+        self.mass = 0.5 * (mass + _t(mass))
+        rest = np.eye(ndof) - self.pin_dof
+        stiff = _t(self.pin_coef) @ self.G_stiff @ self.pin_coef + _t(rest) @ rest
+        self.stiff_unit = 0.5 * (stiff + _t(stiff))
+
+    def convection(self, u_coef):
+        """Convection pairings for per-cell polynomial velocities.
+
+        u_coef is (nc, 2, n_poly): monomial coefficients of the projected
+        velocity. Entry (i, j) integrates (u . grad phi_j, phi_i) with
+        the projected gradient (degree k) and values.
+        """
+        phi = self.conv_phi
+        u = phi @ _t(u_coef)
+        adv = u[..., 0:1] * (phi @ self.pg_coef[0]) + u[..., 1:2] * (phi @ self.pg_coef[1])
+        return gram(phi @ self.pi0_coef, self.conv_weights, adv)
+
+    def data_gram(self, values):
+        """Gram matrices of Pi0 of the basis weighted by values (nc, m) at
+        the data-rule points."""
+        v0 = self.data_phi @ self.pi0_coef
+        return gram(v0, self.data_weights * values, v0)
+
+
 class VemElement:
-    """Projectors, stabilizations, and local matrices for one cell.
+    """Projectors, stabilizations and local matrices of one cell: an
+    ElementGroup of one, without the leading cell axis.
 
     Parameters
     ----------
@@ -100,142 +279,24 @@ class VemElement:
         if k < 1:
             raise ValueError("degree k must be >= 1")
         self.verts = np.asarray(verts, dtype=float)
-        self.k = k
-        self.nv = len(self.verts)
-        self.area = polyops.signed_area(self.verts)
-        if self.area <= 0.0:
+        if polyops.signed_area(self.verts) <= 0.0:
             raise ValueError("cell must be counter-clockwise with positive area")
-        self.centroid = polyops.centroid(self.verts)
-        self.diameter = polyops.diameter(self.verts)
+        group = ElementGroup(CellGroup.of_polygon(self.verts), k)
+        self.group = group
+        self.k = k
+        self.nv = group.nv
+        self.n_poly = group.n_poly
+        self.n_moments = group.n_moments
+        self.n_dofs = group.n_dofs
+        self.area = float(group.area[0])
+        self.centroid = group.centroid[0]
+        self.diameter = float(group.diameter[0])
         self.basis = MonomialBasis(k, self.centroid, self.diameter)
-        self.n_poly = self.basis.size
-        self.n_moments = n_poly(k - 2)
-        self.n_dofs = self.nv * k + self.n_moments
-
-        self._edge_geometry()
-        self._volume_rules()
-        self._build_projectors()
-        self._build_matrices()
-
-    # -- construction ------------------------------------------------
-
-    def _edge_geometry(self):
-        k = self.k
-        self.edge_starts = self.verts
-        self.edge_ends = np.roll(self.verts, -1, axis=0)
-        tang = self.edge_ends - self.edge_starts
-        lengths = np.hypot(tang[:, 0], tang[:, 1])
-        self.edge_lens = lengths
-        self.edge_normals_out = np.column_stack([tang[:, 1], -tang[:, 0]]) / lengths[:, None]
-        self.perimeter = float(lengths.sum())
-        # local dof indices along each edge, in traversal order
-        self.edge_trace_dofs = []
-        for i in range(self.nv):
-            trace = [i]
-            trace += [self.nv + i * (k - 1) + j for j in range(k - 1)]
-            trace.append((i + 1) % self.nv)
-            self.edge_trace_dofs.append(np.asarray(trace, dtype=int))
-        params = uniform_edge_params(k)
-        self.dof_points = np.vstack(
-            [self.verts]
-            + [
-                self.edge_starts[i] + params[1:-1, None] * (self.edge_ends[i] - self.edge_starts[i])
-                for i in range(self.nv)
-            ]
-        ) if k > 1 else self.verts.copy()
-
-    def _volume_rules(self):
-        k = self.k
-        self.rule_poly = polygon_rule(self.verts, max(2 * k, 2))
-        self.rule_data = polygon_rule(self.verts, 2 * k + 2)
-        self.rule_conv = polygon_rule(self.verts, 3 * k)
-        self._phi_poly = self.basis.evaluate(self.rule_poly.points)
-        self._phi_data = self.basis.evaluate(self.rule_data.points)
-        self._phi_conv = self.basis.evaluate(self.rule_conv.points)
-        w = self.rule_poly.weights
-        self.H = self._phi_poly.T @ (w[:, None] * self._phi_poly)
-        gx, gy = self.basis.gradients(self.rule_poly.points)
-        self.G_stiff = gx.T @ (w[:, None] * gx) + gy.T @ (w[:, None] * gy)
-
-    def _edge_quadrature(self, degree):
-        """Per-edge rules plus trace basis values at the quadrature params."""
-        out = []
-        params = uniform_edge_params(self.k)
-        for i in range(self.nv):
-            er = edge_rule(self.edge_starts[i], self.edge_ends[i], degree)
-            out.append((er, lagrange_values(params, er.params)))
-        return out
-
-    def _build_projectors(self):
-        k, nv = self.k, self.nv
-        npol, ndof = self.n_poly, self.n_dofs
-
-        # dof matrix: dofs of each monomial
-        D = np.zeros((ndof, npol))
-        D[: len(self.dof_points)] = self.basis.evaluate(self.dof_points)
-        if self.n_moments:
-            D[nv * k :, :] = self.H[: self.n_moments, :] / self.area
-
-        # H1-type projector: gradient matching plus boundary-mean constraint
-        B = np.zeros((npol, ndof))
-        edge_quads = self._edge_quadrature(2 * k)
-        for i in range(nv):
-            er, trace = edge_quads[i]
-            gx, gy = self.basis.gradients(er.points)
-            gn = gx * self.edge_normals_out[i, 0] + gy * self.edge_normals_out[i, 1]
-            contrib = gn.T @ (er.weights[:, None] * trace)
-            B[:, self.edge_trace_dofs[i]] += contrib
-        for alpha in range(npol):
-            lam = self.basis.laplacian_coeffs(alpha)
-            for gamma in np.nonzero(lam)[0]:
-                B[alpha, nv * k + gamma] -= self.area * lam[gamma]
-        # constant fixed by the boundary mean
-        p0_row = np.zeros(ndof)
-        g0_row = np.zeros(npol)
-        for i in range(nv):
-            er, trace = edge_quads[i]
-            p0_row[self.edge_trace_dofs[i]] += er.weights @ trace
-            g0_row += er.weights @ self.basis.evaluate(er.points)
-        G = self.G_stiff.copy()
-        G[0, :] = g0_row / self.perimeter
-        B[0, :] = p0_row / self.perimeter
-        self.D = D
-        self.pin_coef = np.linalg.solve(G, B)
-        self.pin_dof = D @ self.pin_coef
-
-        # L2 projector: stored moments up to k-2, higher moments from the
-        # H1 projection (enhancement convention)
-        C = np.zeros((npol, ndof))
-        if self.n_moments:
-            C[: self.n_moments, nv * k :] = self.area * np.eye(self.n_moments)
-        high = self.H @ self.pin_coef
-        C[self.n_moments :, :] = high[self.n_moments :, :]
-        self.pi0_coef = np.linalg.solve(self.H, C)
-        self.pi0_dof = D @ self.pi0_coef
-
-        # componentwise L2 projection of the gradient at degree k
-        self.pg_coef = []
-        for dim in range(2):
-            E = np.zeros((npol, ndof))
-            for i in range(nv):
-                er, trace = edge_quads[i]
-                phi = self.basis.evaluate(er.points)
-                nd = self.edge_normals_out[i, dim]
-                E[:, self.edge_trace_dofs[i]] += phi.T @ (er.weights[:, None] * trace) * nd
-            dmap = self.basis.derivative_map(dim)
-            E -= dmap.T @ C
-            self.pg_coef.append(np.linalg.solve(self.H, E))
-
-    def _build_matrices(self):
-        eye = np.eye(self.n_dofs)
-        self.S_m = self.area * (eye - self.pi0_dof).T @ (eye - self.pi0_dof)
-        self.mass = self.pi0_coef.T @ self.H @ self.pi0_coef + self.S_m
-        self.mass = 0.5 * (self.mass + self.mass.T)
-        self.S_a = (eye - self.pin_dof).T @ (eye - self.pin_dof)
-        self.stiff_unit = self.pin_coef.T @ self.G_stiff @ self.pin_coef + self.S_a
-        self.stiff_unit = 0.5 * (self.stiff_unit + self.stiff_unit.T)
-
-    # -- local operators ----------------------------------------------
+        for name in ("dof_points", "data_points", "data_weights", "data_phi", "D", "H",
+                     "G_stiff", "pin_coef", "pin_dof", "pi0_coef", "pi0_dof", "mass",
+                     "stiff_unit"):
+            setattr(self, name, getattr(group, name)[0])
+        self.pg_coef = group.pg_coef[:, 0]
 
     def mass_matrix(self):
         return self.mass
@@ -245,47 +306,29 @@ class VemElement:
         return diffusion * self.stiff_unit
 
     def convection_matrix(self, u_coef):
-        """Convection pairing for a polynomial velocity on this cell.
-
-        u_coef is (2, n_poly): monomial coefficients of the projected
-        velocity. Entry (i, j) integrates (u . grad phi_j, phi_i) with the
-        projected gradient (degree k) and values.
-        """
-        phi = self._phi_conv
-        w = self.rule_conv.weights
-        u = phi @ np.asarray(u_coef).T  # (npts, 2)
-        gx = phi @ self.pg_coef[0]
-        gy = phi @ self.pg_coef[1]
-        v0 = phi @ self.pi0_coef
-        adv = u[:, 0:1] * gx + u[:, 1:2] * gy
-        return v0.T @ (w[:, None] * adv)
+        """Convection pairing for a polynomial velocity u_coef (2, n_poly)."""
+        return self.group.convection(np.asarray(u_coef, dtype=float)[None])[0]
 
     def reaction_matrix(self, f_callback):
         """Reaction form weighted by |f| at the quadrature points."""
-        return self.data_gram(np.abs(np.asarray(f_callback(self.rule_data.points), dtype=float)))
+        return self.data_gram(np.abs(np.asarray(f_callback(self.data_points), dtype=float)))
 
     def data_gram(self, values):
         """Gram matrix of Pi0 of the basis weighted by values at the data-rule points."""
-        v0 = self._phi_data @ self.pi0_coef
-        return v0.T @ ((self.rule_data.weights * values)[:, None] * v0)
+        return self.group.data_gram(np.asarray(values, dtype=float)[None])[0]
 
     def load_vector(self, values):
         """Integrate values (given at the data-rule points) against Pi0 of the basis."""
-        v0 = self._phi_data @ self.pi0_coef
-        return v0.T @ (self.rule_data.weights * values)
-
-    @property
-    def data_points(self):
-        """Quadrature points used for data-dependent terms."""
-        return self.rule_data.points
+        v0 = self.data_phi @ self.pi0_coef
+        return v0.T @ (self.data_weights * values)
 
     def interpolate(self, g):
         """Dof vector of a scalar callback: point values plus moments."""
         dofs = np.zeros(self.n_dofs)
         dofs[: len(self.dof_points)] = np.asarray(g(self.dof_points), dtype=float)
         if self.n_moments:
-            vals = np.asarray(g(self.rule_data.points), dtype=float)
-            mom = self._phi_data[:, : self.n_moments].T @ (self.rule_data.weights * vals)
+            vals = np.asarray(g(self.data_points), dtype=float)
+            mom = self.data_phi[:, : self.n_moments].T @ (self.data_weights * vals)
             dofs[self.nv * self.k :] = mom / self.area
         return dofs
 
@@ -297,74 +340,15 @@ class VemElement:
         """Values of the L2 projection of a dof vector at points."""
         return self.basis.evaluate(points) @ (self.pi0_coef @ dofs)
 
-    def project_h1_gradient(self, dofs, points):
-        """Gradient of the H1-type projection at points, shape (npts, 2)."""
-        gx, gy = self.basis.gradients(points)
-        coef = self.pin_coef @ dofs
-        return np.column_stack([gx @ coef, gy @ coef])
-
-
-def edge_trace_matrix(p0, p1, k, weight_values, degree=None):
-    """Gram matrix of the k+1 edge trace dofs weighted by a function.
-
-    weight_values maps quadrature params in (0, 1) along p0 -> p1 to the
-    weight (e.g. |u . n|). Returns the (k+1, k+1) matrix in canonical
-    trace-dof order [start, interior..., end].
-    """
-    er = edge_rule(p0, p1, degree if degree is not None else 2 * k + 4)
-    trace = lagrange_values(uniform_edge_params(k), er.params)
-    w = er.weights * np.asarray(weight_values(er.params), dtype=float)
-    return trace.T @ (w[:, None] * trace)
-
-
-def h1_project_callback(verts, k, g, quad_degree=None):
-    """H1-type projection of a raw callback onto degree-k polynomials.
-
-    Solves the defining equations with boundary and volume quadrature of
-    g itself (no dof interpolation), returning monomial coefficients.
-    Used for data that is not in the discrete space.
-    """
-    verts = np.asarray(verts, dtype=float)
-    k = int(k)
-    basis = MonomialBasis(k, polyops.centroid(verts), polyops.diameter(verts))
-    deg = quad_degree if quad_degree is not None else 2 * k + 6
-    rule = polygon_rule(verts, deg)
-    gx, gy = basis.gradients(rule.points)
-    w = rule.weights
-    G = gx.T @ (w[:, None] * gx) + gy.T @ (w[:, None] * gy)
-    gvals = np.asarray(g(rule.points), dtype=float)
-    rhs = np.zeros(basis.size)
-    for alpha in range(basis.size):
-        lam = basis.laplacian_coeffs(alpha)
-        if np.any(lam):
-            rhs[alpha] -= w @ (gvals * (basis.evaluate(rule.points) @ lam))
-    starts = verts
-    ends = np.roll(verts, -1, axis=0)
-    perimeter = 0.0
-    g0_row = np.zeros(basis.size)
-    bmean = 0.0
-    for i in range(len(verts)):
-        er = edge_rule(starts[i], ends[i], deg)
-        t = ends[i] - starts[i]
-        n = np.array([t[1], -t[0]]) / np.hypot(*t)
-        egx, egy = basis.gradients(er.points)
-        gn = egx * n[0] + egy * n[1]
-        ev = np.asarray(g(er.points), dtype=float)
-        rhs += gn.T @ (er.weights * ev)
-        g0_row += er.weights @ basis.evaluate(er.points)
-        bmean += er.weights @ ev
-        perimeter += er.length
-    G[0, :] = g0_row / perimeter
-    rhs[0] = bmean / perimeter
-    return basis, np.linalg.solve(G, rhs)
-
 
 class VemSpace:
     """Global conforming space of degree k on a PolyMesh.
 
     Dof layout: vertex values, then k-1 interior values per edge (ordered
     along the canonical min->max vertex direction), then the internal
-    moments cell by cell.
+    moments cell by cell. The local spaces are ElementGroups, one per
+    cell group of the mesh (mesh.cell_groups); per-cell rows of stacked
+    arrays (data points, coefficient rows) run group by group.
     """
 
     def __init__(self, mesh, k):
@@ -372,23 +356,20 @@ class VemSpace:
             raise ValueError("degree k must be >= 1")
         self.mesh = mesh
         self.k = k
-        self.n_moments = n_poly(k - 2)
-        self.elements = [VemElement(mesh.cell_polygon(ci), k) for ci in range(mesh.num_cells)]
+        self.n_moments = nm = n_poly(k - 2)
         nv, ne, nc = mesh.num_vertices, mesh.num_edges, mesh.num_cells
-        self.n_dofs = nv + ne * (k - 1) + nc * self.n_moments
-        self.cell_dofs = []
-        for ci in range(nc):
-            cell = mesh.cells[ci]
-            ids = list(int(v) for v in cell)
-            for e, direction in mesh.cell_edges[ci]:
-                base = nv + e * (k - 1)
-                if direction == 1:
-                    ids += [base + j for j in range(k - 1)]
-                else:
-                    ids += [base + (k - 2 - j) for j in range(k - 1)]
-            base = nv + ne * (k - 1) + ci * self.n_moments
-            ids += [base + j for j in range(self.n_moments)]
-            self.cell_dofs.append(np.asarray(ids, dtype=int))
+        self.n_dofs = nv + ne * (k - 1) + nc * nm
+        self.groups = [ElementGroup(cg, k) for cg in mesh.cell_groups]
+        # global dofs of every group, (n, n_dofs) in the local order
+        self.group_dofs = []
+        j = np.arange(k - 1)
+        for cg in mesh.cell_groups:
+            forward = cg.directions[:, :, None] == 1
+            edge = nv + cg.edges[:, :, None] * (k - 1) + np.where(forward, j, k - 2 - j)
+            moment = nv + ne * (k - 1) + cg.cells[:, None] * nm + np.arange(nm)
+            self.group_dofs.append(
+                np.hstack([cg.vertex_ids, edge.reshape(len(cg.cells), -1), moment])
+            )
 
         # nodal dof points: vertices, then edge interiors in canonical order
         a = mesh.vertices[mesh.edges[:, 0]]
@@ -399,13 +380,24 @@ class VemSpace:
 
         # the data rules of all cells stacked, with the monomial values
         # there; data terms evaluate their callbacks once on these points
-        rules = [el.rule_data for el in self.elements]
-        self.data_offsets = np.cumsum([0] + [len(r.weights) for r in rules])
-        self.data_points = np.vstack([r.points for r in rules])
-        self.data_weights = np.concatenate([r.weights for r in rules])
-        self.data_cells = np.repeat(np.arange(nc), np.diff(self.data_offsets))
-        self.data_phi = np.vstack([el._phi_data for el in self.elements])
-        self.pi0_operator = self.cell_operator([el.pi0_coef for el in self.elements])
+        groups = self.groups
+        self.data_points = np.concatenate([g.data_points.reshape(-1, 2) for g in groups])
+        self.data_weights = np.concatenate([g.data_weights.ravel() for g in groups])
+        self.data_phi = np.concatenate([g.data_phi.reshape(-1, g.n_poly) for g in groups])
+        per_cell = np.concatenate([np.full(len(g.area), g.data_weights.shape[1]) for g in groups])
+        self.data_offsets = np.concatenate([[0], np.cumsum(per_cell)])
+        # row of the stacked per-cell arrays that each data point belongs to
+        self.data_cells = np.repeat(np.arange(nc), per_cell)
+        self.pi0_operator = self.cell_operator([g.pi0_coef for g in groups])
+
+    @cached_property
+    def cell_dofs(self):
+        """Global dofs of each cell in its local order, indexed by cell."""
+        out = [None] * self.mesh.num_cells
+        for cg, dofs in zip(self.mesh.cell_groups, self.group_dofs):
+            for c, d in zip(cg.cells, dofs):
+                out[c] = d
+        return out
 
     @property
     def num_vertex_dofs(self):
@@ -423,21 +415,33 @@ class VemSpace:
     def cell_operator(self, blocks):
         """Sparse map from global dofs to per-cell coefficient rows.
 
-        blocks[c] acts on the dofs of cell c; the rows of all cells are
-        stacked in cell order. Built directly in CSR form from the
-        per-cell row lengths, without COO index temporaries.
+        blocks[g] is (n, rows, n_dofs) and acts on the dofs of the cells
+        of group g; the rows of all cells are stacked group by group.
+        Built directly in CSR form, without COO index temporaries.
         """
-        nrows = [len(b) for b in blocks]
-        row_len = np.repeat([len(d) for d in self.cell_dofs], nrows)
+        indices = np.concatenate([
+            np.repeat(d[:, None, :], b.shape[1], axis=1).ravel()
+            for d, b in zip(self.group_dofs, blocks)
+        ])
+        row_len = np.concatenate([np.full(b.shape[0] * b.shape[1], b.shape[2]) for b in blocks])
         indptr = np.concatenate([[0], np.cumsum(row_len)])
-        indices = np.concatenate([np.tile(d, n) for d, n in zip(self.cell_dofs, nrows)])
         data = np.concatenate([np.ravel(b) for b in blocks])
-        return sp.csr_matrix((data, indices, indptr), shape=(sum(nrows), self.n_dofs))
+        return sp.csr_matrix((data, indices, indptr), shape=(len(row_len), self.n_dofs))
+
+    def assemble(self, blocks):
+        """Global matrix from local ones: blocks[g] is (n, n_dofs, n_dofs)
+        for the cells of group g; one COO -> CSR build."""
+        pairs = list(zip(self.group_dofs, blocks))
+        rows = np.concatenate([np.broadcast_to(d[:, :, None], b.shape).ravel() for d, b in pairs])
+        cols = np.concatenate([np.broadcast_to(d[:, None, :], b.shape).ravel() for d, b in pairs])
+        data = np.concatenate([b.ravel() for b in blocks])
+        return sp.coo_matrix((data, (rows, cols)), shape=(self.n_dofs, self.n_dofs)).tocsr()
 
     def cell_moments(self, values):
         """Integrals of point values against each cell's monomials.
 
-        values are given at data_points; returns shape (num_cells, n_poly).
+        values are given at data_points; returns shape (num_cells, n_poly),
+        rows group by group.
         """
         weighted = self.data_phi * (self.data_weights * values)[:, None]
         return np.add.reduceat(weighted, self.data_offsets[:-1], axis=0)
@@ -445,9 +449,9 @@ class VemSpace:
     def cell_values(self, coef, table=None):
         """Values at data_points of per-cell polynomials.
 
-        coef holds monomial coefficients, shape (num_cells, n_poly), or
-        flattened; table replaces the monomial values (e.g. by their
-        derivatives).
+        coef holds monomial coefficients, shape (num_cells, n_poly) with
+        rows group by group, or flattened; table replaces the monomial
+        values (e.g. by their derivatives).
         """
         coef = np.reshape(coef, (self.mesh.num_cells, -1))[self.data_cells]
         return np.einsum("pm,pm->p", self.data_phi if table is None else table, coef)
@@ -470,30 +474,6 @@ class VemSpace:
         out[:nb] = vals[:nb]
         if self.n_moments:
             mom = self.cell_moments(vals[nb:])[:, : self.n_moments]
-            out[nb:] = (mom / self.mesh.cell_areas[:, None]).ravel()
+            area = np.concatenate([g.area for g in self.groups])
+            out[np.vstack([d[:, -self.n_moments :] for d in self.group_dofs])] = mom / area[:, None]
         return out
-
-    def dof_map_to(self, other, perm):
-        """Dof transfer to a space on the same vertices with permuted cells.
-
-        `other` must be built on self.mesh.permuted(perm). Returns an index
-        array m with u_other = u_self[m].
-        """
-        k = self.k
-        nv = self.mesh.num_vertices
-        ne = self.mesh.num_edges
-        m = np.zeros(other.n_dofs, dtype=int)
-        m[:nv] = np.arange(nv)
-        old_edge = {tuple(self.mesh.edges[e]): e for e in range(ne)}
-        for e_new in range(other.mesh.num_edges):
-            e_old = old_edge[tuple(other.mesh.edges[e_new])]
-            for j in range(k - 1):
-                m[nv + e_new * (k - 1) + j] = nv + e_old * (k - 1) + j
-        base_old = nv + ne * (k - 1)
-        base_new = nv + other.mesh.num_edges * (k - 1)
-        for ci_new, ci_old in enumerate(perm):
-            for j in range(self.n_moments):
-                m[base_new + ci_new * self.n_moments + j] = (
-                    base_old + ci_old * self.n_moments + j
-                )
-        return m

@@ -9,11 +9,13 @@ tangents rotated by -90 degrees.
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import Voronoi, cKDTree
 
 from . import polygon
+from .quadrature import fan_rule, star_points
 
 log = logging.getLogger(__name__)
 
@@ -155,6 +157,23 @@ class PolyMesh:
     def outward_normal(self, e):
         return self.boundary_sign(e) * self.edge_normals[e]
 
+    @cached_property
+    def cell_groups(self):
+        """The cells grouped by vertex count, ascending, as CellGroups."""
+        counts = np.array([len(c) for c in self.cells])
+        groups = []
+        for nv in np.unique(counts):
+            cells = np.flatnonzero(counts == nv)
+            ids = np.array([self.cells[c] for c in cells])
+            loops = np.array([self.cell_edges[c] for c in cells])
+            verts = self.vertices[ids]
+            centroids = self.cell_centroids[cells]
+            groups.append(CellGroup(
+                cells, ids, loops[..., 0], loops[..., 1], verts, self.cell_areas[cells],
+                centroids, self.cell_diameters[cells], star_points(verts, centroids),
+            ))
+        return groups
+
     def permuted(self, perm):
         """New mesh with cells reordered by `perm` (same vertices)."""
         perm = np.asarray(perm, dtype=int)
@@ -174,6 +193,59 @@ class PolyMesh:
             int(e): old_key[tuple(new.edges[e])] for e in new.boundary_edges
         }
         return new
+
+
+@dataclass(frozen=True)
+class CellGroup:
+    """Cells with one vertex count nv, as stacked arrays (n cells each).
+
+    vertex_ids, edges and directions are (n, nv) in each cell's
+    counter-clockwise order; a direction is +1 where the loop runs along
+    the canonical min -> max edge direction. verts is (n, nv, 2); apex
+    holds the star points every cell's quadrature is fanned around.
+    """
+
+    cells: np.ndarray
+    vertex_ids: np.ndarray
+    edges: np.ndarray
+    directions: np.ndarray
+    verts: np.ndarray
+    area: np.ndarray
+    centroid: np.ndarray
+    diameter: np.ndarray
+    apex: np.ndarray
+
+    @classmethod
+    def of_polygon(cls, verts):
+        """A group of one cell, numbered on its own: vertices and edges 0..nv-1."""
+        verts = np.asarray(verts, dtype=float)
+        loop = np.arange(len(verts))[None]
+        centroid = polygon.centroid(verts)[None]
+        return cls(
+            np.zeros(1, dtype=int), loop, loop, np.ones_like(loop), verts[None],
+            np.array([polygon.signed_area(verts)]), centroid,
+            np.array([polygon.diameter(verts)]), star_points(verts[None], centroid),
+        )
+
+    def rule(self, degree):
+        """Polygon rules of all cells: points (n, m, 2), weights (n, m)."""
+        return fan_rule(self.verts, self.apex, degree)
+
+
+def stack_rules(groups, degree):
+    """Polygon rules of every cell group, (points, weights) each, and all
+    their points stacked into one (npts, 2) array for a single callback call."""
+    rules = [cg.rule(degree) for cg in groups]
+    return rules, np.concatenate([points.reshape(-1, 2) for points, _ in rules])
+
+
+def split_stacked(values, shapes):
+    """Split values given at stacked points into one piece per group, the
+    piece of shape shapes[g] (plus any trailing value axes)."""
+    values = np.asarray(values, dtype=float)
+    sizes = [int(np.prod(shape)) for shape in shapes]
+    parts = np.split(values, np.cumsum(sizes)[:-1])
+    return [part.reshape(tuple(shape) + values.shape[1:]) for part, shape in zip(parts, shapes)]
 
 
 @dataclass

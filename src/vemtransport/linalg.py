@@ -1,9 +1,8 @@
-"""Sparse assembly with a frozen pattern, and direct/iterative solves."""
+"""Direct and iterative sparse solves, with factorization reuse."""
 
 import time
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, gmres, spilu, splu
 
 
@@ -17,58 +16,6 @@ class StructuralSingularityError(LinalgError):
 
 class NumericBreakdownError(LinalgError):
     """Factorization or iteration broke down on the numeric values."""
-
-
-class PatternMatrix:
-    """CSR matrix whose sparsity pattern is fixed up front.
-
-    Scatter targets outside the symbolic pattern are assembly bugs and
-    raise immediately.
-    """
-
-    def __init__(self, csr):
-        self.csr = csr
-
-    @classmethod
-    def from_dof_lists(cls, n_rows, n_cols, dof_lists):
-        rows = []
-        cols = []
-        for dofs in dof_lists:
-            dofs = np.asarray(dofs, dtype=int)
-            r, c = np.meshgrid(dofs, dofs, indexing="ij")
-            rows.append(r.ravel())
-            cols.append(c.ravel())
-        rows = np.concatenate(rows) if rows else np.zeros(0, dtype=int)
-        cols = np.concatenate(cols) if cols else np.zeros(0, dtype=int)
-        data = np.zeros(len(rows))
-        csr = sp.coo_matrix((data, (rows, cols)), shape=(n_rows, n_cols)).tocsr()
-        csr.sum_duplicates()
-        csr.sort_indices()
-        csr.data[:] = 0.0
-        return cls(csr)
-
-    def scatter_add(self, dofs, block):
-        """Accumulate a dense local block at global indices `dofs`."""
-        block = np.atleast_2d(block)
-        if block.size == 0:
-            return
-        dofs = np.asarray(dofs, dtype=int)
-        indptr, indices, data = self.csr.indptr, self.csr.indices, self.csr.data
-        order = np.argsort(dofs, kind="stable")
-        sorted_cols = dofs[order]
-        for a, i in enumerate(dofs):
-            seg = slice(indptr[i], indptr[i + 1])
-            pos = np.searchsorted(indices[seg], sorted_cols)
-            hi = indptr[i + 1] - indptr[i]
-            if np.any(pos >= hi) or np.any(indices[seg][pos] != sorted_cols):
-                raise LinalgError(f"dof pair outside the assembled pattern in row {i}")
-            data[indptr[i] + pos] += block[a, order]
-
-    def reset(self):
-        self.csr.data[:] = 0.0
-
-    def matrix(self):
-        return self.csr
 
 
 class SolveReport:

@@ -51,11 +51,14 @@ def edge_vectors(verts):
 
 
 def is_convex(verts, tol=1e-12):
-    """True if every corner turns left (within tol relative to scale)."""
-    e = edge_vectors(verts)
-    cross = e[:, 0] * np.roll(e[:, 1], -1) - e[:, 1] * np.roll(e[:, 0], -1)
-    scale = np.max(np.abs(e)) ** 2
-    return bool(np.all(cross >= -tol * scale))
+    """True if every corner turns left (within tol relative to scale); a
+    stack of loops (..., n, 2) gives one answer per loop."""
+    e = np.roll(verts, -1, axis=-2) - verts
+    nxt = np.roll(e, -1, axis=-2)
+    cross = e[..., 0] * nxt[..., 1] - e[..., 1] * nxt[..., 0]
+    scale = np.max(np.abs(e), axis=(-2, -1)) ** 2
+    convex = np.all(cross >= -tol * scale[..., None], axis=-1)
+    return bool(convex) if convex.ndim == 0 else convex
 
 
 def is_simple(verts, tol=1e-14):

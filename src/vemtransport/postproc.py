@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .element import monomial_gradients
 from .quadrature import gauss_interval
 
 
@@ -43,10 +44,12 @@ class ErrorEvaluator:
     def __init__(self, system):
         space = system.space
         self.space = space
-        self.pin_operator = space.cell_operator([el.pin_coef for el in space.elements])
-        grads = [el.basis.gradients(el.rule_data.points) for el in space.elements]
-        self.gx = np.vstack([g[0] for g in grads])
-        self.gy = np.vstack([g[1] for g in grads])
+        self.pin_operator = space.cell_operator([g.pin_coef for g in space.groups])
+        grads = [
+            monomial_gradients(g.data_points, g.centroid, g.diameter, g.k) for g in space.groups
+        ]
+        self.gx = np.concatenate([gx.reshape(-1, gx.shape[-1]) for gx, _ in grads])
+        self.gy = np.concatenate([gy.reshape(-1, gy.shape[-1]) for _, gy in grads])
 
     def projections(self, coeffs):
         """L2-projection values and H1-type projection gradients of a dof

@@ -88,17 +88,63 @@ def gauss_interval(a, b, npts):
 def edge_rule(p0, p1, degree):
     """Gauss-Legendre rule on the segment p0 -> p1, exact to `degree`.
 
-    Raises QuadratureError for a zero-length edge.
+    p0 and p1 are points (2,) or stacks of them (..., 2); a stack gives
+    points (..., n, 2), weights (..., n) and lengths (...), one rule per
+    segment, with the params shared. Raises QuadratureError for a
+    zero-length edge.
     """
     p0 = np.asarray(p0, dtype=float)
     p1 = np.asarray(p1, dtype=float)
-    length = float(np.hypot(*(p1 - p0)))
-    if length <= 0.0:
+    d = p1 - p0
+    length = np.hypot(d[..., 0], d[..., 1])
+    if np.any(length <= 0.0):
         raise QuadratureError("zero-length edge")
     n = max(1, (degree + 2) // 2)
     t, w = _gauss_01(n)
-    points = p0[None, :] + t[:, None] * (p1 - p0)[None, :]
-    return EdgeRule(points=points, weights=w * length, params=t, length=length)
+    points = p0[..., None, :] + t[:, None] * d[..., None, :]
+    weights = w * length[..., None]
+    return EdgeRule(points, weights, t, float(length) if length.ndim == 0 else length)
+
+
+def star_points(verts, centroids):
+    """Fan points of a stack of polygons, verts (nc, nv, 2): the centroid
+    of every convex cell, polygon.star_point of the others. Raises
+    QuadratureError when a cell has no star point."""
+    apex = np.array(centroids, dtype=float)
+    for c in np.flatnonzero(~polygon.is_convex(verts)):
+        point = polygon.star_point(verts[c])
+        if point is None:
+            raise QuadratureError("polygon is not star-shaped: no interior fan point")
+        apex[c] = point
+    return apex
+
+
+def fan_rule(verts, apex, degree):
+    """Polygon rules of a stack of cells with the same vertex count.
+
+    verts (nc, nv, 2) are counter-clockwise loops and apex (nc, 2) their
+    star points; returns points (nc, nv * m, 2) and weights (nc, nv * m),
+    the collapsed product rule on every fan triangle, exact for total
+    degree `degree`.
+    """
+    if degree < 0:
+        raise QuadratureError("degree must be >= 0")
+    xi, eta, w_ref = _reference_triangle_rule(degree)
+    a = apex[:, None, :]
+    b = verts
+    c = np.roll(verts, -1, axis=1)
+    area2 = (b[..., 0] - a[..., 0]) * (c[..., 1] - a[..., 1]) - (b[..., 1] - a[..., 1]) * (
+        c[..., 0] - a[..., 0]
+    )
+    if np.any(area2 <= 0.0):
+        raise QuadratureError("fan triangle with non-positive area")
+    points = (
+        a[:, :, None, :]
+        + xi[:, None] * (b - a)[:, :, None, :]
+        + (xi * eta)[:, None] * (c - b)[:, :, None, :]
+    )
+    nc = len(verts)
+    return points.reshape(nc, -1, 2), (w_ref * area2[..., None]).reshape(nc, -1)
 
 
 def polygon_rule(verts, degree):
@@ -109,34 +155,11 @@ def polygon_rule(verts, degree):
     point exists, i.e. the cell violates the mesh regularity assumption.
     """
     verts = np.asarray(verts, dtype=float)
-    if degree < 0:
-        raise QuadratureError("degree must be >= 0")
     apex = polygon.star_point(verts)
     if apex is None:
         raise QuadratureError("polygon is not star-shaped: no interior fan point")
-    xi, eta, w_ref = _reference_triangle_rule(degree)
-    pts = []
-    wts = []
-    nv = len(verts)
-    for i in range(nv):
-        a = apex
-        b = verts[i]
-        c = verts[(i + 1) % nv]
-        area2 = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-        if area2 <= 0.0:
-            raise QuadratureError("fan triangle with non-positive area")
-        p = (
-            a[None, :]
-            + np.outer(xi, b - a)
-            + np.outer(xi * eta, c - b)
-        )
-        pts.append(p)
-        wts.append(w_ref * area2)
-    return PolygonRule(
-        points=np.vstack(pts),
-        weights=np.concatenate(wts),
-        exact_degree=degree,
-    )
+    points, weights = fan_rule(verts[None], apex[None], degree)
+    return PolygonRule(points=points[0], weights=weights[0], exact_degree=degree)
 
 
 def _radau_interior_nodes(q, tol=1e-14, maxit=60):

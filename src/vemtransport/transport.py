@@ -12,7 +12,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .element import VemSpace, uniform_edge_params
-from .linalg import PatternMatrix
+from .geometry import split_stacked
 from .quadrature import edge_rule, lagrange_values
 
 
@@ -40,8 +40,9 @@ class TransportProblem:
     t_final : float
         End of the simulation window.
 
-    f is the flow's source and, like the flow, stationary: the spatial
-    operators evaluate it at t = 0 and are assembled once.
+    f is the flow's source and, like the flow, stationary: it is
+    evaluated once, at t = 0, for both the reaction form and the
+    injection term, and the spatial operators are assembled once.
     """
 
     def __init__(
@@ -69,8 +70,10 @@ class TransportSystem:
     """Assembled global operators for one mesh/degree/problem triple.
 
     Problem data is evaluated once per time on stacked points: the data
-    rules of all cells (source, injection, reaction) and a Gauss rule of
-    degree 2k+4 on all boundary edges (inflow and boundary form).
+    rules of all cells (injection; the stationary source once per
+    system) and a Gauss rule of degree 2k+4 on all boundary edges
+    (inflow and boundary form). Each global matrix is one COO -> CSR
+    build from the stacked local blocks of the space's cell groups.
     """
 
     def __init__(self, mesh, k, problem):
@@ -78,6 +81,7 @@ class TransportSystem:
         self.k = k
         self.problem = problem
         self.space = VemSpace(mesh, k)
+        self._f0 = np.asarray(problem.f(0.0, self.space.data_points), dtype=float)
         edges = [int(e) for e in mesh.boundary_edges]
         rules = [edge_rule(*mesh.edge_points(e), 2 * k + 4) for e in edges]
         params = rules[0].params
@@ -96,18 +100,10 @@ class TransportSystem:
 
     # -- assembly ------------------------------------------------------
 
-    def _new_pattern(self):
-        return PatternMatrix.from_dof_lists(
-            self.space.n_dofs, self.space.n_dofs, self.space.cell_dofs
-        )
-
     def mass(self):
         """Global mass matrix (assembled once)."""
         if self._mass is None:
-            pm = self._new_pattern()
-            for ci, elem in enumerate(self.space.elements):
-                pm.scatter_add(self.space.cell_dofs[ci], elem.mass_matrix())
-            self._mass = pm.matrix()
+            self._mass = self.space.assemble([g.mass for g in self.space.groups])
         return self._mass
 
     def operator_parts(self):
@@ -119,29 +115,21 @@ class TransportSystem:
         if self._parts is not None:
             return self._parts
         space, problem = self.space, self.problem
-        pm_a = self._new_pattern()
-        pm_k = self._new_pattern()
-        pm_r = self._new_pattern()
-        fabs = np.abs(np.asarray(problem.f(0.0, space.data_points), dtype=float))
-        offsets = space.data_offsets
-        for ci, elem in enumerate(space.elements):
-            dofs = space.cell_dofs[ci]
-            pm_a.scatter_add(dofs, elem.stiffness_matrix(problem.D))
-            u_coef = problem.velocity.velocity_coefficients(ci)
-            pm_k.scatter_add(dofs, elem.convection_matrix(u_coef))
-            pm_r.scatter_add(dofs, elem.data_gram(fabs[offsets[ci] : offsets[ci + 1]]))
+        groups = space.groups
+        velocity = problem.velocity
+        A = space.assemble([problem.D * g.stiff_unit for g in groups])
+        K = space.assemble([
+            g.convection(velocity.velocity_coefficients(cg.cells))
+            for g, cg in zip(groups, self.mesh.cell_groups)
+        ])
+        fabs = split_stacked(np.abs(self._f0), [g.data_weights.shape for g in groups])
+        R = space.assemble([g.data_gram(v) for g, v in zip(groups, fabs)])
         trace, dofs = self._bd_trace, self._bd_dofs
         blocks = np.einsum("eq,qi,qj->eij", self._bd_abs_flux, trace, trace)
         rows = np.broadcast_to(dofs[:, :, None], blocks.shape).ravel()
         cols = np.broadcast_to(dofs[:, None, :], blocks.shape).ravel()
         lam = sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(space.n_dofs, space.n_dofs))
-        K = pm_k.matrix()
-        self._parts = (
-            pm_a.matrix(),
-            0.5 * (K - K.T).tocsr(),
-            lam.tocsr(),
-            pm_r.matrix(),
-        )
+        self._parts = (A, 0.5 * (K - K.T).tocsr(), lam.tocsr(), R)
         return self._parts
 
     def advection_operator(self):
@@ -154,9 +142,8 @@ class TransportSystem:
     def rhs(self, t):
         """Source and inflow functionals (F_plus, G_inflow) at time t."""
         space, problem = self.space, self.problem
-        pts = space.data_points
-        fv = np.asarray(problem.f(t, pts), dtype=float)
-        F = space.load(np.maximum(fv, 0.0) * np.asarray(problem.c_tilde(t, pts), dtype=float))
+        c_tilde = np.asarray(problem.c_tilde(t, space.data_points), dtype=float)
+        F = space.load(np.maximum(self._f0, 0.0) * c_tilde)
         ci = np.asarray(problem.c_inflow(t, self._bd_points, self._bd_normals), dtype=float)
         moments = (self._bd_inflow * ci.reshape(self._bd_inflow.shape)) @ self._bd_trace
         G = np.bincount(self._bd_dofs.ravel(), moments.ravel(), minlength=space.n_dofs)

@@ -2,17 +2,20 @@
 
 Everything here deliberately avoids the production code paths it is used
 to check: polygon integrals go through the divergence theorem, time
-steps through a classical Runge-Kutta formulation, and local norms
-through a P1 finite element solve of the space-defining PDE on a fine
-triangulation.
+steps through a classical Runge-Kutta formulation, local norms through
+a P1 finite element solve of the space-defining PDE on a fine
+triangulation, and the batched local spaces through the per-cell loops
+they replaced (LoopVemElement, LoopFluxElement).
 """
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.special import roots_legendre
 
-from vemtransport.element import MonomialBasis, uniform_edge_params
-from vemtransport.quadrature import lagrange_values
+from vemtransport import polygon as polyops
+from vemtransport.darcy import _legendre_values
+from vemtransport.element import MonomialBasis, n_poly, uniform_edge_params
+from vemtransport.quadrature import edge_rule, lagrange_values, polygon_rule
 
 
 def gauss_on_segment(p0, p1, npts):
@@ -52,6 +55,353 @@ def random_convex_polygon(rng, n_min=4, n_max=9, scale=1.0):
         verts = pts[hull.vertices]
         if n_min <= len(verts) <= n_max:
             return verts
+
+
+# -- per-cell local spaces: the loop reference for the batched build ----
+
+
+class LoopVemElement:
+    """One cell's projectors and matrices, built the per-cell way:
+    one polygon rule per degree and one edge rule per edge.
+
+    Reference for the batched ElementGroup.
+
+    Parameters
+    ----------
+    verts : (n, 2) array
+        Counter-clockwise vertex loop of the cell.
+    k : int
+        Polynomial degree of the local space (k >= 1).
+    """
+
+    def __init__(self, verts, k):
+        if k < 1:
+            raise ValueError("degree k must be >= 1")
+        self.verts = np.asarray(verts, dtype=float)
+        self.k = k
+        self.nv = len(self.verts)
+        self.area = polyops.signed_area(self.verts)
+        if self.area <= 0.0:
+            raise ValueError("cell must be counter-clockwise with positive area")
+        self.centroid = polyops.centroid(self.verts)
+        self.diameter = polyops.diameter(self.verts)
+        self.basis = MonomialBasis(k, self.centroid, self.diameter)
+        self.n_poly = self.basis.size
+        self.n_moments = n_poly(k - 2)
+        self.n_dofs = self.nv * k + self.n_moments
+
+        self._edge_geometry()
+        self._volume_rules()
+        self._build_projectors()
+        self._build_matrices()
+
+    # -- construction ------------------------------------------------
+
+    def _edge_geometry(self):
+        k = self.k
+        self.edge_starts = self.verts
+        self.edge_ends = np.roll(self.verts, -1, axis=0)
+        tang = self.edge_ends - self.edge_starts
+        lengths = np.hypot(tang[:, 0], tang[:, 1])
+        self.edge_lens = lengths
+        self.edge_normals_out = np.column_stack([tang[:, 1], -tang[:, 0]]) / lengths[:, None]
+        self.perimeter = float(lengths.sum())
+        # local dof indices along each edge, in traversal order
+        self.edge_trace_dofs = []
+        for i in range(self.nv):
+            trace = [i]
+            trace += [self.nv + i * (k - 1) + j for j in range(k - 1)]
+            trace.append((i + 1) % self.nv)
+            self.edge_trace_dofs.append(np.asarray(trace, dtype=int))
+        params = uniform_edge_params(k)
+        self.dof_points = np.vstack(
+            [self.verts]
+            + [
+                self.edge_starts[i] + params[1:-1, None] * (self.edge_ends[i] - self.edge_starts[i])
+                for i in range(self.nv)
+            ]
+        ) if k > 1 else self.verts.copy()
+
+    def _volume_rules(self):
+        k = self.k
+        self.rule_poly = polygon_rule(self.verts, max(2 * k, 2))
+        self.rule_data = polygon_rule(self.verts, 2 * k + 2)
+        self.rule_conv = polygon_rule(self.verts, 3 * k)
+        self._phi_poly = self.basis.evaluate(self.rule_poly.points)
+        self._phi_data = self.basis.evaluate(self.rule_data.points)
+        self._phi_conv = self.basis.evaluate(self.rule_conv.points)
+        w = self.rule_poly.weights
+        self.H = self._phi_poly.T @ (w[:, None] * self._phi_poly)
+        gx, gy = self.basis.gradients(self.rule_poly.points)
+        self.G_stiff = gx.T @ (w[:, None] * gx) + gy.T @ (w[:, None] * gy)
+
+    def _edge_quadrature(self, degree):
+        """Per-edge rules plus trace basis values at the quadrature params."""
+        out = []
+        params = uniform_edge_params(self.k)
+        for i in range(self.nv):
+            er = edge_rule(self.edge_starts[i], self.edge_ends[i], degree)
+            out.append((er, lagrange_values(params, er.params)))
+        return out
+
+    def _build_projectors(self):
+        k, nv = self.k, self.nv
+        npol, ndof = self.n_poly, self.n_dofs
+
+        # dof matrix: dofs of each monomial
+        D = np.zeros((ndof, npol))
+        D[: len(self.dof_points)] = self.basis.evaluate(self.dof_points)
+        if self.n_moments:
+            D[nv * k :, :] = self.H[: self.n_moments, :] / self.area
+
+        # H1-type projector: gradient matching plus boundary-mean constraint
+        B = np.zeros((npol, ndof))
+        edge_quads = self._edge_quadrature(2 * k)
+        for i in range(nv):
+            er, trace = edge_quads[i]
+            gx, gy = self.basis.gradients(er.points)
+            gn = gx * self.edge_normals_out[i, 0] + gy * self.edge_normals_out[i, 1]
+            contrib = gn.T @ (er.weights[:, None] * trace)
+            B[:, self.edge_trace_dofs[i]] += contrib
+        for alpha in range(npol):
+            lam = self.basis.laplacian_coeffs(alpha)
+            for gamma in np.nonzero(lam)[0]:
+                B[alpha, nv * k + gamma] -= self.area * lam[gamma]
+        # constant fixed by the boundary mean
+        p0_row = np.zeros(ndof)
+        g0_row = np.zeros(npol)
+        for i in range(nv):
+            er, trace = edge_quads[i]
+            p0_row[self.edge_trace_dofs[i]] += er.weights @ trace
+            g0_row += er.weights @ self.basis.evaluate(er.points)
+        G = self.G_stiff.copy()
+        G[0, :] = g0_row / self.perimeter
+        B[0, :] = p0_row / self.perimeter
+        self.D = D
+        self.pin_coef = np.linalg.solve(G, B)
+        self.pin_dof = D @ self.pin_coef
+
+        # L2 projector: stored moments up to k-2, higher moments from the
+        # H1 projection (enhancement convention)
+        C = np.zeros((npol, ndof))
+        if self.n_moments:
+            C[: self.n_moments, nv * k :] = self.area * np.eye(self.n_moments)
+        high = self.H @ self.pin_coef
+        C[self.n_moments :, :] = high[self.n_moments :, :]
+        self.pi0_coef = np.linalg.solve(self.H, C)
+        self.pi0_dof = D @ self.pi0_coef
+
+        # componentwise L2 projection of the gradient at degree k
+        self.pg_coef = []
+        for dim in range(2):
+            E = np.zeros((npol, ndof))
+            for i in range(nv):
+                er, trace = edge_quads[i]
+                phi = self.basis.evaluate(er.points)
+                nd = self.edge_normals_out[i, dim]
+                E[:, self.edge_trace_dofs[i]] += phi.T @ (er.weights[:, None] * trace) * nd
+            dmap = self.basis.derivative_map(dim)
+            E -= dmap.T @ C
+            self.pg_coef.append(np.linalg.solve(self.H, E))
+
+    def _build_matrices(self):
+        eye = np.eye(self.n_dofs)
+        self.S_m = self.area * (eye - self.pi0_dof).T @ (eye - self.pi0_dof)
+        self.mass = self.pi0_coef.T @ self.H @ self.pi0_coef + self.S_m
+        self.mass = 0.5 * (self.mass + self.mass.T)
+        self.S_a = (eye - self.pin_dof).T @ (eye - self.pin_dof)
+        self.stiff_unit = self.pin_coef.T @ self.G_stiff @ self.pin_coef + self.S_a
+        self.stiff_unit = 0.5 * (self.stiff_unit + self.stiff_unit.T)
+
+    def convection_matrix(self, u_coef):
+        """Convection pairing for a polynomial velocity on this cell.
+
+        u_coef is (2, n_poly): monomial coefficients of the projected
+        velocity. Entry (i, j) integrates (u . grad phi_j, phi_i) with the
+        projected gradient (degree k) and values.
+        """
+        phi = self._phi_conv
+        w = self.rule_conv.weights
+        u = phi @ np.asarray(u_coef).T  # (npts, 2)
+        gx = phi @ self.pg_coef[0]
+        gy = phi @ self.pg_coef[1]
+        v0 = phi @ self.pi0_coef
+        adv = u[:, 0:1] * gx + u[:, 1:2] * gy
+        return v0.T @ (w[:, None] * adv)
+
+
+class LoopFluxElement:
+    """Local mixed-VEM operators of one cell, built the per-cell way.
+
+    Reference for the batched darcy flux groups.
+
+    rule is the cell's degree-2(k+1) polygon rule and f_values the flow
+    source at its points; they give the source moments f_moments.
+    """
+
+    def __init__(self, mesh, ci, k, rule, f_values):
+        self.nv = len(mesh.cells[ci])
+        self.k = k
+        self.area = mesh.cell_areas[ci]
+        self.h = mesh.cell_diameters[ci]
+        self.basis_hi = MonomialBasis(k + 1, mesh.cell_centroids[ci], self.h)
+        nk = n_poly(k)
+        nk1 = n_poly(k + 1)
+        self.n_internal = nk - 1
+        self.edges = mesh.cell_edges[ci]
+        self.n_loc = self.nv * (k + 1) + self.n_internal
+
+        phi = self.basis_hi.evaluate(rule.points)
+        w = rule.weights
+        self.f_moments = phi[:, :nk].T @ (w * f_values)
+        H_full = phi.T @ (w[:, None] * phi)
+        gx, gy = self.basis_hi.gradients(rule.points)
+        G_full = gx.T @ (w[:, None] * gx) + gy.T @ (w[:, None] * gy)
+        self.H_k = H_full[:nk, :nk]
+        self.H_cross = H_full[:, :nk]
+        self.int_m = H_full[0, :nk]  # integrals of the pressure monomials
+
+        jw = 2.0 * np.arange(k + 1) + 1.0
+        # edge moment blocks: (2j+1) * int_e P_j m_alpha for the hi basis
+        self.T_edges = []
+        signs = []
+        edge_data = []
+        for e, direction in self.edges:
+            p0, p1 = mesh.edge_points(e)
+            er = edge_rule(p0, p1, 2 * k + 2)
+            P = _legendre_values(k, er.params)
+            phi_e = self.basis_hi.evaluate(er.points)
+            T = phi_e.T @ (er.weights[:, None] * P) * jw[None, :]
+            self.T_edges.append(T)
+            signs.append(direction)
+            edge_data.append((er, P, phi_e[:, :nk]))
+
+        # divergence moments: int div(v) m_alpha for |alpha| <= k
+        DIVR = np.zeros((nk, self.n_loc))
+        for li, T in enumerate(self.T_edges):
+            cols = slice(li * (k + 1), (li + 1) * (k + 1))
+            DIVR[:, cols] += signs[li] * T[:nk, :]
+        for a in range(1, nk):
+            DIVR[a, self.nv * (k + 1) + a - 1] -= self.area / self.h
+        self.DIVR = DIVR
+        self.div_map = np.linalg.solve(self.H_k, DIVR)
+
+        # projection onto gradients of degree-(k+1) polynomials
+        PRHS = np.zeros((nk1 - 1, self.n_loc))
+        for li, T in enumerate(self.T_edges):
+            cols = slice(li * (k + 1), (li + 1) * (k + 1))
+            PRHS[:, cols] += signs[li] * T[1:, :]
+        PRHS -= (self.H_cross @ self.div_map)[1:, :]
+        G_red = G_full[1:, 1:]
+        self.pi_grad = np.linalg.solve(G_red, PRHS)
+
+        dx = self.basis_hi.derivative_map(0)
+        dy = self.basis_hi.derivative_map(1)
+        self.vel_x = dx[:nk, 1:] @ self.pi_grad
+        self.vel_y = dy[:nk, 1:] @ self.pi_grad
+
+        # dofs of the projected field, for the stabilization
+        Pi_dof = np.zeros((self.n_loc, self.n_loc))
+        for li, ((e, _), (er, P, phi_e)) in enumerate(zip(self.edges, edge_data)):
+            n_e = mesh.edge_normals[e]
+            un = n_e[0] * (phi_e @ self.vel_x) + n_e[1] * (phi_e @ self.vel_y)
+            rows = slice(li * (k + 1), (li + 1) * (k + 1))
+            Pi_dof[rows, :] = P.T @ (er.weights[:, None] * un) / er.length
+        if self.n_internal:
+            phik = phi[:, :nk]
+            Ux = phik @ self.vel_x
+            Uy = phik @ self.vel_y
+            for a in range(1, nk):
+                vals = gx[:, a][:, None] * Ux + gy[:, a][:, None] * Uy
+                Pi_dof[self.nv * (k + 1) + a - 1, :] = self.h / self.area * (w @ vals)
+
+        consist = PRHS.T @ self.pi_grad
+        stab = self.area * (np.eye(self.n_loc) - Pi_dof).T @ (np.eye(self.n_loc) - Pi_dof)
+        self.A_unit = 0.5 * (consist + consist.T) + stab
+
+
+
+
+# -- per-cell data projections and dof maps -------------------------------
+
+
+def edge_trace_matrix(p0, p1, k, weight_values, degree=None):
+    """Gram matrix of the k+1 edge trace dofs weighted by a function.
+
+    weight_values maps quadrature params in (0, 1) along p0 -> p1 to the
+    weight (e.g. |u . n|). Returns the (k+1, k+1) matrix in canonical
+    trace-dof order [start, interior..., end].
+    """
+    er = edge_rule(p0, p1, degree if degree is not None else 2 * k + 4)
+    trace = lagrange_values(uniform_edge_params(k), er.params)
+    w = er.weights * np.asarray(weight_values(er.params), dtype=float)
+    return trace.T @ (w[:, None] * trace)
+
+
+def h1_project_callback(verts, k, g, quad_degree=None):
+    """H1-type projection of a raw callback onto degree-k polynomials.
+
+    Solves the defining equations with boundary and volume quadrature of
+    g itself (no dof interpolation), returning monomial coefficients.
+    Used for data that is not in the discrete space.
+    """
+    verts = np.asarray(verts, dtype=float)
+    k = int(k)
+    basis = MonomialBasis(k, polyops.centroid(verts), polyops.diameter(verts))
+    deg = quad_degree if quad_degree is not None else 2 * k + 6
+    rule = polygon_rule(verts, deg)
+    gx, gy = basis.gradients(rule.points)
+    w = rule.weights
+    G = gx.T @ (w[:, None] * gx) + gy.T @ (w[:, None] * gy)
+    gvals = np.asarray(g(rule.points), dtype=float)
+    rhs = np.zeros(basis.size)
+    for alpha in range(basis.size):
+        lam = basis.laplacian_coeffs(alpha)
+        if np.any(lam):
+            rhs[alpha] -= w @ (gvals * (basis.evaluate(rule.points) @ lam))
+    starts = verts
+    ends = np.roll(verts, -1, axis=0)
+    perimeter = 0.0
+    g0_row = np.zeros(basis.size)
+    bmean = 0.0
+    for i in range(len(verts)):
+        er = edge_rule(starts[i], ends[i], deg)
+        t = ends[i] - starts[i]
+        n = np.array([t[1], -t[0]]) / np.hypot(*t)
+        egx, egy = basis.gradients(er.points)
+        gn = egx * n[0] + egy * n[1]
+        ev = np.asarray(g(er.points), dtype=float)
+        rhs += gn.T @ (er.weights * ev)
+        g0_row += er.weights @ basis.evaluate(er.points)
+        bmean += er.weights @ ev
+        perimeter += er.length
+    G[0, :] = g0_row / perimeter
+    rhs[0] = bmean / perimeter
+    return basis, np.linalg.solve(G, rhs)
+
+
+def dof_map(space, other, perm):
+    """Dof transfer to a space on the same vertices with permuted cells.
+
+    `other` must be built on space.mesh.permuted(perm). Returns an index
+    array m with u_other = u_space[m].
+    """
+    k = space.k
+    nv = space.mesh.num_vertices
+    ne = space.mesh.num_edges
+    m = np.zeros(other.n_dofs, dtype=int)
+    m[:nv] = np.arange(nv)
+    old_edge = {tuple(space.mesh.edges[e]): e for e in range(ne)}
+    for e_new in range(other.mesh.num_edges):
+        e_old = old_edge[tuple(other.mesh.edges[e_new])]
+        for j in range(k - 1):
+            m[nv + e_new * (k - 1) + j] = nv + e_old * (k - 1) + j
+    base_old = nv + ne * (k - 1)
+    base_new = nv + other.mesh.num_edges * (k - 1)
+    for ci_new, ci_old in enumerate(perm):
+        for j in range(space.n_moments):
+            m[base_new + ci_new * space.n_moments + j] = base_old + ci_old * space.n_moments + j
+    return m
 
 
 # -- classical Radau-IIA Runge-Kutta ------------------------------------

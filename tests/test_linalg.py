@@ -5,9 +5,7 @@ import scipy.sparse as sp
 from vemtransport.element import VemElement
 from vemtransport.linalg import (
     Factorization,
-    LinalgError,
     NumericBreakdownError,
-    PatternMatrix,
     StructuralSingularityError,
     export_matrix_market,
     solve,
@@ -15,38 +13,6 @@ from vemtransport.linalg import (
 from vemtransport.quadrature import polygon_rule
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-
-
-class TestPatternMatrix:
-    def test_double_scatter_doubles_values(self):
-        pm = PatternMatrix.from_dof_lists(3, 3, [[0, 1, 2]])
-        block = np.arange(9.0).reshape(3, 3)
-        pm.scatter_add([0, 1, 2], block)
-        pm.scatter_add([0, 1, 2], block)
-        assert np.allclose(pm.matrix().toarray(), 2.0 * block)
-
-    def test_empty_block_noop(self):
-        pm = PatternMatrix.from_dof_lists(2, 2, [[0, 1]])
-        pm.scatter_add([], np.zeros((0, 0)))
-        assert pm.matrix().nnz == 0 or np.all(pm.matrix().data == 0.0)
-
-    def test_block_into_selected_rows(self):
-        pm = PatternMatrix.from_dof_lists(3, 3, [[0, 2], [1]])
-        pm.scatter_add([0, 2], np.array([[1.0, 2.0], [3.0, 4.0]]))
-        dense = pm.matrix().toarray()
-        expect = np.array([[1.0, 0.0, 2.0], [0.0, 0.0, 0.0], [3.0, 0.0, 4.0]])
-        assert np.allclose(dense, expect)
-
-    def test_out_of_pattern_rejected(self):
-        pm = PatternMatrix.from_dof_lists(3, 3, [[0, 1]])
-        with pytest.raises(LinalgError):
-            pm.scatter_add([0, 2], np.ones((2, 2)))
-
-    def test_reset(self):
-        pm = PatternMatrix.from_dof_lists(2, 2, [[0, 1]])
-        pm.scatter_add([0, 1], np.ones((2, 2)))
-        pm.reset()
-        assert np.all(pm.matrix().data == 0.0)
 
 
 class TestSolve:

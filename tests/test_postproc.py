@@ -15,6 +15,8 @@ from vemtransport.postproc import (
 from vemtransport.timestepping import TimePartition, advance
 from vemtransport.transport import TransportProblem, TransportSystem
 
+from helpers import dof_map
+
 
 def unit_x(p):
     return np.column_stack([np.ones(len(p)), np.zeros(len(p))])
@@ -94,7 +96,7 @@ class TestErrorNorms:
         vel2 = analytic_velocity(unit_x, mesh2, 2)
         prob2 = TransportProblem(D=0.5, velocity=vel2, f=zeros_f)
         system2 = TransportSystem(mesh2, 2, prob2)
-        mapping = system.space.dof_map_to(system2.space, perm)
+        mapping = dof_map(system.space, system2.space, perm)
 
         class Slab2:
             pass
