@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import CellGroup
+from .geometry import CellGroup, split_stacked
 from .quadrature import edge_rule, lagrange_values
 from . import polygon as polyops
 
@@ -379,15 +379,15 @@ class VemSpace:
         self.dof_points = np.vstack([mesh.vertices, inner.reshape(-1, 2)])
 
         # the data rules of all cells stacked, with the monomial values
-        # there; data terms evaluate their callbacks once on these points
+        # there; data terms evaluate their callbacks once on these points,
+        # which are read-only so that problem data can cache fields on them
         groups = self.groups
         self.data_points = np.concatenate([g.data_points.reshape(-1, 2) for g in groups])
+        self.data_points.flags.writeable = False
         self.data_weights = np.concatenate([g.data_weights.ravel() for g in groups])
         self.data_phi = np.concatenate([g.data_phi.reshape(-1, g.n_poly) for g in groups])
         per_cell = np.concatenate([np.full(len(g.area), g.data_weights.shape[1]) for g in groups])
         self.data_offsets = np.concatenate([[0], np.cumsum(per_cell)])
-        # row of the stacked per-cell arrays that each data point belongs to
-        self.data_cells = np.repeat(np.arange(nc), per_cell)
         self.pi0_operator = self.cell_operator([g.pi0_coef for g in groups])
 
     @cached_property
@@ -446,15 +446,16 @@ class VemSpace:
         weighted = self.data_phi * (self.data_weights * values)[:, None]
         return np.add.reduceat(weighted, self.data_offsets[:-1], axis=0)
 
-    def cell_values(self, coef, table=None):
+    def cell_values(self, coef, tables=None):
         """Values at data_points of per-cell polynomials.
 
         coef holds monomial coefficients, shape (num_cells, n_poly) with
-        rows group by group, or flattened; table replaces the monomial
-        values (e.g. by their derivatives).
+        rows group by group, or flattened; tables replace the groups'
+        monomial values (n, m, n_poly) (e.g. by their derivatives).
         """
-        coef = np.reshape(coef, (self.mesh.num_cells, -1))[self.data_cells]
-        return np.einsum("pm,pm->p", self.data_phi if table is None else table, coef)
+        tables = [g.data_phi for g in self.groups] if tables is None else tables
+        parts = split_stacked(np.ravel(coef), [(len(t), t.shape[2]) for t in tables])
+        return np.concatenate([np.einsum("cpm,cm->cp", t, c).ravel() for t, c in zip(tables, parts)])
 
     def load(self, values):
         """Global vector of the integrals of values (given at data_points)

@@ -89,24 +89,26 @@ class PolyMesh:
         self._is_boundary[self.boundary_edges] = True
 
     def _build_geometry(self, validate):
-        nv_used = set()
-        areas = []
-        centroids = []
-        diameters = []
-        for ci, cell in enumerate(self.cells):
-            verts = self.vertices[cell]
-            nv_used.update(int(v) for v in cell)
-            a = polygon.signed_area(verts)
+        nc = len(self.cells)
+        self._loops_by_count = _stack_by_length(self.cells)
+        loops = [(cells, self.vertices[ids]) for cells, ids in self._loops_by_count]
+        self.cell_areas = np.empty(nc)
+        simple = np.ones(nc, dtype=bool)
+        for cells, verts in loops:
+            self.cell_areas[cells] = polygon.signed_area(verts)
+            if validate:
+                simple[cells] = polygon.is_simple(verts)
+        bad = np.flatnonzero((self.cell_areas <= 0.0) | ~simple)
+        if len(bad):
+            ci, a = bad[0], self.cell_areas[bad[0]]
             if a <= 0.0:
                 raise MeshError(f"cell {ci} has non-positive signed area {a}")
-            if validate and not polygon.is_simple(verts):
-                raise MeshError(f"cell {ci} is not a simple polygon")
-            areas.append(a)
-            centroids.append(polygon.centroid(verts))
-            diameters.append(polygon.diameter(verts))
-        self.cell_areas = np.asarray(areas)
-        self.cell_centroids = np.asarray(centroids).reshape(-1, 2)
-        self.cell_diameters = np.asarray(diameters)
+            raise MeshError(f"cell {ci} is not a simple polygon")
+        self.cell_centroids = np.empty((nc, 2))
+        self.cell_diameters = np.empty(nc)
+        for cells, verts in loops:
+            self.cell_centroids[cells] = polygon.centroid(verts)
+            self.cell_diameters[cells] = polygon.diameter(verts)
         self.mesh_size = float(self.cell_diameters.max())
 
         tangents = self.vertices[self.edges[:, 1]] - self.vertices[self.edges[:, 0]]
@@ -160,11 +162,8 @@ class PolyMesh:
     @cached_property
     def cell_groups(self):
         """The cells grouped by vertex count, ascending, as CellGroups."""
-        counts = np.array([len(c) for c in self.cells])
         groups = []
-        for nv in np.unique(counts):
-            cells = np.flatnonzero(counts == nv)
-            ids = np.array([self.cells[c] for c in cells])
+        for cells, ids in self._loops_by_count:
             loops = np.array([self.cell_edges[c] for c in cells])
             verts = self.vertices[ids]
             centroids = self.cell_centroids[cells]
@@ -230,6 +229,15 @@ class CellGroup:
     def rule(self, degree):
         """Polygon rules of all cells: points (n, m, 2), weights (n, m)."""
         return fan_rule(self.verts, self.apex, degree)
+
+
+def _stack_by_length(loops):
+    """Loops of varying length stacked by length, ascending: one
+    (indices, (n, length, ...) array) pair per length."""
+    counts = np.array([len(loop) for loop in loops])
+    flat, starts = np.concatenate(loops), np.cumsum(counts) - counts
+    return [(idx, flat[starts[idx, None] + np.arange(n)])
+            for n in np.unique(counts) for idx in [np.flatnonzero(counts == n)]]
 
 
 def stack_rules(groups, degree):
@@ -465,10 +473,15 @@ def _clipped_voronoi_cells(seeds, clip=True):
     return cells
 
 
-def _lloyd_energy(cells, seeds):
-    return sum(
-        polygon.second_moment_about(verts, s) for verts, s in zip(cells, seeds)
-    )
+def _lloyd_step(cells, seeds):
+    """Energy of the cells about their seeds and the cell centroids, a
+    vertex-count group at a time; the energy sums the cells in order."""
+    energy = np.empty(len(cells))
+    centroids = np.empty((len(cells), 2))
+    for idx, verts in _stack_by_length(cells):
+        energy[idx] = polygon.second_moment_about(verts, seeds[idx])
+        centroids[idx] = polygon.centroid(verts)
+    return sum(energy.tolist()), centroids
 
 
 def generate_voronoi(n_seeds, lloyd_iters=0, rng_seed=0):
@@ -498,10 +511,10 @@ def generate_voronoi(n_seeds, lloyd_iters=0, rng_seed=0):
     energies = []
     cells = _clipped_voronoi_cells(seeds, clip=False)
     for _ in range(lloyd_iters):
-        energies.append(_lloyd_energy(cells, seeds))
-        seeds = np.array([polygon.centroid(v) for v in cells])
+        energy, seeds = _lloyd_step(cells, seeds)
+        energies.append(energy)
         cells = _clipped_voronoi_cells(seeds, clip=False)
-    energies.append(_lloyd_energy(cells, seeds))
+    energies.append(_lloyd_step(cells, seeds)[0])
     cells = _clipped_voronoi_cells(seeds, clip=True)
 
     meta = {

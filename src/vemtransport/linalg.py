@@ -106,10 +106,3 @@ def solve(A, b, method="direct", tol=1e-10, factorization=None):
         res = np.linalg.norm(csc @ x - b) / (scale if scale > 0 else 1.0)
         return x, SolveReport("iterative", res, False, time.perf_counter() - t0)
     raise ValueError(f"unknown solve method {method!r}")
-
-
-def export_matrix_market(A, path):
-    """Debug export of a sparse matrix in Matrix Market format."""
-    from scipy.io import mmwrite
-
-    mmwrite(str(path), A.tocoo())

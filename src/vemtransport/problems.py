@@ -19,6 +19,7 @@ class ManufacturedProblem:
         self.K_perm = 1.0
         self.mu = 1.0
         self.t_final = 1.0
+        self._field_cache = {}  # id(points) -> (points, fields)
 
     # flow -------------------------------------------------------------
 
@@ -39,35 +40,51 @@ class ManufacturedProblem:
 
     # concentration ------------------------------------------------------
 
-    @staticmethod
-    def _shape(p):
+    #: read-only point sets kept by _fields: the live data and boundary sets
+    FIELD_CACHE_SIZE = 4
+
+    def _stationary_fields(self, p):
+        """The t-independent factors of c and its data at points p; f is
+        stationary, like the flow."""
         x, y = p[:, 0], p[:, 1]
         g = np.exp((x - 1.0) ** 2 * (y - 1.0) ** 2)
         gx = 2.0 * (x - 1.0) * (y - 1.0) ** 2 * g
         gy = 2.0 * (y - 1.0) * (x - 1.0) ** 2 * g
         gxx = (2.0 * (y - 1.0) ** 2 + 4.0 * (x - 1.0) ** 2 * (y - 1.0) ** 4) * g
         gyy = (2.0 * (x - 1.0) ** 2 + 4.0 * (y - 1.0) ** 2 * (x - 1.0) ** 4) * g
-        return g, gx, gy, gxx, gyy
+        u = self.velocity(p)
+        return {"g": g, "grad": np.column_stack([gx, gy]), "u": u,
+                "u_grad": u[:, 0] * gx + u[:, 1] * gy, "lap": gxx + gyy, "f": self.f(0.0, p)}
+
+    def _fields(self, p):
+        """Stationary fields at p, computed once per read-only point set:
+        keyed by identity and holding the array, so that the key is not
+        reused while the entry lives. A writable array is evaluated afresh."""
+        if not isinstance(p, np.ndarray) or p.flags.writeable:
+            return self._stationary_fields(p)
+        cache = self._field_cache
+        if id(p) not in cache:
+            if len(cache) >= self.FIELD_CACHE_SIZE:
+                del cache[next(iter(cache))]
+            cache[id(p)] = (p, self._stationary_fields(p))
+        return cache[id(p)][1]
 
     def c(self, t, p):
-        g, *_ = self._shape(p)
-        return np.sin(t) * g
+        return np.sin(t) * self._fields(p)["g"]
 
     def grad_c(self, t, p):
-        _, gx, gy, _, _ = self._shape(p)
-        return np.sin(t) * np.column_stack([gx, gy])
+        return np.sin(t) * self._fields(p)["grad"]
 
     def c0(self, p):
         return np.zeros(len(p))
 
     def c_tilde(self, t, p):
         """Injected concentration manufactured from the strong equation."""
-        g, gx, gy, gxx, gyy = self._shape(p)
-        u = self.velocity(p)
-        f = self.f(t, p)
+        fields = self._fields(p)
+        g, f = fields["g"], fields["f"]
         ct = np.cos(t) * g
-        conv = np.sin(t) * (u[:, 0] * gx + u[:, 1] * gy)
-        lap = np.sin(t) * (gxx + gyy)
+        conv = np.sin(t) * fields["u_grad"]
+        lap = np.sin(t) * fields["lap"]
         return (ct + conv + f * np.sin(t) * g - self.D * lap) / f
 
     def c_inflow(self, t, p, normal):
@@ -76,7 +93,7 @@ class ManufacturedProblem:
         normal is one outward normal (2,) or one per point (npts, 2).
         """
         normal = np.asarray(normal, dtype=float)
-        un = np.sum(self.velocity(p) * normal, axis=1)
+        un = np.sum(self._fields(p)["u"] * normal, axis=1)
         gn = np.sum(self.grad_c(t, p) * normal, axis=1)
         safe = np.where(un < -1e-12, un, -1.0)
         return np.where(un < -1e-12, self.c(t, p) - self.D * gn / safe, 0.0)

@@ -11,7 +11,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .linalg import Factorization, LinalgError
-from .quadrature import gauss_interval, gauss_radau, lagrange_values, map_radau
+from .quadrature import gauss_radau, lagrange_values, map_radau
 
 
 class TimeSteppingError(RuntimeError):
@@ -117,11 +117,6 @@ def slab_rhs(M, radau, tau, rhs_blocks, carry):
     )
 
 
-def build_slab_system(M, a0_blocks, radau, tau, rhs_blocks, carry):
-    """Full block system (matrix, rhs) for one slab."""
-    return slab_matrix(M, a0_blocks, radau, tau), slab_rhs(M, radau, tau, rhs_blocks, carry)
-
-
 def advance(system, partition, q, c0=None, on_slab=None):
     """March the transport system over all slabs; returns the slab list.
 
@@ -167,68 +162,3 @@ def advance(system, partition, q, c0=None, on_slab=None):
         if on_slab is not None:
             on_slab(n, slab)
     return slabs
-
-
-class WeightedInterpolant:
-    """Lagrange interpolant of the node values scaled by 1/xi.
-
-    Interpolates xi_i^{-1} v(t_i) at the mapped Radau nodes; used by the
-    temporal stability analysis and its acceptance checks.
-    """
-
-    def __init__(self, node_values, radau, t_start=0.0, tau=1.0):
-        self.radau = radau
-        self.t_start = t_start
-        self.tau = tau
-        self.scaled = np.asarray(node_values, dtype=float) / radau.nodes
-
-    def __call__(self, t):
-        xi = (np.asarray(t, dtype=float) - self.t_start) / self.tau
-        return lagrange_values(self.radau.nodes, xi) @ self.scaled
-
-
-def l_tau(node_values, radau, t_start=0.0, tau=1.0):
-    """Interpolant of tau (t - t_start)^{-1} v at the Radau nodes."""
-    return WeightedInterpolant(node_values, radau, t_start, tau)
-
-
-class SlabwiseProjection:
-    """Degree-q polynomial per slab: L2-orthogonal residual against
-    degree q-1 and exact match at each slab's right endpoint."""
-
-    def __init__(self, callback, partition, q, quad_points=None):
-        self.partition = partition
-        self.q = q
-        npts = quad_points if quad_points is not None else max(2 * q + 4, 8)
-        self.coeffs = []  # Legendre coefficients on [-1, 1] per slab
-        for n in range(partition.n_slabs):
-            t0, t1 = partition.slab(n)
-            tau = t1 - t0
-            tq, wq = gauss_interval(t0, t1, npts)
-            vals = np.asarray(callback(tq), dtype=float)
-            x = 2.0 * (tq - t0) / tau - 1.0
-            coef = np.zeros(q + 1)
-            for i in range(q):
-                Li = np.polynomial.legendre.legval(x, np.eye(q + 1)[i])
-                coef[i] = (2 * i + 1) / tau * (wq @ (vals * Li))
-            # last coefficient from the right-endpoint match (L_i(1) = 1)
-            coef[q] = float(callback(np.array([t1]))[0]) - coef[:q].sum()
-            self.coeffs.append(coef)
-
-    def evaluate(self, t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.zeros_like(t)
-        edges = self.partition.nodes
-        for n in range(self.partition.n_slabs):
-            t0, t1 = edges[n], edges[n + 1]
-            mask = (t > t0) & (t <= t1) if n > 0 else (t >= t0) & (t <= t1)
-            if not np.any(mask):
-                continue
-            x = 2.0 * (t[mask] - t0) / (t1 - t0) - 1.0
-            out[mask] = np.polynomial.legendre.legval(x, self.coeffs[n])
-        return out
-
-
-def pi_tau(callback, partition, q):
-    """Slabwise projection of a time callback (see SlabwiseProjection)."""
-    return SlabwiseProjection(callback, partition, q)

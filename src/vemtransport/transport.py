@@ -20,7 +20,9 @@ class TransportProblem:
     """Coefficients and data callbacks for the transport equation.
 
     Every data callback receives a stacked (npts, 2) array of points and
-    returns one value per point.
+    returns one value per point. The data and boundary point sets the
+    system passes are read-only, so problem data may cache stationary
+    fields per point set.
 
     Parameters
     ----------
@@ -86,6 +88,7 @@ class TransportSystem:
         rules = [edge_rule(*mesh.edge_points(e), 2 * k + 4) for e in edges]
         params = rules[0].params
         self._bd_points = np.vstack([r.points for r in rules])
+        self._bd_points.flags.writeable = False
         self._bd_normals = np.repeat([mesh.outward_normal(e) for e in edges], len(params), axis=0)
         self._bd_dofs = np.array([self.space.edge_trace_dofs(e) for e in edges])
         self._bd_trace = lagrange_values(uniform_edge_params(k), params)

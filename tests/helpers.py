@@ -5,17 +5,22 @@ to check: polygon integrals go through the divergence theorem, time
 steps through a classical Runge-Kutta formulation, local norms through
 a P1 finite element solve of the space-defining PDE on a fine
 triangulation, and the batched local spaces through the per-cell loops
-they replaced (LoopVemElement, LoopFluxElement).
+they replaced (LoopVemElement, LoopFluxElement), and the Lloyd loop
+through one polygon at a time (lloyd_voronoi_loop). The tools at the end
+(the slab block system, the weighted interpolant l_tau, the slabwise
+projection pi_tau and the Matrix Market export) are used only by tests.
 """
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.io import mmwrite
 from scipy.special import roots_legendre
 
 from vemtransport import polygon as polyops
 from vemtransport.darcy import _legendre_values
 from vemtransport.element import MonomialBasis, n_poly, uniform_edge_params
-from vemtransport.quadrature import edge_rule, lagrange_values, polygon_rule
+from vemtransport.quadrature import edge_rule, gauss_interval, lagrange_values, polygon_rule
+from vemtransport.timestepping import slab_matrix, slab_rhs
 
 
 def gauss_on_segment(p0, p1, npts):
@@ -678,6 +683,33 @@ def _diameter(verts):
     return float(np.sqrt(d2.max()))
 
 
+def _second_moment(verts, point):
+    x = verts[:, 0] - point[0]
+    y = verts[:, 1] - point[1]
+    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    cross = x * yn - xn * y
+    ixx = np.sum((x * x + x * xn + xn * xn) * cross) / 12.0
+    iyy = np.sum((y * y + y * yn + yn * yn) * cross) / 12.0
+    return float(ixx + iyy)
+
+
+def lloyd_voronoi_loop(n_seeds, lloyd_iters, rng_seed):
+    """generate_voronoi's Lloyd relaxation one polygon at a time, with the
+    single-polygon formulas above; for seeds that need no duplicate
+    jitter. Returns (mesh, Lloyd energies)."""
+    from vemtransport.geometry import _clipped_voronoi_cells, _merge_cell_polygons
+
+    seeds = np.random.default_rng(rng_seed).random((n_seeds, 2))
+    energies = []
+    cells = _clipped_voronoi_cells(seeds, clip=False)
+    for _ in range(lloyd_iters):
+        energies.append(sum(_second_moment(v, s) for v, s in zip(cells, seeds)))
+        seeds = np.array([_centroid(v) for v in cells])
+        cells = _clipped_voronoi_cells(seeds, clip=False)
+    energies.append(sum(_second_moment(v, s) for v, s in zip(cells, seeds)))
+    return _merge_cell_polygons(_clipped_voronoi_cells(seeds, clip=True)), energies
+
+
 def _dense_polygon_rule(verts, degree):
     """Simple fan-based product rule used only inside the oracle."""
     from scipy.special import roots_jacobi
@@ -702,3 +734,82 @@ def _dense_polygon_rule(verts, degree):
         pts.append(p)
         wts.append(W * area2)
     return np.vstack(pts), np.concatenate(wts)
+
+
+# -- test-only tools over the production time stepping and solves -----
+
+
+def build_slab_system(M, a0_blocks, radau, tau, rhs_blocks, carry):
+    """Full block system (matrix, rhs) for one slab, from the production
+    slab_matrix and slab_rhs."""
+    return slab_matrix(M, a0_blocks, radau, tau), slab_rhs(M, radau, tau, rhs_blocks, carry)
+
+
+class WeightedInterpolant:
+    """Lagrange interpolant of the node values scaled by 1/xi.
+
+    Interpolates xi_i^{-1} v(t_i) at the mapped Radau nodes; used by the
+    temporal stability analysis and its acceptance checks.
+    """
+
+    def __init__(self, node_values, radau, t_start=0.0, tau=1.0):
+        self.radau = radau
+        self.t_start = t_start
+        self.tau = tau
+        self.scaled = np.asarray(node_values, dtype=float) / radau.nodes
+
+    def __call__(self, t):
+        xi = (np.asarray(t, dtype=float) - self.t_start) / self.tau
+        return lagrange_values(self.radau.nodes, xi) @ self.scaled
+
+
+def l_tau(node_values, radau, t_start=0.0, tau=1.0):
+    """Interpolant of tau (t - t_start)^{-1} v at the Radau nodes."""
+    return WeightedInterpolant(node_values, radau, t_start, tau)
+
+
+class SlabwiseProjection:
+    """Degree-q polynomial per slab: L2-orthogonal residual against
+    degree q-1 and exact match at each slab's right endpoint."""
+
+    def __init__(self, callback, partition, q, quad_points=None):
+        self.partition = partition
+        self.q = q
+        npts = quad_points if quad_points is not None else max(2 * q + 4, 8)
+        self.coeffs = []  # Legendre coefficients on [-1, 1] per slab
+        for n in range(partition.n_slabs):
+            t0, t1 = partition.slab(n)
+            tau = t1 - t0
+            tq, wq = gauss_interval(t0, t1, npts)
+            vals = np.asarray(callback(tq), dtype=float)
+            x = 2.0 * (tq - t0) / tau - 1.0
+            coef = np.zeros(q + 1)
+            for i in range(q):
+                Li = np.polynomial.legendre.legval(x, np.eye(q + 1)[i])
+                coef[i] = (2 * i + 1) / tau * (wq @ (vals * Li))
+            # last coefficient from the right-endpoint match (L_i(1) = 1)
+            coef[q] = float(callback(np.array([t1]))[0]) - coef[:q].sum()
+            self.coeffs.append(coef)
+
+    def evaluate(self, t):
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        out = np.zeros_like(t)
+        edges = self.partition.nodes
+        for n in range(self.partition.n_slabs):
+            t0, t1 = edges[n], edges[n + 1]
+            mask = (t > t0) & (t <= t1) if n > 0 else (t >= t0) & (t <= t1)
+            if not np.any(mask):
+                continue
+            x = 2.0 * (t[mask] - t0) / (t1 - t0) - 1.0
+            out[mask] = np.polynomial.legendre.legval(x, self.coeffs[n])
+        return out
+
+
+def pi_tau(callback, partition, q):
+    """Slabwise projection of a time callback (see SlabwiseProjection)."""
+    return SlabwiseProjection(callback, partition, q)
+
+
+def export_matrix_market(A, path):
+    """Debug export of a sparse matrix in Matrix Market format."""
+    mmwrite(str(path), A.tocoo())

@@ -24,10 +24,10 @@ from vemtransport.geometry import generate_family, generate_hexa
 from vemtransport.postproc import minmax_trace, observed_rate
 from vemtransport.problems import WellsProblem
 from vemtransport.quadrature import gauss_interval, gauss_radau, lagrange_values
-from vemtransport.timestepping import TimePartition, advance, build_slab_system, l_tau
+from vemtransport.timestepping import TimePartition, advance
 from vemtransport.transport import TransportProblem, TransportSystem
 
-from helpers import radau_iia_step
+from helpers import build_slab_system, l_tau, radau_iia_step
 
 _MESHES = {}
 

@@ -7,10 +7,11 @@ from vemtransport.linalg import (
     Factorization,
     NumericBreakdownError,
     StructuralSingularityError,
-    export_matrix_market,
     solve,
 )
 from vemtransport.quadrature import polygon_rule
+
+from helpers import export_matrix_market
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 

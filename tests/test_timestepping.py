@@ -7,15 +7,12 @@ from vemtransport.timestepping import (
     SlabSolution,
     TimePartition,
     TimeSteppingError,
-    build_slab_system,
-    l_tau,
     lagrange_derivative_matrix,
-    pi_tau,
     slab_matrix,
     slab_rhs,
 )
 
-from helpers import radau_iia_step
+from helpers import build_slab_system, l_tau, pi_tau, radau_iia_step
 
 
 def dense_solve(mat, rhs):
