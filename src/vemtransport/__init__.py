@@ -8,11 +8,9 @@ collocated at Gauss-Radau nodes.
 
 from .geometry import (
     PolyMesh,
-    BoundaryPartition,
     generate_quad,
     generate_hexa,
     generate_voronoi,
-    classify_boundary,
     audit_mesh,
 )
 from .quadrature import PolygonRule, RadauRule, polygon_rule, edge_rule, gauss_radau, map_radau
@@ -26,11 +24,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "PolyMesh",
-    "BoundaryPartition",
     "generate_quad",
     "generate_hexa",
     "generate_voronoi",
-    "classify_boundary",
     "audit_mesh",
     "PolygonRule",
     "RadauRule",

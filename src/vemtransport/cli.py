@@ -31,7 +31,7 @@ log = logging.getLogger("vemtransport")
 SOLVER_ERRORS = (DarcyError, TimeSteppingError, LinalgError)
 
 
-def run_manufactured_level(mesh, steps, k, q, D, backend, solver_tol, level=0, solver_method="direct"):
+def run_manufactured_level(mesh, steps, k, q, D, backend, solver_tol, level=0):
     """One space-time solve of the smooth benchmark; returns its report."""
     data = ManufacturedProblem(D=D)
     if backend == "analytic":
@@ -44,9 +44,7 @@ def run_manufactured_level(mesh, steps, k, q, D, backend, solver_tol, level=0, s
             g_D=data.darcy_g_D,
             dirichlet_edges=frozenset(int(e) for e in mesh.boundary_edges),
         )
-        velocity, _ = solve_darcy_mixed(
-            mesh, dprob, k, solver_tol=solver_tol, solver_method=solver_method
-        )
+        velocity, _ = solve_darcy_mixed(mesh, dprob, k, solver_tol=solver_tol)
     tprob = TransportProblem(
         D=D,
         velocity=velocity,
@@ -174,7 +172,6 @@ def run_manufactured(config, out, timings):
             timings, solve.label, run_manufactured_level,
             meshes[solve.level], solve.steps, solve.k, solve.q, solve.D,
             config.velocity_backend, config.solver_tol, level=solve.level,
-            solver_method=config.solver_method,
         )
         if failure:
             break
@@ -206,7 +203,7 @@ def run_wells(config, out, timings):
     )
     flow, failure = _timed(
         timings, "darcy", solve_darcy_mixed, mesh, dprob, config.k,
-        solver_tol=config.solver_tol, solver_method=config.solver_method,
+        solver_tol=config.solver_tol,
     )
     if failure:
         return summary, failure

@@ -41,7 +41,6 @@ class ExperimentConfig:
     out_dir: str = "out"
     rng_seed: int = 2024
     solver_tol: float = 1e-10
-    solver_method: str = "direct"
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -54,22 +53,31 @@ class ExperimentConfig:
             raise ConfigError("k must be >= 1")
         if self.q is None:
             self.q = self.k
-        if self.q < 0:
-            raise ConfigError("q must be >= 0")
+        if not 0 <= self.q <= 10:
+            raise ConfigError("q must lie in 0..10")
         if not (isinstance(self.D, (int, float)) and 0.0 < self.D < float("inf")):
             raise ConfigError("D must be a positive finite number")
+        if not self.levels:
+            raise ConfigError("levels must not be empty")
+        if any(lv < 1 or lv > 4 for lv in self.levels):
+            raise ConfigError("levels must lie in 1..4")
         if self.steps_per_level is None:
             self.steps_per_level = [DEFAULT_STEPS[lv - 1] for lv in self.levels]
         if len(self.steps_per_level) != len(self.levels):
             raise ConfigError("steps_per_level must align with levels")
-        if any(lv < 1 or lv > 4 for lv in self.levels):
-            raise ConfigError("levels must lie in 1..4")
-        if any(not (0.0 < d < float("inf")) for d in self.d_values):
-            raise ConfigError("d_values must be positive finite numbers")
-        if any(kk < 1 for kk in self.k_range):
-            raise ConfigError("k_range entries must be >= 1")
-        if self.solver_method not in ("direct", "iterative"):
-            raise ConfigError(f"unknown solver method {self.solver_method!r}")
+        if any(n < 1 for n in self.steps_per_level):
+            raise ConfigError("steps_per_level entries must be >= 1")
+        if not self.d_values or any(not (0.0 < d < float("inf")) for d in self.d_values):
+            raise ConfigError("d_values must be a non-empty list of positive finite numbers")
+        # kconv runs q = k, and the Radau rules stop at q = 10
+        if not self.k_range or any(not 1 <= kk <= 10 for kk in self.k_range):
+            raise ConfigError("k_range must be a non-empty list of degrees in 1..10")
+        if self.wells_level < 1:
+            raise ConfigError("wells_level must be >= 1")
+        if self.rng_seed < 0:
+            raise ConfigError("rng_seed must be >= 0")
+        if not self.solver_tol > 0.0:
+            raise ConfigError("solver_tol must be positive")
         if self.problem != "manufactured" and not self.problem.startswith("wells:"):
             raise ConfigError(f"unknown problem {self.problem!r}")
         if self.kind == "wells" and not self.problem.startswith("wells:"):

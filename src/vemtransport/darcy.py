@@ -66,17 +66,9 @@ class CellPolynomials:
     with m components.
     """
 
-    def __init__(self, mesh, k, coeffs):
-        self.mesh = mesh
+    def __init__(self, k, coeffs):
         self.k = k
         self.coeffs = np.asarray(coeffs, dtype=float)
-
-    def values(self, ci, points):
-        phi = monomials(points, self.mesh.cell_centroids[ci], self.mesh.cell_diameters[ci], self.k)
-        c = self.coeffs[ci]
-        if c.ndim == 1:
-            return phi @ c
-        return phi @ c.T
 
     def group_values(self, cg, points):
         """Values on the cells of group cg at points (n, m, 2): (n, m),
@@ -102,39 +94,24 @@ class DiscreteVelocity:
     edges are single-valued by construction.
     """
 
-    def __init__(self, mesh, k, kind, edge_flux_coeffs, cell_velocity, cell_divergence=None):
+    def __init__(self, mesh, k, edge_flux_coeffs, cell_velocity, cell_divergence=None):
         self.mesh = mesh
         self.k = k
-        self.kind = kind
         self.edge_flux_coeffs = edge_flux_coeffs
         self.cell_velocity = cell_velocity
         self.cell_divergence = cell_divergence
 
-    def edge_flux_values(self, e, params):
-        """u . n_e at canonical params along edge e."""
+    def boundary_flux_values(self, params):
+        """Outward u . n at canonical params along every boundary edge,
+        (len(mesh.boundary_edges), len(params))."""
         P = _legendre_values(self.k, params)
-        return P @ self.edge_flux_coeffs[e]
-
-    def edge_outward_flux_values(self, e, params):
-        """u . n (outward) at canonical params along a boundary edge."""
-        return self.mesh.boundary_sign(e) * self.edge_flux_values(e, params)
-
-    def edge_mean_outward_flux(self, e):
-        return self.mesh.boundary_sign(e) * float(self.edge_flux_coeffs[e][0])
-
-    def velocity_values(self, ci, points):
-        """Projected polynomial velocity on cell ci, shape (npts, 2)."""
-        return self.cell_velocity.values(ci, points)
+        coeffs = self.edge_flux_coeffs[self.mesh.boundary_edges]
+        return self.mesh.boundary_signs[:, None] * (P @ coeffs[:, :, None])[..., 0]
 
     def velocity_coefficients(self, ci):
         """Monomial coefficients (2, n_poly) in the cell basis; an array of
         cell ids gives (len(ci), 2, n_poly)."""
         return self.cell_velocity.coeffs[ci]
-
-    def divergence_values(self, ci, points):
-        if self.cell_divergence is None:
-            raise DarcyError("divergence polynomial not available for this field")
-        return self.cell_divergence.values(ci, points)
 
 
 def analytic_velocity(u_callback, mesh, k, div_callback=None):
@@ -164,9 +141,9 @@ def analytic_velocity(u_callback, mesh, k, div_callback=None):
         coeffs[cg.cells] = np.swapaxes(np.linalg.solve(H, gram(phi, w, u)), 1, 2)
         if div_callback:
             div[cg.cells] = np.linalg.solve(H, gram(phi, w, dv[..., None]))[..., 0]
-    cell_vel = CellPolynomials(mesh, k, coeffs)
-    cell_div = CellPolynomials(mesh, k, div) if div_callback else None
-    return DiscreteVelocity(mesh, k, "analytic", flux, cell_vel, cell_div)
+    cell_vel = CellPolynomials(k, coeffs)
+    cell_div = CellPolynomials(k, div) if div_callback else None
+    return DiscreteVelocity(mesh, k, flux, cell_vel, cell_div)
 
 
 class _FluxGroup:
@@ -269,15 +246,14 @@ def _boundary_moments(mesh, edges, g, k):
     return (er.weights * gvals) @ _legendre_values(k, er.params), er, gvals
 
 
-def solve_darcy_mixed(mesh, problem, k, solver_tol=1e-10, solver_method="direct"):
+def solve_darcy_mixed(mesh, problem, k, solver_tol=1e-10):
     """Solve the mixed flow system; returns (DiscreteVelocity, pressure).
 
     Pressure Dirichlet data enters naturally via boundary terms; normal
     flux data is imposed on the edge dofs. With an empty Dirichlet set
     the pressure is fixed to zero mean with a Lagrange multiplier, which
     requires the data compatibility integral(f) = integral(g_N). The
-    saddle system is factored directly by default; solver_method
-    "iterative" switches to preconditioned GMRES for large runs.
+    saddle system is solved by sparse LU.
     """
     if k < 0:
         raise DarcyError("degree must be >= 0")
@@ -318,7 +294,7 @@ def solve_darcy_mixed(mesh, problem, k, solver_tol=1e-10, solver_method="direct"
     jw = 2.0 * np.arange(k + 1) + 1.0
     bd = np.asarray(mesh.boundary_edges, dtype=int)
     on_dirichlet = np.isin(bd, list(dirichlet))
-    sign = np.array([mesh.boundary_sign(e) for e in bd])
+    sign = mesh.boundary_signs
     if on_dirichlet.any():
         moments, _, _ = _boundary_moments(mesh, bd[on_dirichlet], problem.g_D, k)
         idx = bd[on_dirichlet, None] * (k + 1) + np.arange(k + 1)
@@ -355,10 +331,10 @@ def solve_darcy_mixed(mesh, problem, k, solver_tol=1e-10, solver_method="direct"
         A_red = A[keep][:, keep]
         x = np.zeros(n_sys)
         x[idx] = values
-        sol, report = solve(A_red, rhs[keep], tol=solver_tol, method=solver_method)
+        sol, _ = solve(A_red, rhs[keep], tol=solver_tol)
         x[keep] = sol
     else:
-        x, report = solve(A, rhs, tol=solver_tol, method=solver_method)
+        x, _ = solve(A, rhs, tol=solver_tol)
 
     flux = x[: mesh.num_edges * (k + 1)].reshape(mesh.num_edges, k + 1) * jw[None, :]
     vel_coeffs = np.zeros((mesh.num_cells, 2, nk))
@@ -369,10 +345,10 @@ def solve_darcy_mixed(mesh, problem, k, solver_tol=1e-10, solver_method="direct"
         div_coeffs[cg.cells] = (g.div_map @ uloc[:, :, None])[..., 0]
     pressure = x[n_u : n_u + n_p].reshape(mesh.num_cells, nk)
 
-    cell_vel = CellPolynomials(mesh, k, vel_coeffs)
-    cell_div = CellPolynomials(mesh, k, div_coeffs)
-    velocity = DiscreteVelocity(mesh, k, "mixed_vem", flux, cell_vel, cell_div)
-    return velocity, CellPolynomials(mesh, k, pressure)
+    cell_vel = CellPolynomials(k, vel_coeffs)
+    cell_div = CellPolynomials(k, div_coeffs)
+    velocity = DiscreteVelocity(mesh, k, flux, cell_vel, cell_div)
+    return velocity, CellPolynomials(k, pressure)
 
 
 def _l2_distance(mesh, poly, callback, degree):

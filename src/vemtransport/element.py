@@ -12,8 +12,6 @@ those of the H1-projection, which makes the L2 projector computable
 from the dofs. VemElement is a group of one cell.
 """
 
-from functools import cached_property
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -390,27 +388,16 @@ class VemSpace:
         self.data_offsets = np.concatenate([[0], np.cumsum(per_cell)])
         self.pi0_operator = self.cell_operator([g.pi0_coef for g in groups])
 
-    @cached_property
-    def cell_dofs(self):
-        """Global dofs of each cell in its local order, indexed by cell."""
-        out = [None] * self.mesh.num_cells
-        for cg, dofs in zip(self.mesh.cell_groups, self.group_dofs):
-            for c, d in zip(cg.cells, dofs):
-                out[c] = d
-        return out
-
     @property
     def num_vertex_dofs(self):
         return self.mesh.num_vertices
 
-    def edge_trace_dofs(self, e):
-        """Global dofs of the trace on edge e, canonical min->max order."""
-        k = self.k
-        nv = self.mesh.num_vertices
-        ids = [int(self.mesh.edges[e, 0])]
-        ids += [nv + e * (k - 1) + j for j in range(k - 1)]
-        ids.append(int(self.mesh.edges[e, 1]))
-        return np.asarray(ids, dtype=int)
+    def trace_dofs(self, edges):
+        """Global dofs of the traces on the given edges, (n, k+1), each
+        row in canonical min->max order."""
+        ends = self.mesh.edges[edges]
+        inner = self.mesh.num_vertices + edges[:, None] * (self.k - 1) + np.arange(self.k - 1)
+        return np.hstack([ends[:, :1], inner, ends[:, 1:]])
 
     def cell_operator(self, blocks):
         """Sparse map from global dofs to per-cell coefficient rows.

@@ -2,9 +2,9 @@
 
 Provides the half-edge style PolyMesh container, four mesh generators
 (structured quads, distorted hexagons, Lloyd-optimized and random
-Voronoi), inflow/outflow boundary classification, and a star-shapedness
-audit. Cells are stored counter-clockwise; outward normals are edge
-tangents rotated by -90 degrees.
+Voronoi), and a star-shapedness audit. Cells are stored
+counter-clockwise; outward normals are edge tangents rotated by -90
+degrees.
 """
 
 import logging
@@ -33,22 +33,17 @@ class PolyMesh:
         Vertex coordinates.
     cells : sequence of int arrays
         Counter-clockwise vertex index loops, one per cell.
-    boundary_tags : dict, optional
-        Edge id -> string tag for boundary edges (default "boundary").
     validate : bool
         Run the geometric sanity checks (simple cells, positive area,
         outward normals).
     """
 
-    def __init__(self, vertices, cells, boundary_tags=None, meta=None, validate=True):
+    def __init__(self, vertices, cells, meta=None, validate=True):
         self.vertices = np.asarray(vertices, dtype=float).copy()
         self.cells = [np.asarray(c, dtype=int).copy() for c in cells]
         self.meta = dict(meta or {})
         self._build_topology()
         self._build_geometry(validate)
-        self.boundary_tags = {
-            int(e): (boundary_tags or {}).get(int(e), "boundary") for e in self.boundary_edges
-        }
 
     def _build_topology(self):
         edge_index = {}
@@ -85,6 +80,8 @@ class PolyMesh:
             if self.edge_cells[e, 1] != -1 and self._edge_signs[e, 0] == self._edge_signs[e, 1]:
                 raise MeshError(f"edge {tuple(self.edges[e])} traversed twice in the same direction")
         self.boundary_edges = np.where(self.edge_cells[:, 1] == -1)[0]
+        # outward normal = sign * canonical normal on each boundary edge
+        self.boundary_signs = self._edge_signs[self.boundary_edges, 0]
         self._is_boundary = np.zeros(len(self.edges), dtype=bool)
         self._is_boundary[self.boundary_edges] = True
 
@@ -144,12 +141,6 @@ class PolyMesh:
     def cell_polygon(self, ci):
         return self.vertices[self.cells[ci]]
 
-    def edge_points(self, e):
-        return self.vertices[self.edges[e, 0]], self.vertices[self.edges[e, 1]]
-
-    def is_boundary_edge(self, e):
-        return bool(self._is_boundary[e])
-
     def boundary_sign(self, e):
         """Sign s with outward normal = s * canonical normal on edge e."""
         if not self._is_boundary[e]:
@@ -172,26 +163,6 @@ class PolyMesh:
                 centroids, self.cell_diameters[cells], star_points(verts, centroids),
             ))
         return groups
-
-    def permuted(self, perm):
-        """New mesh with cells reordered by `perm` (same vertices)."""
-        perm = np.asarray(perm, dtype=int)
-        if sorted(perm.tolist()) != list(range(self.num_cells)):
-            raise MeshError("perm is not a permutation of the cells")
-        tags = None
-        new = PolyMesh(
-            self.vertices,
-            [self.cells[p] for p in perm],
-            boundary_tags=tags,
-            meta=self.meta,
-            validate=False,
-        )
-        # carry boundary tags across the edge renumbering
-        old_key = {tuple(self.edges[e]): self.boundary_tags[e] for e in self.boundary_tags}
-        new.boundary_tags = {
-            int(e): old_key[tuple(new.edges[e])] for e in new.boundary_edges
-        }
-        return new
 
 
 @dataclass(frozen=True)
@@ -257,32 +228,6 @@ def split_stacked(values, shapes):
 
 
 @dataclass
-class BoundaryPartition:
-    """Boundary edge sets for the flow and transport problems.
-
-    darcy_dirichlet/darcy_neumann partition the boundary for the pressure
-    problem; inflow/outflow partition it by the sign of u . n.
-    """
-
-    darcy_dirichlet: frozenset
-    darcy_neumann: frozenset
-    inflow: frozenset
-    outflow: frozenset
-
-    def validate(self, mesh):
-        boundary = frozenset(int(e) for e in mesh.boundary_edges)
-        if self.darcy_dirichlet | self.darcy_neumann != boundary:
-            raise MeshError("Dirichlet/Neumann sets do not cover the boundary")
-        if self.darcy_dirichlet & self.darcy_neumann:
-            raise MeshError("Dirichlet/Neumann sets overlap")
-        if self.inflow | self.outflow != boundary:
-            raise MeshError("inflow/outflow sets do not cover the boundary")
-        if self.inflow & self.outflow:
-            raise MeshError("inflow/outflow sets overlap")
-        return self
-
-
-@dataclass
 class CellAudit:
     cell: int
     rho_ratio: float
@@ -302,10 +247,6 @@ class MeshAudit:
     @property
     def passed(self):
         return all(c.passed for c in self.cells)
-
-    @property
-    def worst_rho_ratio(self):
-        return min(c.rho_ratio for c in self.cells)
 
 
 def audit_mesh(mesh, gamma0=0.1, n0=16):
@@ -343,32 +284,6 @@ def audit_mesh(mesh, gamma0=0.1, n0=16):
             )
         )
     return report
-
-
-def classify_boundary(mesh, velocity, darcy_dirichlet=None):
-    """Tag each boundary edge inflow or outflow from the sign of u . n.
-
-    An edge is inflow when the edge mean of the outward normal flux is
-    negative; ties (u . n = 0) go to outflow. The Darcy Dirichlet set
-    defaults to the whole boundary.
-    """
-    inflow = []
-    outflow = []
-    for e in mesh.boundary_edges:
-        mean = velocity.edge_mean_outward_flux(int(e))
-        (inflow if mean < 0.0 else outflow).append(int(e))
-    boundary = frozenset(int(e) for e in mesh.boundary_edges)
-    if darcy_dirichlet is None:
-        dirichlet = boundary
-    else:
-        dirichlet = frozenset(int(e) for e in darcy_dirichlet)
-    part = BoundaryPartition(
-        darcy_dirichlet=dirichlet,
-        darcy_neumann=boundary - dirichlet,
-        inflow=frozenset(inflow),
-        outflow=frozenset(outflow),
-    )
-    return part.validate(mesh)
 
 
 # -- generators ----------------------------------------------------------

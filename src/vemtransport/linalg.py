@@ -1,9 +1,9 @@
-"""Direct and iterative sparse solves, with factorization reuse."""
+"""Direct sparse solves, with factorization reuse."""
 
 import time
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres, spilu, splu
+from scipy.sparse.linalg import splu
 
 
 class LinalgError(RuntimeError):
@@ -15,23 +15,16 @@ class StructuralSingularityError(LinalgError):
 
 
 class NumericBreakdownError(LinalgError):
-    """Factorization or iteration broke down on the numeric values."""
+    """Factorization broke down on the numeric values."""
 
 
 class SolveReport:
     """Outcome of one linear solve."""
 
-    def __init__(self, method, residual, reused_factorization, seconds):
-        self.method = method
+    def __init__(self, residual, reused_factorization, seconds):
         self.residual = residual
         self.reused_factorization = reused_factorization
         self.seconds = seconds
-
-    def __repr__(self):
-        return (
-            f"SolveReport(method={self.method!r}, residual={self.residual:.3e}, "
-            f"reused={self.reused_factorization}, seconds={self.seconds:.3f})"
-        )
 
 
 def _check_structure(A):
@@ -58,7 +51,6 @@ class Factorization:
             self._lu = splu(csc)
         except RuntimeError as exc:
             raise NumericBreakdownError(f"sparse LU failed: {exc}") from exc
-        self.shape = A.shape
         self._A = csc
 
     def solve(self, b):
@@ -73,36 +65,20 @@ class Factorization:
         return r / scale if scale > 0 else r
 
 
-def solve(A, b, method="direct", tol=1e-10, factorization=None):
-    """Solve A x = b, returning (x, SolveReport).
+def solve(A, b, tol=1e-10, factorization=None):
+    """Solve A x = b by sparse LU, returning (x, SolveReport).
 
-    method "direct" uses sparse LU (residual must reach tol); "iterative"
-    uses GMRES with an incomplete-LU preconditioner. A prebuilt
-    Factorization may be passed for reuse across right-hand sides.
+    The relative residual must reach tol. A prebuilt Factorization may
+    be passed for reuse across right-hand sides.
     """
     b = np.asarray(b, dtype=float)
     t0 = time.perf_counter()
-    if method == "direct":
-        fact = factorization
-        reused = fact is not None
-        if fact is None:
-            fact = Factorization(A)
-        x = fact.solve(b)
-        res = fact.residual(x, b)
-        if res > tol:
-            raise NumericBreakdownError(f"direct solve residual {res:.2e} exceeds {tol:.2e}")
-        return x, SolveReport("direct", res, reused, time.perf_counter() - t0)
-    if method == "iterative":
-        csc = _check_structure(A)
-        try:
-            ilu = spilu(csc, drop_tol=1e-6, fill_factor=20)
-        except RuntimeError as exc:
-            raise NumericBreakdownError(f"ILU failed: {exc}") from exc
-        M = LinearOperator(A.shape, ilu.solve)
-        x, info = gmres(csc, b, rtol=tol, atol=0.0, M=M, maxiter=2000)
-        if info != 0:
-            raise NumericBreakdownError(f"GMRES failed to converge (info={info})")
-        scale = np.linalg.norm(b)
-        res = np.linalg.norm(csc @ x - b) / (scale if scale > 0 else 1.0)
-        return x, SolveReport("iterative", res, False, time.perf_counter() - t0)
-    raise ValueError(f"unknown solve method {method!r}")
+    fact = factorization
+    reused = fact is not None
+    if fact is None:
+        fact = Factorization(A)
+    x = fact.solve(b)
+    res = fact.residual(x, b)
+    if res > tol:
+        raise NumericBreakdownError(f"direct solve residual {res:.2e} exceeds {tol:.2e}")
+    return x, SolveReport(res, reused, time.perf_counter() - t0)

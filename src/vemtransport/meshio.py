@@ -1,4 +1,4 @@
-"""Mesh and field I/O.
+"""Mesh and field output.
 
 Two formats: a plain-text polygon mesh format (documented below) and VTK
 legacy POLYDATA for visualization.
@@ -11,14 +11,12 @@ Text format::
     <cell count>
     m i0 i1 ... im-1     (vertex loop per cell, counter-clockwise)
     <boundary edge count>
-    v0 v1 tag            (vertex pair plus string tag per boundary edge)
+    v0 v1 boundary       (vertex pair per boundary edge, with the tag "boundary")
 """
 
 import json
 
 import numpy as np
-
-from .geometry import MeshError, PolyMesh
 
 
 def write_polymesh(mesh, path):
@@ -34,46 +32,7 @@ def write_polymesh(mesh, path):
         fh.write(f"{len(mesh.boundary_edges)}\n")
         for e in mesh.boundary_edges:
             a, b = mesh.edges[e]
-            fh.write(f"{a} {b} {mesh.boundary_tags[int(e)]}\n")
-
-
-def read_polymesh(path):
-    """Read a PolyMesh from the plain-text format."""
-    with open(path, encoding="utf-8") as fh:
-        tokens = fh.read().split("\n")
-    lines = [ln.strip() for ln in tokens if ln.strip()]
-    if lines[0] != "polymesh 2d":
-        raise MeshError(f"not a polymesh file: header {lines[0]!r}")
-    pos = 1
-    nv = int(lines[pos])
-    pos += 1
-    vertices = np.array(
-        [[float(t) for t in lines[pos + i].split()] for i in range(nv)]
-    )
-    pos += nv
-    nc = int(lines[pos])
-    pos += 1
-    cells = []
-    for i in range(nc):
-        parts = lines[pos + i].split()
-        m = int(parts[0])
-        cells.append([int(t) for t in parts[1 : 1 + m]])
-    pos += nc
-    nb = int(lines[pos])
-    pos += 1
-    tag_by_pair = {}
-    for i in range(nb):
-        a, b, tag = lines[pos + i].split(maxsplit=2)
-        key = (min(int(a), int(b)), max(int(a), int(b)))
-        tag_by_pair[key] = tag
-    mesh = PolyMesh(vertices, cells)
-    tags = {}
-    for e in mesh.boundary_edges:
-        key = tuple(mesh.edges[e])
-        if key in tag_by_pair:
-            tags[int(e)] = tag_by_pair[key]
-    mesh.boundary_tags.update(tags)
-    return mesh
+            fh.write(f"{a} {b} boundary\n")
 
 
 def write_vtk(mesh, path, point_data=None, cell_data=None, title="vemtransport"):

@@ -27,9 +27,6 @@ class PolygonRule:
     weights: np.ndarray
     exact_degree: int
 
-    def integrate(self, f):
-        return float(self.weights @ f(self.points))
-
 
 @dataclass(frozen=True)
 class EdgeRule:

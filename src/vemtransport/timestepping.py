@@ -39,10 +39,6 @@ class TimePartition:
     def slab(self, n):
         return float(self.nodes[n]), float(self.nodes[n + 1])
 
-    @property
-    def tau_max(self):
-        return float(np.max(np.diff(self.nodes)))
-
 
 def lagrange_derivative_matrix(nodes):
     """D[i, j] = derivative of basis i at node j."""
@@ -64,12 +60,11 @@ def lagrange_derivative_matrix(nodes):
 class SlabSolution:
     """Space-time coefficients of one slab at the mapped Radau nodes."""
 
-    def __init__(self, t_start, t_end, node_times, values, carry_in):
+    def __init__(self, t_start, t_end, node_times, values):
         self.t_start = t_start
         self.t_end = t_end
         self.node_times = node_times
         self.values = values  # (q+1, n_dofs)
-        self.carry_in = carry_in
         self._ref_nodes = (node_times - t_start) / (t_end - t_start)
 
     @property
@@ -117,7 +112,7 @@ def slab_rhs(M, radau, tau, rhs_blocks, carry):
     )
 
 
-def advance(system, partition, q, c0=None, on_slab=None):
+def advance(system, partition, q):
     """March the transport system over all slabs; returns the slab list.
 
     The spatial operators are stationary, so the block matrix and its
@@ -127,7 +122,7 @@ def advance(system, partition, q, c0=None, on_slab=None):
     """
     radau = gauss_radau(q)
     M = system.mass()
-    carry = system.initial_condition() if c0 is None else np.asarray(c0, dtype=float)
+    carry = system.initial_condition()
     n_dofs = len(carry)
     slabs = []
     cached = None  # (tau, factorization, matrix)
@@ -156,9 +151,7 @@ def advance(system, partition, q, c0=None, on_slab=None):
         except LinalgError as exc:
             raise TimeSteppingError(f"solver failure on slab {n + 1}: {exc}") from exc
         values = x.reshape(len(node_times), n_dofs)
-        slab = SlabSolution(t0, t1, node_times, values, carry)
+        slab = SlabSolution(t0, t1, node_times, values)
         slabs.append(slab)
         carry = slab.trace_out
-        if on_slab is not None:
-            on_slab(n, slab)
     return slabs

@@ -84,19 +84,19 @@ class TransportSystem:
         self.problem = problem
         self.space = VemSpace(mesh, k)
         self._f0 = np.asarray(problem.f(0.0, self.space.data_points), dtype=float)
-        edges = [int(e) for e in mesh.boundary_edges]
-        rules = [edge_rule(*mesh.edge_points(e), 2 * k + 4) for e in edges]
-        params = rules[0].params
-        self._bd_points = np.vstack([r.points for r in rules])
+        bd = mesh.boundary_edges
+        ends = mesh.vertices[mesh.edges[bd]]
+        er = edge_rule(ends[:, 0], ends[:, 1], 2 * k + 4)
+        self._bd_points = er.points.reshape(-1, 2)
         self._bd_points.flags.writeable = False
-        self._bd_normals = np.repeat([mesh.outward_normal(e) for e in edges], len(params), axis=0)
-        self._bd_dofs = np.array([self.space.edge_trace_dofs(e) for e in edges])
-        self._bd_trace = lagrange_values(uniform_edge_params(k), params)
-        weights = np.array([r.weights for r in rules])
-        un = np.array([problem.velocity.edge_outward_flux_values(e, params) for e in edges])
+        normals = mesh.boundary_signs[:, None] * mesh.edge_normals[bd]
+        self._bd_normals = np.repeat(normals, len(er.params), axis=0)
+        self._bd_dofs = self.space.trace_dofs(bd)
+        self._bd_trace = lagrange_values(uniform_edge_params(k), er.params)
+        un = problem.velocity.boundary_flux_values(er.params)
         # per-point weights of the boundary form and of the inflow functional
-        self._bd_abs_flux = weights * np.abs(un)
-        self._bd_inflow = weights * -np.minimum(un, 0.0)
+        self._bd_abs_flux = er.weights * np.abs(un)
+        self._bd_inflow = er.weights * -np.minimum(un, 0.0)
         self._mass = None
         self._parts = None
         self._a0 = None

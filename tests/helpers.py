@@ -272,7 +272,7 @@ class LoopFluxElement:
         signs = []
         edge_data = []
         for e, direction in self.edges:
-            p0, p1 = mesh.edge_points(e)
+            p0, p1 = mesh.vertices[mesh.edges[e]]
             er = edge_rule(p0, p1, 2 * k + 2)
             P = _legendre_values(k, er.params)
             phi_e = self.basis_hi.evaluate(er.points)
@@ -388,8 +388,9 @@ def h1_project_callback(verts, k, g, quad_degree=None):
 def dof_map(space, other, perm):
     """Dof transfer to a space on the same vertices with permuted cells.
 
-    `other` must be built on space.mesh.permuted(perm). Returns an index
-    array m with u_other = u_space[m].
+    `other` must be built on a mesh with the vertices of space.mesh and
+    its cells reordered by perm. Returns an index array m with
+    u_other = u_space[m].
     """
     k = space.k
     nv = space.mesh.num_vertices

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,8 @@ from vemtransport.config import ConfigError, ExperimentConfig, list_presets, loa
 from vemtransport.darcy import DarcyError
 from vemtransport.timestepping import TimeSteppingError
 
-WELLS_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "wells-homo"
+ROOT = Path(__file__).resolve().parents[1]
+WELLS_REFERENCE = ROOT / "perfbench" / "reference" / "wells-homo"
 
 
 def failing_after(n_ok, monkeypatch):
@@ -49,6 +51,17 @@ class TestConfig:
             {"problem": "mystery"},
             {"d_values": [1.0, -2.0]},
             {"solver_method": "cholesky"},
+            {"levels": [5]},
+            {"kind": "kconv", "levels": []},
+            {"kind": "wells", "wells_level": 0},
+            {"mesh_family": "voro", "rng_seed": -1},
+            {"solver_tol": -1},
+            {"solver_tol": 0.0},
+            {"q": 11},
+            {"steps_per_level": [0, 6, 12, 24]},
+            {"kind": "kconv", "k_range": []},
+            {"kind": "kconv", "k_range": [1, 11]},
+            {"kind": "drobust", "d_values": []},
         ],
     )
     def test_validation(self, bad):
@@ -86,6 +99,12 @@ class TestConfig:
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):
             load_preset("does-not-exist")
+
+    def test_readme_table_lists_the_config_fields(self):
+        text = (ROOT / "README.md").read_text(encoding="utf-8")
+        table = text.split("### Configuration schema")[1].split("\n#")[0]
+        rows = re.findall(r"^\| `(\w+)`", table, flags=re.MULTILINE)
+        assert sorted(rows) == sorted(ExperimentConfig.__dataclass_fields__)
 
 
 class TestCliDispatch:
@@ -161,30 +180,6 @@ class TestCliDispatch:
         with pytest.raises(SystemExit) as exc:
             cli.main(["custom", "--out", str(tmp_path), "--threads", "2"])
         assert exc.value.code == 2
-
-    def test_custom_run_passes_solver_method(self, tmp_path, monkeypatch):
-        seen = {}
-        real = cli.run_manufactured_level
-
-        def recording(*args, **kwargs):
-            seen.update(kwargs)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(cli, "run_manufactured_level", recording)
-        cfg = ExperimentConfig.from_dict(
-            {
-                "kind": "custom",
-                "mesh_family": "quad",
-                "levels": [1],
-                "steps_per_level": [1],
-                "k": 1,
-                "velocity_backend": "darcy",
-                "solver_method": "iterative",
-                "out_dir": str(tmp_path),
-            }
-        )
-        assert cli.run(cfg) == 0
-        assert seen["solver_method"] == "iterative"
 
     def test_solver_failure_exit_3_with_partial_table(self, tmp_path, monkeypatch):
         failing_after(1, monkeypatch)

@@ -4,6 +4,7 @@ import pytest
 from vemtransport.darcy import (
     DarcyError,
     DarcyProblem,
+    _legendre_values,
     analytic_velocity,
     pressure_l2_error,
     solve_darcy_mixed,
@@ -11,11 +12,19 @@ from vemtransport.darcy import (
 )
 from vemtransport.element import MonomialBasis
 from vemtransport.geometry import generate_hexa, generate_quad, generate_voronoi
-from vemtransport.quadrature import edge_rule, polygon_rule
+from vemtransport.quadrature import edge_rule
 
 
 def all_dirichlet(mesh):
     return frozenset(int(e) for e in mesh.boundary_edges)
+
+
+def cell_values(poly, mesh, degree):
+    """(cell, points, weights, values) of elementwise polynomials on the
+    degree-`degree` rule of every cell, a cell group at a time."""
+    for cg in mesh.cell_groups:
+        points, weights = cg.rule(degree)
+        yield from zip(cg.cells, points, weights, poly.group_values(cg, points))
 
 
 def exp_field(p):
@@ -90,13 +99,11 @@ class TestConservation:
         k = 1
         vel, _ = solve_darcy_mixed(mesh, prob, k)
         worst = 0.0
-        for ci in range(mesh.num_cells):
-            rule = polygon_rule(mesh.cell_polygon(ci), 2 * k + 2)
+        for ci, pts, w, dv in cell_values(vel.cell_divergence, mesh, 2 * k + 2):
             basis = MonomialBasis(k, mesh.cell_centroids[ci], mesh.cell_diameters[ci])
-            phi = basis.evaluate(rule.points)
-            H = phi.T @ (rule.weights[:, None] * phi)
-            proj = np.linalg.solve(H, phi.T @ (rule.weights * exp_divergence(rule.points)))
-            dv = vel.divergence_values(ci, rule.points)
+            phi = basis.evaluate(pts)
+            H = phi.T @ (w[:, None] * phi)
+            proj = np.linalg.solve(H, phi.T @ (w * exp_divergence(pts)))
             worst = max(worst, np.max(np.abs(dv - phi @ proj)))
         assert worst < 1e-10
 
@@ -108,16 +115,14 @@ class TestConservation:
         )
         k = 1
         vel, _ = solve_darcy_mixed(mesh, prob, k)
-        for ci in range(mesh.num_cells):
+        for ci, _, w, dv in cell_values(vel.cell_divergence, mesh, 4):
             outflux = 0.0
             for e, direction in mesh.cell_edges[ci]:
-                p0, p1 = mesh.edge_points(e)
+                p0, p1 = mesh.vertices[mesh.edges[e]]
                 er = edge_rule(p0, p1, 2 * k + 2)
-                vals = vel.edge_flux_values(e, er.params)
+                vals = _legendre_values(k, er.params) @ vel.edge_flux_coeffs[e]
                 outflux += direction * float(er.weights @ vals)
-            rule = polygon_rule(mesh.cell_polygon(ci), 4)
-            div_int = float(rule.weights @ vel.divergence_values(ci, rule.points))
-            assert abs(outflux - div_int) < 1e-10
+            assert abs(outflux - float(w @ dv)) < 1e-10
 
     def test_interior_fluxes_single_valued(self):
         # by construction one flux polynomial per edge; sanity via storage shape
@@ -149,9 +154,8 @@ class TestNeumannAndCompatibility:
         vel, pres = solve_darcy_mixed(mesh, prob, 1)
         # zero-mean pressure gauge
         total = 0.0
-        for ci in range(mesh.num_cells):
-            rule = polygon_rule(mesh.cell_polygon(ci), 3)
-            total += float(rule.weights @ pres.values(ci, rule.points))
+        for _, _, w, p in cell_values(pres, mesh, 3):
+            total += float(w @ p)
         assert abs(total) < 1e-9
 
     def test_mixed_boundary_types(self):
@@ -186,9 +190,10 @@ class TestAnalyticVelocity:
         vel = analytic_velocity(
             lambda p: np.column_stack([np.ones(len(p)), np.zeros(len(p))]), mesh, 1
         )
+        P = _legendre_values(1, np.array([0.3, 0.7]))
         for e in range(mesh.num_edges):
-            p0, p1 = mesh.edge_points(e)
-            vals = vel.edge_flux_values(e, np.array([0.3, 0.7]))
+            p0, p1 = mesh.vertices[mesh.edges[e]]
+            vals = P @ vel.edge_flux_coeffs[e]
             if abs(p0[0] - p1[0]) < 1e-14:  # vertical edge
                 assert np.allclose(np.abs(vals), 1.0, atol=1e-12)
             else:
@@ -197,10 +202,9 @@ class TestAnalyticVelocity:
     def test_exponential_means(self):
         mesh = generate_quad(4)
         vel = analytic_velocity(exp_field, mesh, 1)
-        for ci in range(mesh.num_cells):
-            rule = polygon_rule(mesh.cell_polygon(ci), 4)
-            mean_proj = rule.weights @ vel.velocity_values(ci, rule.points)[:, 0]
-            mean_exact = rule.weights @ np.exp(rule.points[:, 0])
+        for _, pts, w, u in cell_values(vel.cell_velocity, mesh, 4):
+            mean_proj = w @ u[:, 0]
+            mean_exact = w @ np.exp(pts[:, 0])
             assert abs(mean_proj - mean_exact) < 1e-8
 
     def test_zero_field(self):
@@ -213,16 +217,11 @@ class TestAnalyticVelocity:
         mesh = generate_quad(2)
         vel = analytic_velocity(exp_field, mesh, 2, div_callback=exp_divergence)
         # the stored polynomial is the L2 projection: cell means must agree
-        rule = polygon_rule(mesh.cell_polygon(0), 6)
-        got = rule.weights @ vel.divergence_values(0, rule.points)
-        want = rule.weights @ exp_divergence(rule.points)
+        ci, pts, w, dv = next(cell_values(vel.cell_divergence, mesh, 6))
+        assert ci == 0
+        got = w @ dv
+        want = w @ exp_divergence(pts)
         assert abs(got - want) < 1e-10
-
-    def test_divergence_unavailable_raises(self):
-        mesh = generate_quad(2)
-        vel = analytic_velocity(exp_field, mesh, 1)
-        with pytest.raises(DarcyError):
-            vel.divergence_values(0, np.array([[0.1, 0.1]]))
 
 
 class TestProblemValidation:
@@ -234,7 +233,7 @@ class TestProblemValidation:
 
     def test_dirichlet_edges_must_lie_on_boundary(self):
         mesh = generate_quad(3)
-        interior = [e for e in range(mesh.num_edges) if not mesh.is_boundary_edge(e)]
-        prob = DarcyProblem(dirichlet_edges=frozenset(interior[:1]))
+        interior = np.flatnonzero(mesh.edge_cells[:, 1] >= 0)
+        prob = DarcyProblem(dirichlet_edges=frozenset([int(interior[0])]))
         with pytest.raises(DarcyError):
             solve_darcy_mixed(mesh, prob, 1)

@@ -344,18 +344,18 @@ class TestVemSpace:
         space = VemSpace(mesh, 3)
         g = lambda p: np.sin(2 * p[:, 0]) + p[:, 1] ** 2
         vec = space.interpolate(g)
-        for ci in range(mesh.num_cells):
-            local = VemElement(mesh.cell_polygon(ci), 3).interpolate(g)
-            assert np.max(np.abs(vec[space.cell_dofs[ci]] - local)) < 1e-12
+        for cg, group_dofs in zip(mesh.cell_groups, space.group_dofs):
+            for ci, dofs in zip(cg.cells, group_dofs):
+                local = VemElement(mesh.cell_polygon(ci), 3).interpolate(g)
+                assert np.max(np.abs(vec[dofs] - local)) < 1e-12
 
     def test_edge_trace_dofs_orientation(self):
         mesh = generate_quad(2)
         space = VemSpace(mesh, 3)
         g = lambda p: p[:, 0] + 2 * p[:, 1]
         vec = space.interpolate(g)
-        for e in mesh.boundary_edges:
-            dofs = space.edge_trace_dofs(int(e))
-            p0, p1 = mesh.edge_points(int(e))
-            params = np.arange(space.k + 1) / space.k
+        edges = np.arange(mesh.num_edges)
+        params = np.arange(space.k + 1) / space.k
+        for dofs, (p0, p1) in zip(space.trace_dofs(edges), mesh.vertices[mesh.edges]):
             pts = p0[None, :] + params[:, None] * (p1 - p0)[None, :]
             assert np.max(np.abs(vec[dofs] - g(pts))) < 1e-13

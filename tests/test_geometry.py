@@ -2,13 +2,10 @@ import numpy as np
 import pytest
 
 from vemtransport import geometry
-from vemtransport.darcy import analytic_velocity
 from vemtransport.geometry import (
-    BoundaryPartition,
     MeshError,
     PolyMesh,
     audit_mesh,
-    classify_boundary,
     generate_hexa,
     generate_quad,
     generate_voronoi,
@@ -76,8 +73,7 @@ class TestVoronoiGenerator:
     def test_two_seeds_single_bisector(self):
         m = generate_voronoi(2, rng_seed=3)
         assert m.num_cells == 2
-        interior = [e for e in range(m.num_edges) if not m.is_boundary_edge(e)]
-        assert len(interior) == 1
+        assert np.count_nonzero(m.edge_cells[:, 1] >= 0) == 1
 
     def test_lloyd_energy_non_increasing(self):
         m = generate_voronoi(64, lloyd_iters=100, rng_seed=7)
@@ -121,7 +117,7 @@ class TestMeshInvariants:
         mesh = mesh_factory()
         for e in range(mesh.num_edges):
             n_inc = int(mesh.edge_cells[e, 0] >= 0) + int(mesh.edge_cells[e, 1] >= 0)
-            assert n_inc == (1 if mesh.is_boundary_edge(e) else 2)
+            assert n_inc == (1 if e in mesh.boundary_edges else 2)
 
     def test_boundary_normals_outward_unit(self, mesh_factory):
         mesh = mesh_factory()
@@ -140,63 +136,6 @@ class TestMeshInvariants:
             d2 = np.sum((verts[:, None] - verts[None, :]) ** 2, axis=-1)
             diams.append(np.sqrt(d2.max()))
         assert abs(mesh.mesh_size - max(diams)) < 1e-15
-
-
-class TestClassifyBoundary:
-    def test_exponential_field_splits_walls(self):
-        mesh = generate_quad(4)
-        vel = analytic_velocity(
-            lambda p: np.column_stack([np.exp(p[:, 0]), np.exp(p[:, 1])]), mesh, 1
-        )
-        part = classify_boundary(mesh, vel)
-        for e in mesh.boundary_edges:
-            mid = 0.5 * (mesh.vertices[mesh.edges[e, 0]] + mesh.vertices[mesh.edges[e, 1]])
-            if mid[0] < 1e-12 or mid[1] < 1e-12:
-                assert int(e) in part.inflow
-            else:
-                assert int(e) in part.outflow
-
-    def test_unit_x_field_ties_go_to_outflow(self):
-        mesh = generate_quad(2)
-        vel = analytic_velocity(
-            lambda p: np.column_stack([np.ones(len(p)), np.zeros(len(p))]), mesh, 1
-        )
-        part = classify_boundary(mesh, vel)
-        for e in mesh.boundary_edges:
-            mid = 0.5 * (mesh.vertices[mesh.edges[e, 0]] + mesh.vertices[mesh.edges[e, 1]])
-            if mid[0] < 1e-12:
-                assert int(e) in part.inflow
-            else:
-                # x = 1 outflows; y = 0 and y = 1 have u.n = 0, tie to outflow
-                assert int(e) in part.outflow
-
-    def test_zero_field_all_outflow(self):
-        mesh = generate_quad(2)
-        vel = analytic_velocity(lambda p: np.zeros((len(p), 2)), mesh, 1)
-        part = classify_boundary(mesh, vel)
-        assert not part.inflow
-        assert len(part.outflow) == len(mesh.boundary_edges)
-
-    def test_invariant_under_positive_scaling(self):
-        mesh = generate_voronoi(30, lloyd_iters=10, rng_seed=9)
-        u = lambda p: np.column_stack([p[:, 0] - 0.3, np.sin(3 * p[:, 1]) - 0.4])
-        for alpha in (1.0, 7.5, 0.01):
-            vel = analytic_velocity(lambda p: alpha * u(p), mesh, 2)
-            part = classify_boundary(mesh, vel)
-            if alpha == 1.0:
-                ref = part
-            else:
-                assert part.inflow == ref.inflow
-                assert part.outflow == ref.outflow
-
-    def test_partition_validation(self):
-        mesh = generate_quad(2)
-        boundary = frozenset(int(e) for e in mesh.boundary_edges)
-        some = frozenset(list(boundary)[:2])
-        with pytest.raises(MeshError):
-            BoundaryPartition(some, frozenset(), boundary, frozenset()).validate(mesh)
-        with pytest.raises(MeshError):
-            BoundaryPartition(boundary, some, boundary, frozenset()).validate(mesh)
 
 
 class TestAuditMesh:
@@ -251,7 +190,7 @@ class TestPolyMeshValidation:
     def test_permuted_preserves_geometry(self):
         mesh = generate_quad(3)
         perm = list(reversed(range(mesh.num_cells)))
-        other = mesh.permuted(perm)
+        other = PolyMesh(mesh.vertices, [mesh.cells[p] for p in perm], validate=False)
         assert euler_characteristic(other) == 1
         assert abs(other.cell_areas.sum() - 1.0) < 1e-14
         assert set(map(tuple, other.edges.tolist())) == set(map(tuple, mesh.edges.tolist()))

@@ -1,36 +1,29 @@
 import numpy as np
 import pytest
 
-from vemtransport.geometry import MeshError, generate_quad, generate_voronoi
-from vemtransport.meshio import (
-    read_polymesh,
-    write_polymesh,
-    write_vtk,
-    write_vtk_series,
-)
+from vemtransport.geometry import generate_quad, generate_voronoi
+from vemtransport.meshio import write_polymesh, write_vtk, write_vtk_series
 
 
 class TestTextFormat:
-    def test_round_trip(self, tmp_path):
+    def test_writes_documented_format(self, tmp_path):
         mesh = generate_voronoi(12, lloyd_iters=5, rng_seed=3)
-        for e in list(mesh.boundary_tags)[:3]:
-            mesh.boundary_tags[e] = "inlet"
         path = tmp_path / "mesh.txt"
         write_polymesh(mesh, path)
-        back = read_polymesh(path)
-        assert np.array_equal(back.vertices, mesh.vertices)
-        assert len(back.cells) == len(mesh.cells)
-        for a, b in zip(back.cells, mesh.cells):
-            assert np.array_equal(a, b)
-        old_tags = {tuple(mesh.edges[e]): t for e, t in mesh.boundary_tags.items()}
-        new_tags = {tuple(back.edges[e]): t for e, t in back.boundary_tags.items()}
-        assert old_tags == new_tags
-
-    def test_header_checked(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("trianglemesh 3d\n0\n0\n0\n")
-        with pytest.raises(MeshError):
-            read_polymesh(path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "polymesh 2d"
+        nv = mesh.num_vertices
+        assert lines[1] == str(nv)
+        for line, vertex in zip(lines[2 : 2 + nv], mesh.vertices):
+            assert [float(t) for t in line.split()] == vertex.tolist()
+        pos = 2 + nv
+        assert lines[pos] == str(mesh.num_cells)
+        for line, cell in zip(lines[pos + 1 : pos + 1 + mesh.num_cells], mesh.cells):
+            assert line.split() == [str(len(cell))] + [str(v) for v in cell]
+        pos += 1 + mesh.num_cells
+        assert lines[pos] == str(len(mesh.boundary_edges))
+        rows = [line.split() for line in lines[pos + 1 :]]
+        assert rows == [[str(a), str(b), "boundary"] for a, b in mesh.edges[mesh.boundary_edges]]
 
 
 class TestVtk:

@@ -10,7 +10,7 @@ summation order.
 import numpy as np
 import pytest
 
-from vemtransport.darcy import analytic_velocity
+from vemtransport.darcy import _legendre_values, analytic_velocity
 from vemtransport.element import VemElement, uniform_edge_params
 from vemtransport.geometry import generate_quad, generate_voronoi
 from vemtransport.postproc import ErrorEvaluator
@@ -34,28 +34,41 @@ def assert_rel_close(actual, expected):
 
 
 def elements(space):
-    """One VemElement per cell, in cell order."""
-    return [VemElement(space.mesh.cell_polygon(ci), space.k) for ci in range(space.mesh.num_cells)]
+    """(VemElement, global dofs) of every cell, a cell group at a time."""
+    mesh = space.mesh
+    for cg, group_dofs in zip(mesh.cell_groups, space.group_dofs):
+        for ci, dofs in zip(cg.cells, group_dofs):
+            yield VemElement(mesh.cell_polygon(ci), space.k), dofs
+
+
+def boundary_edges(system):
+    """(end points, outward normal, global trace dofs, outward u . n as a
+    function of the canonical edge parameter) of every boundary edge."""
+    mesh, k = system.mesh, system.k
+    coeffs = system.problem.velocity.edge_flux_coeffs
+    for e in mesh.boundary_edges:
+        e = int(e)
+        sign = mesh.boundary_sign(e)
+        a, b = mesh.edges[e]
+        dofs = [a] + [mesh.num_vertices + e * (k - 1) + j for j in range(k - 1)] + [b]
+        un = lambda params, e=e, sign=sign: sign * (_legendre_values(k, params) @ coeffs[e])
+        yield mesh.vertices[[a, b]], mesh.outward_normal(e), np.array(dofs), un
 
 
 def loop_rhs(system, t):
     space, problem = system.space, system.problem
     F = np.zeros(space.n_dofs)
-    for ci, elem in enumerate(elements(space)):
+    for elem, dofs in elements(space):
         pts = elem.data_points
         fv = np.asarray(problem.f(t, pts), dtype=float)
         vals = np.maximum(fv, 0.0) * np.asarray(problem.c_tilde(t, pts), dtype=float)
-        F[space.cell_dofs[ci]] += elem.load_vector(vals)
+        F[dofs] += elem.load_vector(vals)
     G = np.zeros(space.n_dofs)
-    for e in system.mesh.boundary_edges:
-        e = int(e)
-        p0, p1 = system.mesh.edge_points(e)
-        normal = system.mesh.outward_normal(e)
+    for (p0, p1), normal, dofs, un in boundary_edges(system):
         er = edge_rule(p0, p1, 2 * system.k + 4)
         trace = lagrange_values(uniform_edge_params(system.k), er.params)
-        un = problem.velocity.edge_outward_flux_values(e, er.params)
         ci_vals = np.asarray(problem.c_inflow(t, er.points, normal), dtype=float)
-        G[space.edge_trace_dofs(e)] += trace.T @ (er.weights * -np.minimum(un, 0.0) * ci_vals)
+        G[dofs] += trace.T @ (er.weights * -np.minimum(un(er.params), 0.0) * ci_vals)
     return F, G
 
 
@@ -63,31 +76,27 @@ def loop_boundary_and_reaction(system, t):
     space, problem = system.space, system.problem
     n = space.n_dofs
     lam = np.zeros((n, n))
-    for e in system.mesh.boundary_edges:
-        e = int(e)
-        p0, p1 = system.mesh.edge_points(e)
-        weight = lambda params: np.abs(problem.velocity.edge_outward_flux_values(e, params))
-        dofs = space.edge_trace_dofs(e)
+    for (p0, p1), _, dofs, un in boundary_edges(system):
+        weight = lambda params: np.abs(un(params))
         lam[np.ix_(dofs, dofs)] += edge_trace_matrix(p0, p1, system.k, weight)
     R = np.zeros((n, n))
-    for ci, elem in enumerate(elements(space)):
-        dofs = space.cell_dofs[ci]
+    for elem, dofs in elements(space):
         R[np.ix_(dofs, dofs)] += elem.reaction_matrix(lambda p: problem.f(t, p))
     return lam, R
 
 
 def loop_interpolate(space, g):
     out = np.zeros(space.n_dofs)
-    for ci, elem in enumerate(elements(space)):
-        out[space.cell_dofs[ci]] = elem.interpolate(g)
+    for elem, dofs in elements(space):
+        out[dofs] = elem.interpolate(g)
     return out
 
 
 def loop_spatial_errors(system, coeffs, t, c_exact, grad_exact):
     l2 = 0.0
     h1 = 0.0
-    for ci, elem in enumerate(elements(system.space)):
-        loc = coeffs[system.space.cell_dofs[ci]]
+    for elem, dofs in elements(system.space):
+        loc = coeffs[dofs]
         pts, w = elem.data_points, elem.data_weights
         vals = elem.data_phi @ (elem.pi0_coef @ loc)
         l2 += float(w @ (np.asarray(c_exact(t, pts), dtype=float) - vals) ** 2)
