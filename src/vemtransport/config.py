@@ -7,7 +7,7 @@ loaded by name.
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from importlib import resources
 
 
@@ -22,27 +22,40 @@ DEFAULT_STEPS = [3, 6, 12, 24]
 DEFAULT_D_VALUES = [1e0, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7]
 
 
+def _has_type(value, typ):
+    """JSON value against a field annotation: no bool is a number."""
+    if getattr(typ, "__origin__", None) is list:
+        return isinstance(value, list) and all(_has_type(v, typ.__args__[0]) for v in value)
+    return not isinstance(value, bool) and isinstance(value, (int, float) if typ is float else typ)
+
+
 @dataclass
 class ExperimentConfig:
     """One experiment run: meshes, degrees, coefficients, data, outputs."""
 
     kind: str = "convergence"
     mesh_family: str = "quad"
-    levels: list = field(default_factory=lambda: [1, 2, 3, 4])
+    levels: list[int] = field(default_factory=lambda: [1, 2, 3, 4])
     k: int = 1
     q: int = None
     D: float = 1.0
     velocity_backend: str = "darcy"
     problem: str = "manufactured"
-    steps_per_level: list = None
-    k_range: list = field(default_factory=lambda: [1, 2, 3, 4])
-    d_values: list = field(default_factory=lambda: list(DEFAULT_D_VALUES))
+    steps_per_level: list[int] = None
+    k_range: list[int] = field(default_factory=lambda: [1, 2, 3, 4])
+    d_values: list[float] = field(default_factory=lambda: list(DEFAULT_D_VALUES))
     wells_level: int = 3
     out_dir: str = "out"
     rng_seed: int = 2024
     solver_tol: float = 1e-10
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # a None default (q, steps_per_level) is derived below
+            if not (_has_type(value, f.type) or (value is None and f.default is None)):
+                kind = f.type.__name__ if isinstance(f.type, type) else f.type
+                raise ConfigError(f"{f.name} must be of type {kind}, got {value!r}")
         if self.kind not in KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         if self.mesh_family not in FAMILIES:
@@ -55,12 +68,10 @@ class ExperimentConfig:
             self.q = self.k
         if not 0 <= self.q <= 10:
             raise ConfigError("q must lie in 0..10")
-        if not (isinstance(self.D, (int, float)) and 0.0 < self.D < float("inf")):
+        if not 0.0 < self.D < float("inf"):
             raise ConfigError("D must be a positive finite number")
-        if not self.levels:
-            raise ConfigError("levels must not be empty")
-        if any(lv < 1 or lv > 4 for lv in self.levels):
-            raise ConfigError("levels must lie in 1..4")
+        if not self.levels or any(lv < 1 or lv > 4 for lv in self.levels):
+            raise ConfigError("levels must be a non-empty list of levels in 1..4")
         if self.steps_per_level is None:
             self.steps_per_level = [DEFAULT_STEPS[lv - 1] for lv in self.levels]
         if len(self.steps_per_level) != len(self.levels):

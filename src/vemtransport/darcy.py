@@ -249,11 +249,12 @@ def _boundary_moments(mesh, edges, g, k):
 def solve_darcy_mixed(mesh, problem, k, solver_tol=1e-10):
     """Solve the mixed flow system; returns (DiscreteVelocity, pressure).
 
-    Pressure Dirichlet data enters naturally via boundary terms; normal
-    flux data is imposed on the edge dofs. With an empty Dirichlet set
-    the pressure is fixed to zero mean with a Lagrange multiplier, which
-    requires the data compatibility integral(f) = integral(g_N). The
-    saddle system is solved by sparse LU.
+    Pressure Dirichlet data enters naturally via boundary terms. One sparse
+    LU solve follows the elimination of the Neumann flux dofs and, on a
+    pure-Neumann flow, of cell 0's constant pressure dof, pinned to 0. Such
+    data must satisfy integral(f) = integral(g_N) to a relative 1e-10; the
+    load is shifted by -lam * int_K m_alpha, lam = mismatch / |Omega|, as a
+    multiplier for the mean would, and the pressure to zero mean afterwards.
     """
     if k < 0:
         raise DarcyError("degree must be >= 0")
@@ -265,8 +266,7 @@ def solve_darcy_mixed(mesh, problem, k, solver_tol=1e-10):
 
     nk = n_poly(k)
     n_u = mesh.num_edges * (k + 1) + mesh.num_cells * (nk - 1)
-    n_p = mesh.num_cells * nk
-    n_sys = n_u + n_p + (1 if pure_neumann else 0)
+    n_sys = n_u + mesh.num_cells * nk
 
     groups = _flux_groups(mesh, k, problem.f)
 
@@ -285,11 +285,6 @@ def solve_darcy_mixed(mesh, problem, k, solver_tol=1e-10):
         add(g.pdofs, g.udofs, g.DIVR)
         add(g.udofs, g.pdofs, np.swapaxes(g.DIVR, 1, 2))
         rhs[g.pdofs] = g.f_moments
-        if pure_neumann:
-            gauge = np.full((len(g.pdofs), 1), n_sys - 1)
-            add(gauge, g.pdofs, g.int_m[:, None, :])
-            add(g.pdofs, gauge, g.int_m[:, :, None])
-    total_f = sum(float(g.f_moments[:, 0].sum()) for g in groups)
 
     jw = 2.0 * np.arange(k + 1) + 1.0
     bd = np.asarray(mesh.boundary_edges, dtype=int)
@@ -299,16 +294,16 @@ def solve_darcy_mixed(mesh, problem, k, solver_tol=1e-10):
         moments, _, _ = _boundary_moments(mesh, bd[on_dirichlet], problem.g_D, k)
         idx = bd[on_dirichlet, None] * (k + 1) + np.arange(k + 1)
         rhs[idx] += sign[on_dirichlet, None] * jw * moments
-    idx = np.zeros(0, dtype=int)
-    total_gn = 0.0
+    idx, values = np.zeros(0, dtype=int), np.zeros(0)
     if not on_dirichlet.all():
         neumann = bd[~on_dirichlet]
         moments, er, gvals = _boundary_moments(mesh, neumann, problem.g_N, k)
         idx = (neumann[:, None] * (k + 1) + np.arange(k + 1)).ravel()
         values = (sign[~on_dirichlet, None] * moments / er.length[:, None]).ravel()
-        total_gn = float(np.sum(er.weights * gvals))
 
     if pure_neumann:
+        total_f = sum(float(g.f_moments[:, 0].sum()) for g in groups)
+        total_gn = float(np.sum(er.weights * gvals))
         mismatch = abs(total_f - total_gn)
         scale = max(1.0, abs(total_f), abs(total_gn))
         if mismatch > 1e-10 * scale:
@@ -316,6 +311,12 @@ def solve_darcy_mixed(mesh, problem, k, solver_tol=1e-10):
                 "pure-Neumann compatibility violated: "
                 f"integral(f) = {total_f:.6e} vs integral(g_N) = {total_gn:.6e}"
             )
+        volume = sum(float(g.int_m[:, 0].sum()) for g in groups)
+        lam = (total_f - total_gn) / volume
+        for g in groups:
+            rhs[g.pdofs] -= lam * g.int_m
+        idx = np.append(idx, n_u)
+        values = np.append(values, 0.0)
 
     A = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
@@ -323,18 +324,12 @@ def solve_darcy_mixed(mesh, problem, k, solver_tol=1e-10):
     ).tocsr()
     del rows, cols, vals
 
-    if len(idx):
-        rhs -= A[:, idx] @ values
-        mask = np.ones(n_sys, dtype=bool)
-        mask[idx] = False
-        keep = np.where(mask)[0]
-        A_red = A[keep][:, keep]
-        x = np.zeros(n_sys)
-        x[idx] = values
-        sol, _ = solve(A_red, rhs[keep], tol=solver_tol)
-        x[keep] = sol
-    else:
-        x, _ = solve(A, rhs, tol=solver_tol)
+    rhs -= A[:, idx] @ values
+    keep = np.setdiff1d(np.arange(n_sys), idx)
+    A = A[keep][:, keep]  # the full matrix is freed before the LU
+    x = np.zeros(n_sys)
+    x[idx] = values
+    x[keep], _ = solve(A, rhs[keep], tol=solver_tol)
 
     flux = x[: mesh.num_edges * (k + 1)].reshape(mesh.num_edges, k + 1) * jw[None, :]
     vel_coeffs = np.zeros((mesh.num_cells, 2, nk))
@@ -343,12 +338,13 @@ def solve_darcy_mixed(mesh, problem, k, solver_tol=1e-10):
         uloc = x[g.udofs]
         vel_coeffs[cg.cells] = (g.vel @ uloc[:, None, :, None])[..., 0]
         div_coeffs[cg.cells] = (g.div_map @ uloc[:, :, None])[..., 0]
-    pressure = x[n_u : n_u + n_p].reshape(mesh.num_cells, nk)
+    if pure_neumann:
+        x[n_u::nk] -= sum(float(np.sum(g.int_m * x[g.pdofs])) for g in groups) / volume
 
     cell_vel = CellPolynomials(k, vel_coeffs)
     cell_div = CellPolynomials(k, div_coeffs)
     velocity = DiscreteVelocity(mesh, k, flux, cell_vel, cell_div)
-    return velocity, CellPolynomials(k, pressure)
+    return velocity, CellPolynomials(k, x[n_u:].reshape(mesh.num_cells, nk))
 
 
 def _l2_distance(mesh, poly, callback, degree):

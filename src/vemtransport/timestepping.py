@@ -2,9 +2,9 @@
 
 Each time slab carries a polynomial of degree q in time represented by
 its values at the mapped Radau nodes (the last node is the slab's right
-endpoint). The slab systems couple the spatial operators only on the
-block diagonal, and the factorization is reused across slabs whenever
-the operators and the step size are constant.
+endpoint). A slab's matrix is kron(C, M) + tau kron(W, A0) (`slab_matrix`),
+with the spatial operator on the block diagonal only; its factorization
+is reused across slabs while the step size is constant.
 """
 
 import numpy as np
@@ -80,36 +80,29 @@ class SlabSolution:
         return out[0] if np.ndim(t) == 0 else out
 
 
-def slab_matrix(M, a0_blocks, radau, tau):
-    """Block matrix of one slab in the nodal (collocation) basis.
+def slab_matrix(M, A0, radau, tau):
+    """Matrix of one slab in the nodal (collocation) basis as CSR:
+    kron(C, M) + tau kron(W, A0), the (q+1)-stage Radau IIA method.
 
-    Block (j, i) couples trial node i to test node j: the mass matrix
-    weighted by the quadrature and the Lagrange derivative plus the jump
-    term, and the spatial operator on the diagonal only.
+    Block (j, i) couples trial node i to test node j through
+    C[j, i] = w_j l_i'(x_j) + l_i(0) l_j(0), the quadrature-weighted
+    Lagrange derivative plus the jump term; W = diag(w) holds the Radau
+    weights, so the spatial operator A0 sits on the block diagonal only.
     """
-    q1 = len(radau.nodes)
     Dref = lagrange_derivative_matrix(radau.nodes)
     ell0 = lagrange_values(radau.nodes, 0.0)[0]
     w = radau.weights
-    blocks = [[None] * q1 for _ in range(q1)]
-    for j in range(q1):
-        for i in range(q1):
-            coeff = w[j] * Dref[i, j] + ell0[i] * ell0[j]
-            block = coeff * M
-            if i == j:
-                block = block + tau * w[j] * a0_blocks[j]
-            blocks[j][i] = block.tocsr()
-    return sp.bmat(blocks, format="csr")
+    C = w[:, None] * Dref.T + np.outer(ell0, ell0)
+    S = sp.kron(C, M, format="csr") + sp.kron(sp.diags(tau * w), A0, format="csr")
+    return S.copy()  # trimmed: the sum's arrays have room for both terms' entries
 
 
 def slab_rhs(M, radau, tau, rhs_blocks, carry):
-    """Right-hand side of one slab: weighted loads plus the carried trace."""
+    """Right-hand side of one slab: the loads weighted by tau w_j plus the
+    carried trace, l_j(0) M carry, stacked node by node."""
     ell0 = lagrange_values(radau.nodes, 0.0)[0]
     w = radau.weights
-    Mc = M @ carry
-    return np.concatenate(
-        [tau * w[j] * rhs_blocks[j] + ell0[j] * Mc for j in range(len(radau.nodes))]
-    )
+    return (tau * w[:, None] * np.asarray(rhs_blocks) + np.outer(ell0, M @ carry)).ravel()
 
 
 def advance(system, partition, q):
@@ -139,8 +132,7 @@ def advance(system, partition, q):
             if cached is not None and abs(cached[0] - tau) < 1e-14 * max(1.0, tau):
                 _, fact, matrix = cached
             else:
-                a0_blocks = [system.advection_operator()] * len(node_times)
-                matrix = slab_matrix(M, a0_blocks, radau, tau)
+                matrix = slab_matrix(M, system.advection_operator(), radau, tau)
                 fact = Factorization(matrix)
                 cached = (tau, fact, matrix)
             x = fact.solve(rhs)

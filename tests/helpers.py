@@ -5,22 +5,26 @@ to check: polygon integrals go through the divergence theorem, time
 steps through a classical Runge-Kutta formulation, local norms through
 a P1 finite element solve of the space-defining PDE on a fine
 triangulation, and the batched local spaces through the per-cell loops
-they replaced (LoopVemElement, LoopFluxElement), and the Lloyd loop
-through one polygon at a time (lloyd_voronoi_loop). The tools at the end
-(the slab block system, the weighted interpolant l_tau, the slabwise
-projection pi_tau and the Matrix Market export) are used only by tests.
+they replaced (LoopVemElement, LoopFluxElement), the Lloyd loop through
+one polygon at a time (lloyd_voronoi_loop), the Kronecker slab
+matrix through its per-block assembly (block_slab_matrix), and the
+pinned Darcy gauge through the Lagrange-multiplier saddle system
+(multiplier_darcy_solve). The other tools at the end (the slab system,
+the weighted interpolant l_tau, the slabwise projection pi_tau and the
+Matrix Market export) are used only by tests.
 """
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.io import mmwrite
+from scipy.sparse.linalg import splu
 from scipy.special import roots_legendre
 
 from vemtransport import polygon as polyops
-from vemtransport.darcy import _legendre_values
+from vemtransport.darcy import _boundary_moments, _flux_groups, _legendre_values
 from vemtransport.element import MonomialBasis, n_poly, uniform_edge_params
 from vemtransport.quadrature import edge_rule, gauss_interval, lagrange_values, polygon_rule
-from vemtransport.timestepping import slab_matrix, slab_rhs
+from vemtransport.timestepping import lagrange_derivative_matrix, slab_matrix, slab_rhs
 
 
 def gauss_on_segment(p0, p1, npts):
@@ -740,10 +744,87 @@ def _dense_polygon_rule(verts, degree):
 # -- test-only tools over the production time stepping and solves -----
 
 
-def build_slab_system(M, a0_blocks, radau, tau, rhs_blocks, carry):
+def build_slab_system(M, A0, radau, tau, rhs_blocks, carry):
     """Full block system (matrix, rhs) for one slab, from the production
     slab_matrix and slab_rhs."""
-    return slab_matrix(M, a0_blocks, radau, tau), slab_rhs(M, radau, tau, rhs_blocks, carry)
+    return slab_matrix(M, A0, radau, tau), slab_rhs(M, radau, tau, rhs_blocks, carry)
+
+
+def block_slab_matrix(M, a0_blocks, radau, tau):
+    """The slab matrix built one (test node j, trial node i) block at a
+    time and stacked with sp.bmat: the reference for the Kronecker form
+    of slab_matrix."""
+    q1 = len(radau.nodes)
+    Dref = lagrange_derivative_matrix(radau.nodes)
+    ell0 = lagrange_values(radau.nodes, 0.0)[0]
+    w = radau.weights
+    blocks = [[None] * q1 for _ in range(q1)]
+    for j in range(q1):
+        for i in range(q1):
+            coeff = w[j] * Dref[i, j] + ell0[i] * ell0[j]
+            block = coeff * M
+            if i == j:
+                block = block + tau * w[j] * a0_blocks[j]
+            blocks[j][i] = block.tocsr()
+    return sp.bmat(blocks, format="csr")
+
+
+def multiplier_darcy_solve(mesh, problem, k):
+    """Pure-Neumann mixed flow solve with the pressure mean fixed by one
+    Lagrange-multiplier row and column: the reference for the pinned,
+    load-shifted gauge of solve_darcy_mixed. The Neumann flux dofs are
+    eliminated, the rest solved by SuperLU with two steps of iterative
+    refinement: with the dense multiplier row the plain LU solution's
+    divergence coefficients carry up to 2.5e-12 relative rounding noise
+    on hexa meshes at k = 2. Returns the edge flux coefficients, the cell
+    velocity and divergence coefficients, and the zero-mean pressure
+    coefficients."""
+    nk = n_poly(k)
+    n_u = mesh.num_edges * (k + 1) + mesh.num_cells * (nk - 1)
+    n_sys = n_u + mesh.num_cells * nk + 1
+    groups = _flux_groups(mesh, k, problem.f)
+    rows, cols, vals = [], [], []
+
+    def add(r, c, block):
+        rows.append(np.broadcast_to(r[:, :, None], block.shape).ravel())
+        cols.append(np.broadcast_to(c[:, None, :], block.shape).ravel())
+        vals.append(block.ravel())
+
+    rhs = np.zeros(n_sys)
+    for g in groups:
+        add(g.udofs, g.udofs, problem.mu / problem.K_perm * g.A_unit)
+        add(g.pdofs, g.udofs, g.DIVR)
+        add(g.udofs, g.pdofs, np.swapaxes(g.DIVR, 1, 2))
+        gauge = np.full((len(g.pdofs), 1), n_sys - 1)
+        add(gauge, g.pdofs, g.int_m[:, None, :])
+        add(g.pdofs, gauge, g.int_m[:, :, None])
+        rhs[g.pdofs] = g.f_moments
+    A = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n_sys, n_sys)
+    ).tocsr()
+
+    bd = np.asarray(mesh.boundary_edges)
+    moments, er, _ = _boundary_moments(mesh, bd, problem.g_N, k)
+    idx = (bd[:, None] * (k + 1) + np.arange(k + 1)).ravel()
+    values = (mesh.boundary_signs[:, None] * moments / er.length[:, None]).ravel()
+    keep = np.setdiff1d(np.arange(n_sys), idx)
+    x = np.zeros(n_sys)
+    x[idx] = values
+    A_red, b = A[keep][:, keep].tocsc(), (rhs - A[:, idx] @ values)[keep]
+    lu = splu(A_red)
+    y = lu.solve(b)
+    for _ in range(2):
+        y += lu.solve(b - A_red @ y)
+    x[keep] = y
+
+    jw = 2.0 * np.arange(k + 1) + 1.0
+    flux = x[: mesh.num_edges * (k + 1)].reshape(mesh.num_edges, k + 1) * jw
+    vel = np.zeros((mesh.num_cells, 2, nk))
+    div = np.zeros((mesh.num_cells, nk))
+    for g, cg in zip(groups, mesh.cell_groups):
+        vel[cg.cells] = (g.vel @ x[g.udofs][:, None, :, None])[..., 0]
+        div[cg.cells] = (g.div_map @ x[g.udofs][:, :, None])[..., 0]
+    return flux, vel, div, x[n_u:-1].reshape(mesh.num_cells, nk)
 
 
 class WeightedInterpolant:

@@ -139,7 +139,7 @@ def test_criterion_05_ode_oracle():
                 y0 = rng.random(10)
                 tau = 0.07
                 mat, rhs = build_slab_system(
-                    eye, [sp.csr_matrix(L)] * (q + 1), radau, tau,
+                    eye, sp.csr_matrix(L), radau, tau,
                     [np.zeros(10)] * (q + 1), y0,
                 )
                 got = np.linalg.solve(mat.toarray(), rhs)[-10:]

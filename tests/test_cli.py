@@ -62,6 +62,21 @@ class TestConfig:
             {"kind": "kconv", "k_range": []},
             {"kind": "kconv", "k_range": [1, 11]},
             {"kind": "drobust", "d_values": []},
+            {"levels": ["1"]},
+            {"levels": 2},
+            {"k": 1.5},
+            {"k": True},
+            {"q": 1.5},
+            {"levels": [1], "steps_per_level": [2.5]},
+            {"kind": "kconv", "k_range": [2.0]},
+            {"kind": "wells", "wells_level": 2.5},
+            {"mesh_family": "voro", "rng_seed": 1.5},
+            {"D": True},
+            {"kind": "drobust", "d_values": [True]},
+            {"solver_tol": "1e-10"},
+            {"solver_tol": True},
+            {"problem": 3},
+            {"out_dir": 3},
         ],
     )
     def test_validation(self, bad):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from vemtransport import darcy
 from vemtransport.darcy import (
     DarcyError,
     DarcyProblem,
@@ -10,9 +11,12 @@ from vemtransport.darcy import (
     solve_darcy_mixed,
     velocity_l2_error,
 )
-from vemtransport.element import MonomialBasis
+from vemtransport.element import MonomialBasis, n_poly
 from vemtransport.geometry import generate_hexa, generate_quad, generate_voronoi
+from vemtransport.linalg import solve as linalg_solve
 from vemtransport.quadrature import edge_rule
+
+from helpers import multiplier_darcy_solve
 
 
 def all_dirichlet(mesh):
@@ -157,6 +161,47 @@ class TestNeumannAndCompatibility:
         for _, _, w, p in cell_values(pres, mesh, 3):
             total += float(w @ p)
         assert abs(total) < 1e-9
+
+    @pytest.mark.parametrize("family", ["quad", "hexa"])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_gauge_matches_multiplier_system(self, family, k):
+        # a source whose mismatch integral(f) - integral(g_N) = 5e-11 passes
+        # the 1e-10 check; the pinned solve must spread it over the domain
+        # as the multiplier does, not put it into the pinned cell
+        mesh = MESHES[family]()
+        prob = DarcyProblem(
+            f=lambda p: p[:, 0] + p[:, 1] ** 2 - 5.0 / 6.0 + 5e-11,
+            g_N=lambda p: np.zeros(len(p)),
+            dirichlet_edges=frozenset(),
+        )
+        vel, pres = solve_darcy_mixed(mesh, prob, k)
+        flux, u, div, p = multiplier_darcy_solve(mesh, prob, k)
+        got = (vel.edge_flux_coeffs, vel.cell_velocity.coeffs, vel.cell_divergence.coeffs,
+               pres.coeffs)
+        names = ("flux", "velocity", "divergence", "pressure")
+        for name, a, b in zip(names, got, (flux, u, div, p)):
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), name
+
+    def test_saddle_system_has_no_dense_row(self, monkeypatch):
+        # pinning a pressure dof keeps every row within one edge's stencil:
+        # the flux and pressure dofs of the two cells that share it
+        mesh = generate_hexa(2)
+        k = 1
+        systems = []
+
+        def spy(A, b, **kwargs):
+            systems.append(A)
+            return linalg_solve(A, b, **kwargs)
+
+        monkeypatch.setattr(darcy, "solve", spy)
+        prob = DarcyProblem(
+            f=lambda p: p[:, 0] - 0.5, g_N=lambda p: np.zeros(len(p)), dirichlet_edges=frozenset()
+        )
+        solve_darcy_mixed(mesh, prob, k)
+        nv = max(cg.verts.shape[1] for cg in mesh.cell_groups)
+        n_loc = nv * (k + 1) + n_poly(k) - 1
+        (A,) = systems
+        assert np.diff(A.tocsr().indptr).max() <= 2 * (n_loc + n_poly(k))
 
     def test_mixed_boundary_types(self):
         # exact solution p = y: flux through y-walls, pressure on x-walls

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from vemtransport.darcy import analytic_velocity
+from vemtransport.geometry import generate_voronoi
 from vemtransport.quadrature import gauss_interval, gauss_radau, lagrange_values
 from vemtransport.timestepping import (
     SlabSolution,
@@ -11,8 +13,19 @@ from vemtransport.timestepping import (
     slab_matrix,
     slab_rhs,
 )
+from vemtransport.transport import TransportProblem, TransportSystem
 
-from helpers import build_slab_system, l_tau, pi_tau, radau_iia_step
+from helpers import block_slab_matrix, build_slab_system, l_tau, pi_tau, radau_iia_step
+
+
+@pytest.fixture(scope="module")
+def vem_pair():
+    """Mass and advection operators of a k = 2 VEM transport system on a
+    Lloyd-Voronoi mesh."""
+    mesh = generate_voronoi(16, lloyd_iters=20, rng_seed=3)
+    vel = analytic_velocity(lambda p: np.column_stack([1.0 + p[:, 1], -0.5 * p[:, 0]]), mesh, 2)
+    system = TransportSystem(mesh, 2, TransportProblem(D=0.1, velocity=vel))
+    return system.mass(), system.advection_operator()
 
 
 def dense_solve(mat, rhs):
@@ -30,7 +43,7 @@ class TestSlabSystem:
         carry = rng.standard_normal(n)
         tau = 0.17
         mat, rhs = build_slab_system(
-            sp.csr_matrix(M), [sp.csr_matrix(A0)], gauss_radau(0), tau, [F], carry
+            sp.csr_matrix(M), sp.csr_matrix(A0), gauss_radau(0), tau, [F], carry
         )
         got = dense_solve(mat, rhs)
         want = np.linalg.solve(M + tau * A0, tau * F + M @ carry)
@@ -40,7 +53,7 @@ class TestSlabSystem:
         # M = 1, A0 = 1, tau = 1, carry = 1: outgoing value is R(-1) = 4/11
         radau = gauss_radau(1)
         one = sp.csr_matrix(np.array([[1.0]]))
-        mat, rhs = build_slab_system(one, [one, one], radau, 1.0, [np.zeros(1)] * 2, np.ones(1))
+        mat, rhs = build_slab_system(one, one, radau, 1.0, [np.zeros(1)] * 2, np.ones(1))
         got = dense_solve(mat, rhs)
         assert abs(got[-1] - 4.0 / 11.0) < 1e-13
 
@@ -50,7 +63,7 @@ class TestSlabSystem:
         one = sp.csr_matrix(np.array([[1.0]]))
         zero = sp.csr_matrix(np.array([[0.0]]))
         mat, rhs = build_slab_system(
-            one, [zero] * (q + 1), radau, 0.3, [np.zeros(1)] * (q + 1), np.array([2.5])
+            one, zero, radau, 0.3, [np.zeros(1)] * (q + 1), np.array([2.5])
         )
         got = dense_solve(mat, rhs)
         assert np.allclose(got, 2.5, atol=1e-12)
@@ -65,7 +78,7 @@ class TestSlabSystem:
             tau = 0.08
             mat, rhs = build_slab_system(
                 sp.csr_matrix(np.eye(10)),
-                [sp.csr_matrix(L)] * (q + 1),
+                sp.csr_matrix(L),
                 radau,
                 tau,
                 [np.zeros(10)] * (q + 1),
@@ -75,18 +88,23 @@ class TestSlabSystem:
             want = radau_iia_step(L, y0, tau, q, nodes=radau.nodes)
             assert np.max(np.abs(got - want)) < 1e-10
 
-    def test_split_builders_agree(self):
-        radau = gauss_radau(2)
-        M = sp.csr_matrix(np.diag([1.0, 2.0]))
-        A = sp.csr_matrix(np.array([[1.0, 0.2], [0.0, 3.0]]))
-        blocks = [A] * 3
-        loads = [np.array([1.0, -1.0])] * 3
-        carry = np.array([0.5, 0.5])
-        m1 = slab_matrix(M, blocks, radau, 0.4)
-        r1 = slab_rhs(M, radau, 0.4, loads, carry)
-        m2, r2 = build_slab_system(M, blocks, radau, 0.4, loads, carry)
-        assert np.max(np.abs((m1 - m2).toarray())) == 0.0
-        assert np.array_equal(r1, r2)
+    def test_split_builders_agree(self, vem_pair):
+        # the Kronecker form against the per-block assembly it replaced
+        M, A0 = vem_pair
+        rng = np.random.default_rng(0)
+        tau = 0.4
+        for q in (0, 1, 2, 3):
+            radau = gauss_radau(q)
+            got = slab_matrix(M, A0, radau, tau)
+            want = block_slab_matrix(M, [A0] * (q + 1), radau, tau)
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.indices, want.indices)
+            assert np.array_equal(got.data, want.data)
+            loads = [rng.standard_normal(M.shape[0]) for _ in range(q + 1)]
+            carry = rng.standard_normal(M.shape[0])
+            w, ell0 = radau.weights, lagrange_values(radau.nodes, 0.0)[0]
+            per_node = [tau * w[j] * loads[j] + ell0[j] * (M @ carry) for j in range(q + 1)]
+            assert np.array_equal(slab_rhs(M, radau, tau, loads, carry), np.concatenate(per_node))
 
 
 class TestTemporalOrders:
@@ -101,7 +119,7 @@ class TestTemporalOrders:
             t0, t1 = part.slab(n)
             tau = t1 - t0
             mat, rhs = build_slab_system(
-                one, [A] * (q + 1), radau, tau, [np.zeros(1)] * (q + 1), carry
+                one, A, radau, tau, [np.zeros(1)] * (q + 1), carry
             )
             x = dense_solve(mat, rhs).reshape(q + 1, 1)
             nodes = t0 + tau * radau.nodes
