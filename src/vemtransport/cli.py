@@ -75,6 +75,14 @@ def write_manifest(out_dir, config, timings, extra):
     _write_text(Path(out_dir) / "manifest.json", json.dumps(payload, indent=1, sort_keys=True))
 
 
+def _generate(timings, level, generator, *args, **kwargs):
+    """Generate a mesh, recording its seconds under geometry.generate.level_<level>."""
+    t0 = time.perf_counter()
+    mesh = generator(*args, **kwargs)
+    timings[f"geometry.generate.level_{level}"] = time.perf_counter() - t0
+    return mesh
+
+
 def _timed(timings, label, fn, *args, **kwargs):
     """Call fn, recording its seconds under `label`.
 
@@ -165,8 +173,9 @@ def run_manufactured(config, out, timings):
     failure = None
     for solve in manufactured_solves(config):
         if solve.level not in meshes:
-            meshes[solve.level] = generate_family(
-                config.mesh_family, solve.level, rng_seed=config.rng_seed
+            meshes[solve.level] = _generate(
+                timings, solve.level, generate_family,
+                config.mesh_family, solve.level, rng_seed=config.rng_seed,
             )
         rep, failure = _timed(
             timings, solve.label, run_manufactured_level,
@@ -187,7 +196,8 @@ def run_wells(config, out, timings):
     corner sinks; writes the vertex min/max ledger and VTK snapshots at
     t = 1, 2, 4. Returns (summary, failure)."""
     wells = get_problem(config.problem)
-    mesh = generate_hexa(config.wells_level, distortion=0.0)
+    level = config.wells_level
+    mesh = _generate(timings, level, generate_hexa, level, distortion=0.0)
     write_polymesh(mesh, out / "mesh.txt")
     write_vtk(mesh, out / "mesh.vtk")
 
@@ -208,6 +218,8 @@ def run_wells(config, out, timings):
     if failure:
         return summary, failure
     velocity, pressure = flow
+    report = velocity.solve_report
+    summary["darcy_solve"] = {"residual": report.residual, "seconds": round(report.seconds, 3)}
     write_vtk(
         mesh, out / "darcy.vtk",
         cell_data={

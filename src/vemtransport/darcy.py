@@ -91,15 +91,18 @@ class DiscreteVelocity:
 
     Edge fluxes are Legendre series in the canonical (min->max vertex)
     edge parameter, taken against the canonical edge normal; interior
-    edges are single-valued by construction.
+    edges are single-valued by construction. solve_report is the
+    SolveReport of the saddle solve that gave a Darcy velocity.
     """
 
-    def __init__(self, mesh, k, edge_flux_coeffs, cell_velocity, cell_divergence=None):
+    def __init__(self, mesh, k, edge_flux_coeffs, cell_velocity, cell_divergence=None,
+                 solve_report=None):
         self.mesh = mesh
         self.k = k
         self.edge_flux_coeffs = edge_flux_coeffs
         self.cell_velocity = cell_velocity
         self.cell_divergence = cell_divergence
+        self.solve_report = solve_report
 
     def boundary_flux_values(self, params):
         """Outward u . n at canonical params along every boundary edge,
@@ -247,7 +250,8 @@ def _boundary_moments(mesh, edges, g, k):
 
 
 def solve_darcy_mixed(mesh, problem, k, solver_tol=1e-10):
-    """Solve the mixed flow system; returns (DiscreteVelocity, pressure).
+    """Solve the mixed flow system; returns (DiscreteVelocity, pressure),
+    the velocity carrying the saddle solve's SolveReport.
 
     Pressure Dirichlet data enters naturally via boundary terms. One sparse
     LU solve follows the elimination of the Neumann flux dofs and, on a
@@ -329,7 +333,7 @@ def solve_darcy_mixed(mesh, problem, k, solver_tol=1e-10):
     A = A[keep][:, keep]  # the full matrix is freed before the LU
     x = np.zeros(n_sys)
     x[idx] = values
-    x[keep], _ = solve(A, rhs[keep], tol=solver_tol)
+    x[keep], report = solve(A, rhs[keep], tol=solver_tol)
 
     flux = x[: mesh.num_edges * (k + 1)].reshape(mesh.num_edges, k + 1) * jw[None, :]
     vel_coeffs = np.zeros((mesh.num_cells, 2, nk))
@@ -343,7 +347,7 @@ def solve_darcy_mixed(mesh, problem, k, solver_tol=1e-10):
 
     cell_vel = CellPolynomials(k, vel_coeffs)
     cell_div = CellPolynomials(k, div_coeffs)
-    velocity = DiscreteVelocity(mesh, k, flux, cell_vel, cell_div)
+    velocity = DiscreteVelocity(mesh, k, flux, cell_vel, cell_div, solve_report=report)
     return velocity, CellPolynomials(k, x[n_u:].reshape(mesh.num_cells, nk))
 
 

@@ -7,6 +7,7 @@ counter-clockwise; outward normals are edge tangents rotated by -90
 degrees.
 """
 
+import itertools
 import logging
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -40,55 +41,68 @@ class PolyMesh:
 
     def __init__(self, vertices, cells, meta=None, validate=True):
         self.vertices = np.asarray(vertices, dtype=float).copy()
-        self.cells = [np.asarray(c, dtype=int).copy() for c in cells]
+        counts = np.array([len(c) for c in cells], dtype=int)
+        self._loop_vertices = np.concatenate(cells).astype(int)
+        self._loop_starts = np.cumsum(counts) - counts
+        self._loop_groups = _length_groups(counts)
+        self.cells = np.split(self._loop_vertices, self._loop_starts[1:])
         self.meta = dict(meta or {})
-        self._build_topology()
+        self._build_topology(counts)
         self._build_geometry(validate)
 
-    def _build_topology(self):
-        edge_index = {}
-        edges = []
-        edge_cells = []
-        edge_signs = []
-        self.cell_edges = []
-        for ci, cell in enumerate(self.cells):
-            loop = []
-            n = len(cell)
-            for i in range(n):
-                a, b = int(cell[i]), int(cell[(i + 1) % n])
-                if a == b:
-                    raise MeshError(f"cell {ci} repeats vertex {a}")
-                key = (min(a, b), max(a, b))
-                direction = 1 if a < b else -1
-                if key not in edge_index:
-                    edge_index[key] = len(edges)
-                    edges.append(key)
-                    edge_cells.append([ci, -1])
-                    edge_signs.append([direction, 0])
-                else:
-                    e = edge_index[key]
-                    if edge_cells[e][1] != -1:
-                        raise MeshError(f"edge {key} shared by more than two cells")
-                    edge_cells[e][1] = ci
-                    edge_signs[e][1] = direction
-                loop.append((edge_index[key], direction))
-            self.cell_edges.append(loop)
-        self.edges = np.asarray(edges, dtype=int).reshape(-1, 2)
-        self.edge_cells = np.asarray(edge_cells, dtype=int).reshape(-1, 2)
-        self._edge_signs = np.asarray(edge_signs, dtype=int).reshape(-1, 2)
-        for e in range(len(self.edges)):
-            if self.edge_cells[e, 1] != -1 and self._edge_signs[e, 0] == self._edge_signs[e, 1]:
-                raise MeshError(f"edge {tuple(self.edges[e])} traversed twice in the same direction")
+    def _build_topology(self, counts):
+        """Number the edges by first occurrence along the cell loops, in
+        cell order; a direction is +1 where a loop runs min -> max."""
+        a = self._loop_vertices
+        b = a[_next_in_loop(counts)]
+        n = len(a)
+        owner = np.repeat(np.arange(len(counts)), counts)
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        keys = lo * (a.max() + 1) + hi
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        rank = np.empty_like(first)
+        rank[np.argsort(first)] = np.arange(len(first))
+        edge = rank[inverse]
+        direction = np.where(a < b, 1, -1)
+        # occurrence 0, 1, 2, ... of each position's edge, in loop order
+        by_edge = np.argsort(edge, kind="stable")
+        count = np.bincount(edge)
+        occurrence = np.empty(n, dtype=int)
+        occurrence[by_edge] = np.arange(n) - np.repeat(np.cumsum(count) - count, count)
+
+        repeat = np.flatnonzero(a == b)
+        third = np.flatnonzero(occurrence > 1)
+        if len(repeat) and (not len(third) or repeat[0] < third[0]):
+            p = repeat[0]
+            raise MeshError(f"cell {owner[p]} repeats vertex {a[p]}")
+        if len(third):
+            p = third[0]
+            raise MeshError(f"edge {(int(lo[p]), int(hi[p]))} shared by more than two cells")
+
+        firsts = np.sort(first)
+        self.edges = np.column_stack([lo[firsts], hi[firsts]])
+        self.edge_cells = np.full((len(firsts), 2), -1)
+        self.edge_cells[edge, occurrence] = owner
+        self._edge_signs = np.zeros((len(firsts), 2), dtype=int)
+        self._edge_signs[edge, occurrence] = direction
+        twice = np.flatnonzero(
+            (self.edge_cells[:, 1] != -1) & (self._edge_signs[:, 0] == self._edge_signs[:, 1])
+        )
+        if len(twice):
+            e = twice[0]
+            raise MeshError(
+                f"edge {(int(self.edges[e, 0]), int(self.edges[e, 1]))} "
+                "traversed twice in the same direction"
+            )
+        self._loop_edges = np.column_stack([edge, direction])
         self.boundary_edges = np.where(self.edge_cells[:, 1] == -1)[0]
         # outward normal = sign * canonical normal on each boundary edge
         self.boundary_signs = self._edge_signs[self.boundary_edges, 0]
-        self._is_boundary = np.zeros(len(self.edges), dtype=bool)
-        self._is_boundary[self.boundary_edges] = True
 
     def _build_geometry(self, validate):
         nc = len(self.cells)
-        self._loops_by_count = _stack_by_length(self.cells)
-        loops = [(cells, self.vertices[ids]) for cells, ids in self._loops_by_count]
+        loops = [(cells, self.vertices[self._loop_vertices[pos]])
+                 for cells, pos in self._loop_groups]
         self.cell_areas = np.empty(nc)
         simple = np.ones(nc, dtype=bool)
         for cells, verts in loops:
@@ -117,12 +131,13 @@ class PolyMesh:
         self.edge_normals = np.column_stack([tangents[:, 1], -tangents[:, 0]])
 
         if validate:
-            for e in self.boundary_edges:
-                n_out = self.outward_normal(e)
-                mid = 0.5 * (self.vertices[self.edges[e, 0]] + self.vertices[self.edges[e, 1]])
-                c = self.cell_centroids[self.edge_cells[e, 0]]
-                if np.dot(n_out, mid - c) <= 0.0:
-                    raise MeshError(f"boundary edge {e} normal does not point outward")
+            bd = self.boundary_edges
+            n_out = self.boundary_signs[:, None] * self.edge_normals[bd]
+            ends = self.vertices[self.edges[bd]]
+            mid = 0.5 * (ends[:, 0] + ends[:, 1]) - self.cell_centroids[self.edge_cells[bd, 0]]
+            inward = np.flatnonzero(n_out[:, 0] * mid[:, 0] + n_out[:, 1] * mid[:, 1] <= 0.0)
+            if len(inward):
+                raise MeshError(f"boundary edge {bd[inward[0]]} normal does not point outward")
 
     # -- accessors -------------------------------------------------------
 
@@ -141,21 +156,18 @@ class PolyMesh:
     def cell_polygon(self, ci):
         return self.vertices[self.cells[ci]]
 
-    def boundary_sign(self, e):
-        """Sign s with outward normal = s * canonical normal on edge e."""
-        if not self._is_boundary[e]:
-            raise MeshError(f"edge {e} is not on the boundary")
-        return int(self._edge_signs[e, 0])
-
-    def outward_normal(self, e):
-        return self.boundary_sign(e) * self.edge_normals[e]
+    @cached_property
+    def cell_edges(self):
+        """Per cell, its (edge, direction) pairs in loop order, (nv, 2)."""
+        return np.split(self._loop_edges, self._loop_starts[1:])
 
     @cached_property
     def cell_groups(self):
         """The cells grouped by vertex count, ascending, as CellGroups."""
         groups = []
-        for cells, ids in self._loops_by_count:
-            loops = np.array([self.cell_edges[c] for c in cells])
+        for cells, pos in self._loop_groups:
+            ids = self._loop_vertices[pos]
+            loops = self._loop_edges[pos]
             verts = self.vertices[ids]
             centroids = self.cell_centroids[cells]
             groups.append(CellGroup(
@@ -202,13 +214,21 @@ class CellGroup:
         return fan_rule(self.verts, self.apex, degree)
 
 
-def _stack_by_length(loops):
-    """Loops of varying length stacked by length, ascending: one
-    (indices, (n, length, ...) array) pair per length."""
-    counts = np.array([len(loop) for loop in loops])
-    flat, starts = np.concatenate(loops), np.cumsum(counts) - counts
-    return [(idx, flat[starts[idx, None] + np.arange(n)])
+def _length_groups(counts):
+    """Stacked loops of the given lengths grouped by length, ascending: one
+    (loop indices, (n, length) positions in the stack) pair per length."""
+    starts = np.cumsum(counts) - counts
+    return [(idx, starts[idx, None] + np.arange(n))
             for n in np.unique(counts) for idx in [np.flatnonzero(counts == n)]]
+
+
+def _next_in_loop(counts):
+    """For stacked loops of the given lengths, the stack position of each
+    vertex's successor in its own loop."""
+    starts = np.cumsum(counts) - counts
+    nxt = np.arange(1, counts.sum() + 1)
+    nxt[starts + counts - 1] = starts
+    return nxt
 
 
 def stack_rules(groups, degree):
@@ -309,41 +329,40 @@ def generate_quad(n):
 
 
 def _merge_cell_polygons(polys, tol=1e-9, meta=None):
-    """Build a PolyMesh from per-cell vertex loops, merging shared points."""
+    """Build a PolyMesh from per-cell vertex loops, merging shared points.
+
+    Points closer than tol are chained into components; each component
+    becomes the vertex at its smallest stacked index. In every loop a
+    repeat of the previous vertex is dropped, and then a last vertex
+    equal to the first.
+    """
+    counts = np.array([len(p) for p in polys])
     stacked = np.vstack(polys)
-    tree = cKDTree(stacked)
-    pairs = tree.query_pairs(tol, output_type="ndarray")
-    parent = np.arange(len(stacked))
+    pairs = cKDTree(stacked).query_pairs(tol, output_type="ndarray")
+    roots = np.arange(len(stacked))
+    while True:  # min-label propagation along the pairs
+        merged = roots.copy()
+        np.minimum.at(merged, pairs[:, 0], roots[pairs[:, 1]])
+        np.minimum.at(merged, pairs[:, 1], roots[pairs[:, 0]])
+        if np.array_equal(merged, roots):
+            break
+        roots = merged
+    unique_roots, ids = np.unique(roots, return_inverse=True)
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    roots = np.array([find(i) for i in range(len(stacked))])
-    unique_roots, inverse = np.unique(roots, return_inverse=True)
-    vertices = stacked[unique_roots]
-
-    cells = []
-    offset = 0
-    for p in polys:
-        ids = inverse[offset : offset + len(p)]
-        offset += len(p)
-        loop = [int(ids[0])]
-        for v in ids[1:]:
-            if v != loop[-1]:
-                loop.append(int(v))
-        if loop[-1] == loop[0]:
-            loop.pop()
-        if len(loop) < 3:
-            raise MeshError("cell degenerated to fewer than 3 vertices during merge")
-        cells.append(loop)
-    return PolyMesh(vertices, cells, meta=meta)
+    starts = np.cumsum(counts) - counts
+    keep = np.ones(len(ids), dtype=bool)
+    keep[1:] = ids[1:] != ids[:-1]
+    keep[starts] = True
+    kept = np.add.reduceat(keep.astype(int), starts)
+    wraps = ids[starts + counts - 1] == ids[starts]
+    keep[np.flatnonzero(keep)[np.cumsum(kept)[wraps] - 1]] = False
+    kept[wraps] -= 1
+    if np.any(kept < 3):
+        raise MeshError(
+            f"cell {np.argmax(kept < 3)} degenerated to fewer than 3 vertices during merge"
+        )
+    cells = np.split(ids[keep], np.cumsum(kept)[:-1])
+    return PolyMesh(stacked[unique_roots], cells, meta=meta)
 
 
 def _snap_to_walls(verts, tol=1e-10):
@@ -354,14 +373,13 @@ def _snap_to_walls(verts, tol=1e-10):
     return out
 
 
-def _clipped_voronoi_cells(seeds, clip=True):
-    """Voronoi cells of seeds in (0,1)^2 clipped to the unit square.
+def _voronoi_loops(seeds):
+    """Voronoi cells of seeds in (0,1)^2: their vertices stacked cell by
+    cell, each cell sorted by angle about its seed, and the vertex counts.
 
     Seeds are mirrored across the four walls so every original region is
-    finite and bounded by the walls; each cell loop is then
-    Sutherland-Hodgman clipped against the square to pin the wall
-    coordinates exactly (skipped with clip=False inside the Lloyd loop,
-    where the mirrored cells are already accurate to roundoff).
+    finite and bounded by the walls. The Lloyd steps use these cells
+    unclipped: the mirrored cells are already accurate to roundoff.
     """
     mirrors = [
         seeds * np.array([-1.0, 1.0]),
@@ -369,33 +387,51 @@ def _clipped_voronoi_cells(seeds, clip=True):
         seeds * np.array([1.0, -1.0]),
         seeds * np.array([1.0, -1.0]) + np.array([0.0, 2.0]),
     ]
-    allpts = np.vstack([seeds] + mirrors)
-    vor = Voronoi(allpts)
-    cells = []
-    for i in range(len(seeds)):
-        region = vor.regions[vor.point_region[i]]
-        if -1 in region or len(region) < 3:
-            raise MeshError("unbounded Voronoi region despite wall mirroring")
-        verts = vor.vertices[region]
-        angles = np.arctan2(verts[:, 1] - seeds[i, 1], verts[:, 0] - seeds[i, 0])
-        verts = verts[np.argsort(angles)]
-        if clip:
-            verts = polygon.clip_to_box(_snap_to_walls(verts))
-            verts = _snap_to_walls(verts)
-        if len(verts) < 3:
+    vor = Voronoi(np.vstack([seeds] + mirrors))
+    regions = [vor.regions[r] for r in vor.point_region[: len(seeds)]]
+    counts = np.array([len(r) for r in regions])
+    region_ids = np.fromiter(itertools.chain.from_iterable(regions), dtype=int, count=counts.sum())
+    owner = np.repeat(np.arange(len(seeds)), counts)
+    bad = counts < 3
+    bad[owner[region_ids < 0]] = True
+    if bad.any():
+        raise MeshError(
+            f"seed {np.argmax(bad)} has an unbounded Voronoi region despite wall mirroring"
+        )
+    verts = vor.vertices[region_ids]
+    angles = np.arctan2(verts[:, 1] - seeds[owner, 1], verts[:, 0] - seeds[owner, 0])
+    return verts[np.lexsort((angles, owner))], counts
+
+
+def _clip_to_square(verts, counts):
+    """The stacked cell loops as a list, wall cells clipped to the unit square.
+
+    A wall cell has a coordinate outside [1e-10, 1 - 1e-10] or two
+    consecutive vertices within 1e-14, which clip_halfplane would merge.
+    Only these are snapped to the walls, Sutherland-Hodgman clipped and
+    snapped again, pinning the wall coordinates exactly; for any other
+    cell those three steps return the loop unchanged.
+    """
+    starts = np.cumsum(counts) - counts
+    at_wall = np.any((verts < 1e-10) | (verts > 1.0 - 1e-10), axis=1)
+    repeated = np.max(np.abs(verts[_next_in_loop(counts)] - verts), axis=1) <= 1e-14
+    cells = np.split(verts, starts[1:])
+    for i in np.flatnonzero(np.logical_or.reduceat(at_wall | repeated, starts)):
+        cells[i] = _snap_to_walls(polygon.clip_to_box(_snap_to_walls(cells[i])))
+        if len(cells[i]) < 3:
             raise MeshError(f"seed {i} produced an empty clipped cell")
-        cells.append(verts)
     return cells
 
 
-def _lloyd_step(cells, seeds):
-    """Energy of the cells about their seeds and the cell centroids, a
-    vertex-count group at a time; the energy sums the cells in order."""
-    energy = np.empty(len(cells))
-    centroids = np.empty((len(cells), 2))
-    for idx, verts in _stack_by_length(cells):
-        energy[idx] = polygon.second_moment_about(verts, seeds[idx])
-        centroids[idx] = polygon.centroid(verts)
+def _lloyd_step(verts, counts, seeds):
+    """Energy of the stacked cells about their seeds and the cell
+    centroids, a vertex-count group at a time; the energy sums the cells
+    in order."""
+    energy = np.empty(len(counts))
+    centroids = np.empty((len(counts), 2))
+    for idx, pos in _length_groups(counts):
+        energy[idx] = polygon.second_moment_about(verts[pos], seeds[idx])
+        centroids[idx] = polygon.centroid(verts[pos])
     return sum(energy.tolist()), centroids
 
 
@@ -424,13 +460,13 @@ def generate_voronoi(n_seeds, lloyd_iters=0, rng_seed=0):
         log.warning("jittered %d duplicate Voronoi seeds", jittered)
 
     energies = []
-    cells = _clipped_voronoi_cells(seeds, clip=False)
+    loops = _voronoi_loops(seeds)
     for _ in range(lloyd_iters):
-        energy, seeds = _lloyd_step(cells, seeds)
+        energy, seeds = _lloyd_step(*loops, seeds)
         energies.append(energy)
-        cells = _clipped_voronoi_cells(seeds, clip=False)
-    energies.append(_lloyd_step(cells, seeds)[0])
-    cells = _clipped_voronoi_cells(seeds, clip=True)
+        loops = _voronoi_loops(seeds)
+    energies.append(_lloyd_step(*loops, seeds)[0])
+    cells = _clip_to_square(*loops)
 
     meta = {
         "family": "voro" if lloyd_iters > 0 else "rand",
@@ -474,7 +510,7 @@ def generate_hexa(level, distortion=0.15):
         raise MeshError("level must be >= 1")
     nx = 8 * 2 ** (level - 1)
     seeds, pitch = _hexa_seeds(nx)
-    cells = _clipped_voronoi_cells(seeds)
+    cells = _clip_to_square(*_voronoi_loops(seeds))
     base = _merge_cell_polygons(
         cells, meta={"family": "hexa", "level": level, "distortion": distortion}
     )

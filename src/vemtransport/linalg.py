@@ -1,4 +1,4 @@
-"""Direct sparse solves, with factorization reuse."""
+"""Direct sparse solves; a Factorization serves many right-hand sides."""
 
 import time
 
@@ -21,9 +21,8 @@ class NumericBreakdownError(LinalgError):
 class SolveReport:
     """Outcome of one linear solve."""
 
-    def __init__(self, residual, reused_factorization, seconds):
+    def __init__(self, residual, seconds):
         self.residual = residual
-        self.reused_factorization = reused_factorization
         self.seconds = seconds
 
 
@@ -51,7 +50,6 @@ class Factorization:
             self._lu = splu(csc)
         except RuntimeError as exc:
             raise NumericBreakdownError(f"sparse LU failed: {exc}") from exc
-        self._A = csc
 
     def solve(self, b):
         x = self._lu.solve(np.asarray(b, dtype=float))
@@ -59,26 +57,19 @@ class Factorization:
             raise NumericBreakdownError("factorization produced non-finite solution")
         return x
 
-    def residual(self, x, b):
-        r = np.linalg.norm(self._A @ x - b)
-        scale = np.linalg.norm(b)
-        return r / scale if scale > 0 else r
 
-
-def solve(A, b, tol=1e-10, factorization=None):
+def solve(A, b, tol=1e-10):
     """Solve A x = b by sparse LU, returning (x, SolveReport).
 
-    The relative residual must reach tol. A prebuilt Factorization may
-    be passed for reuse across right-hand sides.
+    The relative residual |A x - b| / |b| must reach tol.
     """
     b = np.asarray(b, dtype=float)
     t0 = time.perf_counter()
-    fact = factorization
-    reused = fact is not None
-    if fact is None:
-        fact = Factorization(A)
-    x = fact.solve(b)
-    res = fact.residual(x, b)
+    x = Factorization(A).solve(b)
+    res = np.linalg.norm(A @ x - b)
+    scale = np.linalg.norm(b)
+    if scale > 0:
+        res /= scale
     if res > tol:
         raise NumericBreakdownError(f"direct solve residual {res:.2e} exceeds {tol:.2e}")
-    return x, SolveReport(res, reused, time.perf_counter() - t0)
+    return x, SolveReport(res, time.perf_counter() - t0)

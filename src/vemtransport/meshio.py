@@ -19,20 +19,26 @@ import json
 import numpy as np
 
 
+def _cell_lines(mesh):
+    """One line per cell: its vertex count, then its vertex loop."""
+    return "".join(" ".join(map(str, [len(c)] + c.tolist())) + "\n" for c in mesh.cells)
+
+
 def write_polymesh(mesh, path):
     """Write a PolyMesh in the plain-text format."""
+    boundary = mesh.edges[mesh.boundary_edges].tolist()
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("polymesh 2d\n")
-        fh.write(f"{mesh.num_vertices}\n")
-        for x, y in mesh.vertices:
-            fh.write(f"{float(x)!r} {float(y)!r}\n")
+        fh.write(f"polymesh 2d\n{mesh.num_vertices}\n")
+        fh.write("".join(f"{x!r} {y!r}\n" for x, y in mesh.vertices.tolist()))
         fh.write(f"{mesh.num_cells}\n")
-        for cell in mesh.cells:
-            fh.write(" ".join([str(len(cell))] + [str(int(v)) for v in cell]) + "\n")
-        fh.write(f"{len(mesh.boundary_edges)}\n")
-        for e in mesh.boundary_edges:
-            a, b = mesh.edges[e]
-            fh.write(f"{a} {b} boundary\n")
+        fh.write(_cell_lines(mesh))
+        fh.write(f"{len(boundary)}\n")
+        fh.write("".join(f"{a} {b} boundary\n" for a, b in boundary))
+
+
+def _vector_lines(values):
+    """One "x y 0.0" line per row of an (n, 2) array."""
+    return "".join(f"{x:.16e} {y:.16e} 0.0\n" for x, y in values.tolist())
 
 
 def write_vtk(mesh, path, point_data=None, cell_data=None, title="vemtransport"):
@@ -42,12 +48,10 @@ def write_vtk(mesh, path, point_data=None, cell_data=None, title="vemtransport")
         fh.write(title[:250] + "\n")
         fh.write("ASCII\nDATASET POLYDATA\n")
         fh.write(f"POINTS {mesh.num_vertices} double\n")
-        for x, y in mesh.vertices:
-            fh.write(f"{x:.16e} {y:.16e} 0.0\n")
+        fh.write(_vector_lines(mesh.vertices))
         size = sum(len(c) + 1 for c in mesh.cells)
         fh.write(f"POLYGONS {mesh.num_cells} {size}\n")
-        for cell in mesh.cells:
-            fh.write(" ".join([str(len(cell))] + [str(int(v)) for v in cell]) + "\n")
+        fh.write(_cell_lines(mesh))
         if point_data:
             fh.write(f"POINT_DATA {mesh.num_vertices}\n")
             for name, values in point_data.items():
@@ -58,8 +62,7 @@ def write_vtk(mesh, path, point_data=None, cell_data=None, title="vemtransport")
                 values = np.asarray(values)
                 if values.ndim == 2 and values.shape[1] == 2:
                     fh.write(f"VECTORS {name} double\n")
-                    for vx, vy in values:
-                        fh.write(f"{vx:.16e} {vy:.16e} 0.0\n")
+                    fh.write(_vector_lines(values))
                 else:
                     _write_scalars(fh, name, values, mesh.num_cells)
 
@@ -69,8 +72,7 @@ def _write_scalars(fh, name, values, expected):
     if len(values) != expected:
         raise ValueError(f"field {name!r} has {len(values)} values, expected {expected}")
     fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-    for v in values:
-        fh.write(f"{v:.16e}\n")
+    fh.write("".join(f"{v:.16e}\n" for v in values.tolist()))
 
 
 def write_vtk_series(mesh, out_dir, prefix, times, fields):

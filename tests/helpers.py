@@ -5,8 +5,9 @@ to check: polygon integrals go through the divergence theorem, time
 steps through a classical Runge-Kutta formulation, local norms through
 a P1 finite element solve of the space-defining PDE on a fine
 triangulation, and the batched local spaces through the per-cell loops
-they replaced (LoopVemElement, LoopFluxElement), the Lloyd loop through
-one polygon at a time (lloyd_voronoi_loop), the Kronecker slab
+they replaced (LoopVemElement, LoopFluxElement), mesh generation
+through one polygon at a time (lloyd_voronoi_loop, loop_generate_hexa,
+LoopPolyMesh and the per-cell clip and merge), the Kronecker slab
 matrix through its per-block assembly (block_slab_matrix), and the
 pinned Darcy gauge through the Lagrange-multiplier saddle system
 (multiplier_darcy_solve). The other tools at the end (the slab system,
@@ -18,11 +19,13 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.io import mmwrite
 from scipy.sparse.linalg import splu
+from scipy.spatial import Voronoi, cKDTree
 from scipy.special import roots_legendre
 
 from vemtransport import polygon as polyops
 from vemtransport.darcy import _boundary_moments, _flux_groups, _legendre_values
 from vemtransport.element import MonomialBasis, n_poly, uniform_edge_params
+from vemtransport.geometry import MeshError, PolyMesh, _hexa_seeds, _snap_to_walls, audit_mesh
 from vemtransport.quadrature import edge_rule, gauss_interval, lagrange_values, polygon_rule
 from vemtransport.timestepping import lagrange_derivative_matrix, slab_matrix, slab_rhs
 
@@ -699,20 +702,169 @@ def _second_moment(verts, point):
 
 
 def lloyd_voronoi_loop(n_seeds, lloyd_iters, rng_seed):
-    """generate_voronoi's Lloyd relaxation one polygon at a time, with the
-    single-polygon formulas above; for seeds that need no duplicate
-    jitter. Returns (mesh, Lloyd energies)."""
-    from vemtransport.geometry import _clipped_voronoi_cells, _merge_cell_polygons
-
+    """generate_voronoi one polygon at a time: the Lloyd relaxation with
+    the single-polygon formulas above, then the per-cell clip, merge and
+    topology below; for seeds that need no duplicate jitter. Returns
+    (LoopPolyMesh, Lloyd energies)."""
     seeds = np.random.default_rng(rng_seed).random((n_seeds, 2))
     energies = []
-    cells = _clipped_voronoi_cells(seeds, clip=False)
+    cells = loop_clipped_voronoi_cells(seeds, clip=False)
     for _ in range(lloyd_iters):
         energies.append(sum(_second_moment(v, s) for v, s in zip(cells, seeds)))
         seeds = np.array([_centroid(v) for v in cells])
-        cells = _clipped_voronoi_cells(seeds, clip=False)
+        cells = loop_clipped_voronoi_cells(seeds, clip=False)
     energies.append(sum(_second_moment(v, s) for v, s in zip(cells, seeds)))
-    return _merge_cell_polygons(_clipped_voronoi_cells(seeds, clip=True)), energies
+    meta = {
+        "family": "voro" if lloyd_iters > 0 else "rand",
+        "n_seeds": n_seeds,
+        "lloyd_iters": lloyd_iters,
+        "rng_seed": rng_seed,
+        "jittered_seeds": 0,
+        "lloyd_energy": energies,
+    }
+    cells = loop_clipped_voronoi_cells(seeds, clip=True)
+    return loop_merge_cell_polygons(cells, meta=meta), energies
+
+
+# -- per-cell mesh generation: the oracle of geometry's stacked path --------
+
+
+def loop_clipped_voronoi_cells(seeds, clip=True):
+    """Voronoi cells of seeds in (0,1)^2, one cell at a time: mirrored
+    seeds, a per-cell angle sort and, with clip, every cell snapped,
+    clipped to the square and snapped again."""
+    mirrors = [
+        seeds * np.array([-1.0, 1.0]),
+        seeds * np.array([-1.0, 1.0]) + np.array([2.0, 0.0]),
+        seeds * np.array([1.0, -1.0]),
+        seeds * np.array([1.0, -1.0]) + np.array([0.0, 2.0]),
+    ]
+    vor = Voronoi(np.vstack([seeds] + mirrors))
+    cells = []
+    for i in range(len(seeds)):
+        region = vor.regions[vor.point_region[i]]
+        if -1 in region or len(region) < 3:
+            raise MeshError("unbounded Voronoi region despite wall mirroring")
+        verts = vor.vertices[region]
+        angles = np.arctan2(verts[:, 1] - seeds[i, 1], verts[:, 0] - seeds[i, 0])
+        verts = verts[np.argsort(angles)]
+        if clip:
+            verts = polyops.clip_to_box(_snap_to_walls(verts))
+            verts = _snap_to_walls(verts)
+        if len(verts) < 3:
+            raise MeshError(f"seed {i} produced an empty clipped cell")
+        cells.append(verts)
+    return cells
+
+
+def loop_merge_cell_polygons(polys, tol=1e-9, meta=None):
+    """LoopPolyMesh of per-cell loops, shared points merged by union-find
+    with the smaller root winning."""
+    stacked = np.vstack(polys)
+    pairs = cKDTree(stacked).query_pairs(tol, output_type="ndarray")
+    parent = np.arange(len(stacked))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    roots = np.array([find(i) for i in range(len(stacked))])
+    unique_roots, inverse = np.unique(roots, return_inverse=True)
+    cells = []
+    offset = 0
+    for p in polys:
+        ids = inverse[offset : offset + len(p)]
+        offset += len(p)
+        loop = [int(ids[0])]
+        for v in ids[1:]:
+            if v != loop[-1]:
+                loop.append(int(v))
+        if loop[-1] == loop[0]:
+            loop.pop()
+        if len(loop) < 3:
+            raise MeshError("cell degenerated to fewer than 3 vertices during merge")
+        cells.append(loop)
+    return LoopPolyMesh(stacked[unique_roots], cells, meta=meta)
+
+
+class LoopPolyMesh(PolyMesh):
+    """PolyMesh whose topology is built one loop position at a time with
+    an edge dictionary; cell_edges is a list of (edge, direction) lists."""
+
+    def _build_topology(self, counts):
+        edge_index = {}
+        edges = []
+        edge_cells = []
+        edge_signs = []
+        self.cell_edges = []
+        for ci, cell in enumerate(self.cells):
+            loop = []
+            n = len(cell)
+            for i in range(n):
+                a, b = int(cell[i]), int(cell[(i + 1) % n])
+                if a == b:
+                    raise MeshError(f"cell {ci} repeats vertex {a}")
+                key = (min(a, b), max(a, b))
+                direction = 1 if a < b else -1
+                if key not in edge_index:
+                    edge_index[key] = len(edges)
+                    edges.append(key)
+                    edge_cells.append([ci, -1])
+                    edge_signs.append([direction, 0])
+                else:
+                    e = edge_index[key]
+                    if edge_cells[e][1] != -1:
+                        raise MeshError(f"edge {key} shared by more than two cells")
+                    edge_cells[e][1] = ci
+                    edge_signs[e][1] = direction
+                loop.append((edge_index[key], direction))
+            self.cell_edges.append(loop)
+        self.edges = np.asarray(edges, dtype=int).reshape(-1, 2)
+        self.edge_cells = np.asarray(edge_cells, dtype=int).reshape(-1, 2)
+        self._edge_signs = np.asarray(edge_signs, dtype=int).reshape(-1, 2)
+        for e in range(len(self.edges)):
+            if self.edge_cells[e, 1] != -1 and self._edge_signs[e, 0] == self._edge_signs[e, 1]:
+                key = tuple(int(v) for v in self.edges[e])
+                raise MeshError(f"edge {key} traversed twice in the same direction")
+        self.boundary_edges = np.where(self.edge_cells[:, 1] == -1)[0]
+        self.boundary_signs = self._edge_signs[self.boundary_edges, 0]
+
+
+def loop_generate_hexa(level, distortion=0.15):
+    """generate_hexa through the per-cell clip, merge and topology."""
+    seeds, pitch = _hexa_seeds(8 * 2 ** (level - 1))
+    cells = loop_clipped_voronoi_cells(seeds)
+    base = loop_merge_cell_polygons(
+        cells, meta={"family": "hexa", "level": level, "distortion": distortion}
+    )
+    if distortion <= 0.0:
+        return base
+    verts = base.vertices
+    interior = np.ones(len(verts), dtype=bool)
+    for axis in (0, 1):
+        interior &= (verts[:, axis] > 1e-12) & (verts[:, axis] < 1.0 - 1e-12)
+    amp = distortion * pitch
+    while amp > 1e-3 * pitch:
+        moved = verts.copy()
+        x, y = verts[interior, 0], verts[interior, 1]
+        moved[interior, 0] += amp * np.sin(3.0 * np.pi * x) * np.sin(2.0 * np.pi * y + 0.7)
+        moved[interior, 1] += amp * np.sin(2.0 * np.pi * x + 1.3) * np.sin(3.0 * np.pi * y)
+        try:
+            meta = dict(base.meta, distortion_applied=amp / pitch)
+            mesh = LoopPolyMesh(moved, base.cells, meta=meta)
+        except MeshError:
+            amp *= 0.5
+            continue
+        if audit_mesh(mesh).passed:
+            return mesh
+        amp *= 0.5
+    return base
 
 
 def _dense_polygon_rule(verts, degree):

@@ -183,6 +183,8 @@ class TestCliDispatch:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["out_dir"] == str(out)
         assert manifest["failure"] is None
+        timings = sorted(manifest["timings_seconds"])
+        assert timings == ["geometry.generate.level_1", "level_1", "total"]
         assert (out / "errors.csv").is_file()
 
     @pytest.mark.parametrize("key, value", [("threads", 1), ("t_final", 1.0), ("n_steps", 4)])
@@ -272,4 +274,8 @@ class TestWells:
         assert got.shape == ref.shape
         # the gate's tolerance: 1e-12 relative with a 1e-14 absolute floor
         assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref) + 1e-14)
-        assert json.loads((tmp_path / "manifest.json").read_text())["failure"] is None
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["failure"] is None
+        assert "geometry.generate.level_3" in manifest["timings_seconds"]
+        assert 0.0 <= manifest["darcy_solve"]["residual"] <= manifest["config"]["solver_tol"]
+        assert manifest["darcy_solve"]["seconds"] >= 0.0

@@ -121,8 +121,8 @@ class TestMeshInvariants:
 
     def test_boundary_normals_outward_unit(self, mesh_factory):
         mesh = mesh_factory()
-        for e in mesh.boundary_edges:
-            n = mesh.outward_normal(e)
+        for e, sign in zip(mesh.boundary_edges, mesh.boundary_signs):
+            n = sign * mesh.edge_normals[e]
             assert abs(np.hypot(*n) - 1.0) < 1e-12
             mid = 0.5 * (mesh.vertices[mesh.edges[e, 0]] + mesh.vertices[mesh.edges[e, 1]])
             c = mesh.cell_centroids[mesh.edge_cells[e, 0]]

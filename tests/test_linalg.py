@@ -43,9 +43,10 @@ class TestSolve:
     def test_factorization_reuse(self):
         A = sp.csr_matrix(np.diag([1.0, 2.0, 4.0]))
         fact = Factorization(A)
-        x1, rep1 = solve(A, np.ones(3), factorization=fact)
-        assert rep1.reused_factorization
+        x1 = fact.solve(np.ones(3))
+        x2 = fact.solve(np.array([2.0, 2.0, 2.0]))
         assert np.allclose(x1, [1.0, 0.5, 0.25])
+        assert np.allclose(x2, [2.0, 1.0, 0.5])
 
 
 def test_mass_solve_reproduces_quadrature_projection():

@@ -46,13 +46,11 @@ def boundary_edges(system):
     function of the canonical edge parameter) of every boundary edge."""
     mesh, k = system.mesh, system.k
     coeffs = system.problem.velocity.edge_flux_coeffs
-    for e in mesh.boundary_edges:
-        e = int(e)
-        sign = mesh.boundary_sign(e)
+    for e, sign in zip(mesh.boundary_edges.tolist(), mesh.boundary_signs.tolist()):
         a, b = mesh.edges[e]
         dofs = [a] + [mesh.num_vertices + e * (k - 1) + j for j in range(k - 1)] + [b]
         un = lambda params, e=e, sign=sign: sign * (_legendre_values(k, params) @ coeffs[e])
-        yield mesh.vertices[[a, b]], mesh.outward_normal(e), np.array(dofs), un
+        yield mesh.vertices[[a, b]], sign * mesh.edge_normals[e], np.array(dofs), un
 
 
 def loop_rhs(system, t):

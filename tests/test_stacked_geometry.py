@@ -1,9 +1,12 @@
-"""Polygon primitives on stacks of loops, and the mesh geometry and Lloyd
-relaxation built on them.
+"""Polygon primitives on stacks of loops, and the mesh geometry, Lloyd
+relaxation and mesh generation built on them.
 
 A stacked call must give, loop for loop, the bits of the call on that
 loop alone, and the single-loop call the bits of the one-polygon
 formulas in helpers.py (_area, _centroid, _diameter, _second_moment).
+The generators must give the bits of the per-cell clip, merge and
+topology in helpers.py, and their errors must name the seed, cell or
+edge at fault.
 """
 
 import warnings
@@ -13,14 +16,28 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vemtransport import polygon
-from vemtransport.geometry import MeshError, PolyMesh, generate_voronoi
+from vemtransport.geometry import (
+    FAMILY_LEVEL_SIZES,
+    MeshError,
+    PolyMesh,
+    _clip_to_square,
+    _merge_cell_polygons,
+    _snap_to_walls,
+    _voronoi_loops,
+    generate_family,
+    generate_hexa,
+    generate_quad,
+    generate_voronoi,
+)
 
 from helpers import (
+    LoopPolyMesh,
     _area,
     _centroid,
     _diameter,
     _second_moment,
     lloyd_voronoi_loop,
+    loop_generate_hexa,
     random_convex_polygon,
 )
 
@@ -140,3 +157,107 @@ def test_lloyd_relaxation_matches_per_cell_loop():
     for a, b in zip(mesh.cells, ref.cells):
         assert_same(a, b)
     assert mesh.meta["lloyd_energy"] == energies
+
+
+def assert_same_mesh(mesh, ref):
+    for name in ("vertices", "edges", "edge_cells", "_edge_signs", "boundary_edges",
+                 "boundary_signs"):
+        assert_same(getattr(mesh, name), getattr(ref, name))
+    assert len(mesh.cells) == len(ref.cells) == len(mesh.cell_edges) == len(ref.cell_edges)
+    for a, b in zip(mesh.cells, ref.cells):
+        assert_same(a, b)
+    for a, b in zip(mesh.cell_edges, ref.cell_edges):
+        assert_same(a, np.array(b))
+    assert mesh.meta == ref.meta
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_quad_topology_matches_edge_dictionary(level):
+    mesh = generate_quad(FAMILY_LEVEL_SIZES["quad"][level - 1])
+    assert_same_mesh(mesh, LoopPolyMesh(mesh.vertices, mesh.cells, meta=mesh.meta))
+
+
+@pytest.mark.parametrize(
+    "level, distortion", [(1, 0.0), (2, 0.0), (3, 0.0), (4, 0.0), (1, 0.15), (2, 0.15)]
+)
+def test_hexa_matches_per_cell_generation(level, distortion):
+    mesh = generate_hexa(level, distortion)
+    assert_same_mesh(mesh, loop_generate_hexa(level, distortion))
+    if distortion:
+        assert mesh.meta["distortion_applied"] > 0.0
+
+
+@pytest.mark.parametrize(
+    "family, level, seed",
+    [("voro", 1, 2024), ("voro", 2, 2024), ("voro", 1, 801), ("voro", 2, 801),
+     ("rand", 1, 0), ("rand", 2, 0), ("rand", 3, 0)],
+)
+def test_voronoi_matches_per_cell_generation(family, level, seed):
+    mesh = generate_family(family, level, rng_seed=seed)
+    assert mesh.meta["jittered_seeds"] == 0
+    n_seeds = FAMILY_LEVEL_SIZES[family][level - 1]
+    ref, _ = lloyd_voronoi_loop(n_seeds, 100 if family == "voro" else 0, seed)
+    assert_same_mesh(mesh, ref)
+
+
+def test_near_repeated_vertices_take_the_clip_path():
+    # an interior cell whose second and third vertices lie 5e-15 apart:
+    # clip_halfplane merges them, so the cell must be clipped too
+    verts = np.array([[0.2, 0.2], [0.8, 0.2], [0.8, 0.2 + 5e-15], [0.8, 0.8], [0.2, 0.8]])
+    (cell,) = _clip_to_square(verts, np.array([5]))
+    expected = _snap_to_walls(polygon.clip_to_box(_snap_to_walls(verts)))
+    assert len(expected) == 4
+    assert_same(cell, expected)
+
+
+def test_only_wall_cells_are_clipped(monkeypatch):
+    # an interior square and one on the walls x = 1 and y = 0
+    clipped = []
+    clip_to_box = polygon.clip_to_box
+    monkeypatch.setattr(polygon, "clip_to_box", lambda v: clipped.append(v) or clip_to_box(v))
+    verts = np.vstack([0.25 + 0.5 * SQUARE, 0.5 * SQUARE + [0.5, 0.0]])
+    cells = _clip_to_square(verts, np.array([4, 4]))
+    assert len(clipped) == 1
+    assert_same(clipped[0], verts[4:])
+    assert_same(cells[0], verts[:4])
+    assert_same(cells[1], _snap_to_walls(clip_to_box(_snap_to_walls(verts[4:]))))
+
+
+def test_unbounded_region_names_the_seed():
+    # a seed outside the square keeps an unbounded region after mirroring
+    with pytest.raises(MeshError, match="^seed 2 has an unbounded Voronoi region"):
+        _voronoi_loops(np.array([[0.5, 0.5], [0.25, 0.25], [0.5, 3.0]]))
+
+
+def test_merge_degeneration_names_the_cell():
+    with pytest.raises(MeshError, match="^cell 1 degenerated to fewer than 3 vertices"):
+        _merge_cell_polygons([SQUARE, SQUARE * 1e-10 + 5.0, SQUARE + 2.0])
+
+
+#: corners of four unit triangles around the origin, and one more point
+FAN = np.array([(0, 0), (1, 0), (0, 1), (1, 1), (-1, 0), (0, -1), (2, 2)], dtype=float)
+
+
+@pytest.mark.parametrize(
+    "cells, message",
+    [
+        ([[0, 1, 2], [3, 3, 4], [1, 0, 5]], "cell 1 repeats vertex 3"),
+        ([[0, 1, 2], [1, 0, 3], [0, 1, 4], [5, 6, 6]],
+         r"edge \(0, 1\) shared by more than two cells"),
+        ([[0, 1, 2], [5, 6, 6], [1, 0, 3], [0, 1, 4]], "cell 1 repeats vertex 6"),
+        ([[0, 1, 2], [0, 1, 3]], r"edge \(0, 1\) traversed twice in the same direction"),
+    ],
+)
+def test_topology_errors_name_the_cell_or_edge(cells, message):
+    # the first fault in loop order, as the edge dictionary finds it
+    for cls in (PolyMesh, LoopPolyMesh):
+        with pytest.raises(MeshError, match=f"^{message}$"):
+            cls(FAN, cells)
+
+
+def test_inward_boundary_normal_names_the_edge():
+    # a U-shaped cell: the notch's side and floor edges (3 and 4) face its centroid
+    u_shape = np.array([(0, 0), (3, 0), (3, 3), (2, 3), (2, 1), (1, 1), (1, 3), (0, 3)],
+                       dtype=float)
+    with pytest.raises(MeshError, match="^boundary edge 3 normal does not point outward$"):
+        PolyMesh(u_shape, [np.arange(8)])
