@@ -230,7 +230,7 @@ def run_wells(config, out, timings):
     )
 
     tprob = TransportProblem(
-        D=wells.D, velocity=velocity, f=wells.f, c_tilde=wells.c_tilde,
+        D=config.D, velocity=velocity, f=wells.f, c_tilde=wells.c_tilde,
         c_inflow=wells.c_inflow, c0=wells.c0, t_final=wells.t_final,
     )
     system = TransportSystem(mesh, config.k, tprob)

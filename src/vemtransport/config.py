@@ -91,6 +91,10 @@ class ExperimentConfig:
             raise ConfigError("solver_tol must be positive")
         if self.problem != "manufactured" and not self.problem.startswith("wells:"):
             raise ConfigError(f"unknown problem {self.problem!r}")
+        if self.kind != "wells" and self.problem != "manufactured":
+            raise ConfigError(
+                f"a {self.kind} study runs the manufactured problem, not {self.problem!r}"
+            )
         if self.kind == "wells" and not self.problem.startswith("wells:"):
             self.problem = "wells:homo"
 

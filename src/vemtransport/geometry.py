@@ -9,7 +9,7 @@ degrees.
 
 import itertools
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -247,63 +247,50 @@ def split_stacked(values, shapes):
     return [part.reshape(tuple(shape) + values.shape[1:]) for part, shape in zip(parts, shapes)]
 
 
-@dataclass
-class CellAudit:
-    cell: int
-    rho_ratio: float
-    edge_count: int
-    min_edge_ratio: float
-    passed: bool
-
-
-@dataclass
+@dataclass(frozen=True)
 class MeshAudit:
-    """Report of the per-cell star-shapedness and edge-count checks."""
+    """Per-cell shape checks, one entry per cell: rho_K / h_K, the edge
+    count, and whether the cell passes both bounds."""
 
-    gamma0: float
-    n0: int
-    cells: list = field(default_factory=list)
+    rho_ratio: np.ndarray
+    edge_count: np.ndarray
+    cell_passed: np.ndarray
 
     @property
     def passed(self):
-        return all(c.passed for c in self.cells)
+        return bool(self.cell_passed.all())
 
 
 def audit_mesh(mesh, gamma0=0.1, n0=16):
     """Audit every cell against the shape-regularity assumptions.
 
-    Checks that each cell is star-shaped with respect to a ball of radius
-    gamma0 * h_K (inscribed-ball radius from the Chebyshev center, via
-    the kernel polygon for non-convex cells) and has at most n0 edges.
+    A cell passes when it has at most n0 edges and rho_K >= gamma0 * h_K.
+    rho_K is the smallest signed distance from the cell's fan apex (its
+    centroid if convex, else polygon.star_point) to the lines through its
+    edges. The ball B(apex, rho_K) lies in every edge's inner half-plane,
+    hence in the kernel, so the cell is star-shaped with respect to it:
+    rho_K is a lower bound of the kernel's inscribed radius, equal to it
+    when the apex is the kernel's Chebyshev center (a square, a regular
+    hexagon). A cell without a star point gets rho_K = 0. The apex is
+    found without mesh.cell_groups, which raises on such a cell.
     Report-only: never raises on failures.
     """
     if not 0.0 < gamma0 < 1.0:
         raise MeshError("gamma0 must lie in (0, 1)")
     if n0 < 3:
         raise MeshError("n0 must be at least 3")
-    report = MeshAudit(gamma0=gamma0, n0=n0)
-    for ci in range(mesh.num_cells):
-        verts = mesh.cell_polygon(ci)
-        h = mesh.cell_diameters[ci]
-        region = verts if polygon.is_convex(verts) else polygon.kernel_polygon(verts)
-        if len(region) < 3:
-            rho = 0.0
-        else:
-            _, rho = polygon.chebyshev_center(region)
-        edges = [e for e, _ in mesh.cell_edges[ci]]
-        min_edge = float(mesh.edge_lengths[edges].min())
-        ratio = rho / h
-        ok = ratio >= gamma0 and len(verts) <= n0
-        report.cells.append(
-            CellAudit(
-                cell=ci,
-                rho_ratio=ratio,
-                edge_count=len(verts),
-                min_edge_ratio=min_edge / mesh.mesh_size,
-                passed=ok,
-            )
-        )
-    return report
+    rho = np.empty(mesh.num_cells)
+    edge_count = np.empty(mesh.num_cells, dtype=int)
+    for cells, pos in mesh._loop_groups:
+        verts = mesh.vertices[mesh._loop_vertices[pos]]
+        apex = polygon.star_points(verts, mesh.cell_centroids[cells])
+        e = np.roll(verts, -1, axis=1) - verts
+        d = apex[:, None, :] - verts
+        dist = (e[..., 0] * d[..., 1] - e[..., 1] * d[..., 0]) / np.hypot(e[..., 0], e[..., 1])
+        rho[cells] = np.nan_to_num(dist.min(axis=1))  # no star point: NaN -> 0
+        edge_count[cells] = pos.shape[1]
+    ratio = rho / mesh.cell_diameters
+    return MeshAudit(ratio, edge_count, (ratio >= gamma0) & (edge_count <= n0))
 
 
 # -- generators ----------------------------------------------------------

@@ -3,11 +3,13 @@
 All polygons are (n, 2) float arrays of vertices in counter-clockwise
 order unless stated otherwise. signed_area, centroid, diameter,
 second_moment_about, is_convex and is_simple also take a stack (..., n, 2)
-and give, loop for loop, the bits of the call on that loop alone.
+and give, loop for loop, the bits of the call on that loop alone. A
+star point is found in closed form: the centroid of a convex polygon,
+else the centroid when it lies in the kernel polygon, else the kernel's
+centroid.
 """
 
 import numpy as np
-from scipy.optimize import linprog
 
 
 def signed_area(verts):
@@ -156,31 +158,12 @@ def kernel_polygon(verts):
     return kernel
 
 
-def chebyshev_center(verts):
-    """Center and radius of the largest disk inscribed in a convex polygon."""
-    e = edge_vectors(verts)
-    normals = np.column_stack([e[:, 1], -e[:, 0]])
-    normals /= np.linalg.norm(normals, axis=1)[:, None]
-    offsets = np.sum(normals * verts, axis=1)
-    # maximize r subject to n_i . x + r <= c_i
-    a_ub = np.column_stack([normals, np.ones(len(verts))])
-    res = linprog(
-        c=[0.0, 0.0, -1.0],
-        A_ub=a_ub,
-        b_ub=offsets,
-        bounds=[(None, None), (None, None), (0, None)],
-        method="highs",
-    )
-    if not res.success:
-        raise ValueError("Chebyshev center LP failed: " + res.message)
-    return res.x[:2].copy(), float(res.x[2])
-
-
 def star_point(verts):
     """A point the polygon is star-shaped around, or None.
 
     Prefers the centroid when it lies in the kernel, otherwise uses the
-    kernel's Chebyshev center.
+    kernel's centroid: the kernel is convex with positive area, so its
+    centroid is an interior point.
     """
     c = centroid(verts)
     if is_convex(verts):
@@ -193,5 +176,14 @@ def star_point(verts):
     dist = np.sum(normals * (c[None, :] - kernel), axis=1)
     if np.all(dist <= 0.0):
         return c
-    point, _ = chebyshev_center(kernel)
-    return point
+    return centroid(kernel)
+
+
+def star_points(verts, centroids):
+    """Star points of a stack of loops (nc, nv, 2): the centroid of every
+    convex loop, star_point of the others, a NaN row where there is none."""
+    apex = np.array(centroids, dtype=float)
+    for c in np.flatnonzero(~is_convex(verts)):
+        point = star_point(verts[c])
+        apex[c] = np.nan if point is None else point
+    return apex

@@ -104,15 +104,11 @@ def edge_rule(p0, p1, degree):
 
 
 def star_points(verts, centroids):
-    """Fan points of a stack of polygons, verts (nc, nv, 2): the centroid
-    of every convex cell, polygon.star_point of the others. Raises
-    QuadratureError when a cell has no star point."""
-    apex = np.array(centroids, dtype=float)
-    for c in np.flatnonzero(~polygon.is_convex(verts)):
-        point = polygon.star_point(verts[c])
-        if point is None:
-            raise QuadratureError("polygon is not star-shaped: no interior fan point")
-        apex[c] = point
+    """Fan points of a stack of polygons, verts (nc, nv, 2), by
+    polygon.star_points. Raises QuadratureError when a cell has none."""
+    apex = polygon.star_points(verts, centroids)
+    if np.isnan(apex).any():
+        raise QuadratureError("polygon is not star-shaped: no interior fan point")
     return apex
 
 
@@ -147,9 +143,9 @@ def fan_rule(verts, apex, degree):
 def polygon_rule(verts, degree):
     """Quadrature on a simple polygon, exact for total degree `degree`.
 
-    The cell is fanned into triangles around a star point (centroid for
-    convex cells, kernel Chebyshev center otherwise). Fails if no star
-    point exists, i.e. the cell violates the mesh regularity assumption.
+    The cell is fanned into triangles around polygon.star_point (the
+    centroid of a convex cell). Fails if no star point exists, i.e. the
+    cell violates the mesh regularity assumption.
     """
     verts = np.asarray(verts, dtype=float)
     apex = polygon.star_point(verts)

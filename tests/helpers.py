@@ -7,17 +7,20 @@ a P1 finite element solve of the space-defining PDE on a fine
 triangulation, and the batched local spaces through the per-cell loops
 they replaced (LoopVemElement, LoopFluxElement), mesh generation
 through one polygon at a time (lloyd_voronoi_loop, loop_generate_hexa,
-LoopPolyMesh and the per-cell clip and merge), the Kronecker slab
-matrix through its per-block assembly (block_slab_matrix), and the
-pinned Darcy gauge through the Lagrange-multiplier saddle system
-(multiplier_darcy_solve). The other tools at the end (the slab system,
-the weighted interpolant l_tau, the slabwise projection pi_tau and the
-Matrix Market export) are used only by tests.
+LoopPolyMesh and the per-cell clip and merge), the closed-form shape
+audit through one HiGHS linear program per cell (lp_audit), the
+Kronecker slab matrix through its per-block assembly
+(block_slab_matrix), and the pinned Darcy gauge through the
+Lagrange-multiplier saddle system (multiplier_darcy_solve). The other
+tools at the end (the slab system, the weighted interpolant l_tau, the
+slabwise projection pi_tau and the Matrix Market export) are used only
+by tests.
 """
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.io import mmwrite
+from scipy.optimize import linprog
 from scipy.sparse.linalg import splu
 from scipy.spatial import Voronoi, cKDTree
 from scipy.special import roots_legendre
@@ -25,7 +28,7 @@ from scipy.special import roots_legendre
 from vemtransport import polygon as polyops
 from vemtransport.darcy import _boundary_moments, _flux_groups, _legendre_values
 from vemtransport.element import MonomialBasis, n_poly, uniform_edge_params
-from vemtransport.geometry import MeshError, PolyMesh, _hexa_seeds, _snap_to_walls, audit_mesh
+from vemtransport.geometry import MeshError, PolyMesh, _hexa_seeds, _snap_to_walls
 from vemtransport.quadrature import edge_rule, gauss_interval, lagrange_values, polygon_rule
 from vemtransport.timestepping import lagrange_derivative_matrix, slab_matrix, slab_rhs
 
@@ -67,6 +70,23 @@ def random_convex_polygon(rng, n_min=4, n_max=9, scale=1.0):
         verts = pts[hull.vertices]
         if n_min <= len(verts) <= n_max:
             return verts
+
+
+#: star-shaped but not convex: the centroid does not see the notch
+ARROW = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 2.0], [1.0, 0.6], [0.0, 2.0]])
+#: no point sees the whole boundary
+U_SHAPE = np.array(
+    [[0, 0], [3, 0], [3, 3], [2, 3], [2, 1], [1, 1], [1, 3], [0, 3]], dtype=float
+)
+
+
+def polygon_mesh(polygons, validate=True):
+    """A mesh of separate cells (no shared edges) from vertex loops;
+    non-convex cells need validate=False (outward-normal check)."""
+    vertices = np.vstack(polygons)
+    offsets = np.cumsum([0] + [len(p) for p in polygons])
+    cells = [np.arange(a, b) for a, b in zip(offsets[:-1], offsets[1:])]
+    return PolyMesh(vertices, cells, validate=validate)
 
 
 # -- per-cell local spaces: the loop reference for the batched build ----
@@ -861,10 +881,43 @@ def loop_generate_hexa(level, distortion=0.15):
         except MeshError:
             amp *= 0.5
             continue
-        if audit_mesh(mesh).passed:
+        if lp_audit(mesh)[1].all():
             return mesh
         amp *= 0.5
     return base
+
+
+def chebyshev_radius(verts):
+    """Radius of the largest disk inside a convex polygon: maximize r
+    subject to n_i . x + r <= c_i for every edge, by HiGHS."""
+    e = np.roll(verts, -1, axis=0) - verts
+    normals = np.column_stack([e[:, 1], -e[:, 0]])
+    normals /= np.linalg.norm(normals, axis=1)[:, None]
+    res = linprog(
+        c=[0.0, 0.0, -1.0],
+        A_ub=np.column_stack([normals, np.ones(len(verts))]),
+        b_ub=np.sum(normals * verts, axis=1),
+        bounds=[(None, None), (None, None), (0, None)],
+        method="highs",
+    )
+    assert res.success, res.message
+    return float(res.x[2])
+
+
+def lp_audit(mesh, gamma0=0.1, n0=16):
+    """The shape audit one cell at a time by linear programming: the
+    Chebyshev radius of each cell, or of its kernel polygon when it is
+    not convex (0 without a kernel), over h_K. Returns the per-cell
+    (rho_ratio, passed) arrays."""
+    ratio = np.zeros(mesh.num_cells)
+    passed = np.zeros(mesh.num_cells, dtype=bool)
+    for ci in range(mesh.num_cells):
+        verts = mesh.cell_polygon(ci)
+        region = verts if polyops.is_convex(verts) else polyops.kernel_polygon(verts)
+        if len(region) >= 3:
+            ratio[ci] = chebyshev_radius(region) / mesh.cell_diameters[ci]
+        passed[ci] = ratio[ci] >= gamma0 and len(verts) <= n0
+    return ratio, passed
 
 
 def _dense_polygon_rule(verts, degree):

@@ -14,34 +14,25 @@ from hypothesis import given, settings, strategies as st
 
 from vemtransport.darcy import _flux_groups
 from vemtransport.element import VemElement, VemSpace, n_poly
-from vemtransport.geometry import PolyMesh, generate_hexa, generate_quad, generate_voronoi
+from vemtransport.geometry import generate_hexa, generate_quad, generate_voronoi
 from vemtransport.quadrature import QuadratureError, polygon_rule
 
-from helpers import LoopFluxElement, LoopVemElement, random_convex_polygon
+from helpers import (
+    ARROW,
+    U_SHAPE,
+    LoopFluxElement,
+    LoopVemElement,
+    polygon_mesh,
+    random_convex_polygon,
+)
 
 RTOL = 1e-13
-
-#: star-shaped but not convex: the centroid does not see the notch
-ARROW = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 2.0], [1.0, 0.6], [0.0, 2.0]])
-#: no point sees the whole boundary
-U_SHAPE = np.array(
-    [[0, 0], [3, 0], [3, 3], [2, 3], [2, 1], [1, 1], [1, 3], [0, 3]], dtype=float
-)
 
 
 def assert_rel_close(actual, expected):
     expected = np.asarray(expected, dtype=float)
     scale = np.max(np.abs(expected))
     assert np.max(np.abs(np.asarray(actual) - expected)) <= RTOL * scale
-
-
-def polygon_mesh(polygons, validate=True):
-    """A mesh of separate cells (no shared edges) from vertex loops;
-    non-convex cells need validate=False (outward-normal check)."""
-    vertices = np.vstack(polygons)
-    offsets = np.cumsum([0] + [len(p) for p in polygons])
-    cells = [np.arange(a, b) for a, b in zip(offsets[:-1], offsets[1:])]
-    return PolyMesh(vertices, cells, validate=validate)
 
 
 def darcy_source(p):

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +80,8 @@ class TestConfig:
             {"solver_tol": True},
             {"problem": 3},
             {"out_dir": 3},
+            {"kind": "convergence", "problem": "wells:vert"},
+            {"kind": "custom", "problem": "wells:homo"},
         ],
     )
     def test_validation(self, bad):
@@ -120,6 +125,16 @@ class TestConfig:
         table = text.split("### Configuration schema")[1].split("\n#")[0]
         rows = re.findall(r"^\| `(\w+)`", table, flags=re.MULTILINE)
         assert sorted(rows) == sorted(ExperimentConfig.__dataclass_fields__)
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # the package needs no optimizer; importing one costs setup time and memory
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    code = "import sys, vemtransport.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 class TestCliDispatch:
@@ -259,6 +274,20 @@ class TestWells:
         assert cli.main(["wells", "--config", str(path)]) == 3
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["failure"] == {"solve": "darcy", "error": "synthetic flow failure"}
+
+    def test_transport_runs_at_the_config_d(self, tmp_path, monkeypatch):
+        seen = []
+
+        def stop(mesh, k, problem):
+            seen.append(problem.D)
+            raise TimeSteppingError("stop before the transport solve")
+
+        monkeypatch.setattr(cli, "TransportSystem", stop)
+        # level 3: the level-1 and level-2 flows fail their compatibility check
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"kind": "wells", "D": 0.25, "out_dir": str(tmp_path)}))
+        assert cli.main(["wells", "--config", str(path)]) == 3
+        assert seen == [0.25]
 
     def test_preset_run_matches_reference(self, tmp_path):
         assert cli.main(["wells", "--preset", "wells-homo", "--out", str(tmp_path)]) == 0

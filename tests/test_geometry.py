@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -6,10 +8,13 @@ from vemtransport.geometry import (
     MeshError,
     PolyMesh,
     audit_mesh,
+    generate_family,
     generate_hexa,
     generate_quad,
     generate_voronoi,
 )
+
+from helpers import ARROW, U_SHAPE, lp_audit, polygon_mesh, random_convex_polygon
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -142,8 +147,8 @@ class TestAuditMesh:
     def test_unit_square(self):
         mesh = PolyMesh(SQUARE, [[0, 1, 2, 3]])
         rep = audit_mesh(mesh)
-        assert abs(rep.cells[0].rho_ratio - 0.5 / np.sqrt(2.0)) < 1e-9
-        assert rep.cells[0].edge_count == 4
+        assert abs(rep.rho_ratio[0] - 0.5 / np.sqrt(2.0)) < 1e-9
+        assert rep.edge_count[0] == 4
 
     def test_regular_hexagon_passes_gamma_03(self):
         ang = np.linspace(0.0, 2.0 * np.pi, 7)[:-1]
@@ -151,15 +156,15 @@ class TestAuditMesh:
         mesh = PolyMesh(hexa, [list(range(6))])
         rep = audit_mesh(mesh, gamma0=0.3, n0=16)
         assert rep.passed
-        assert rep.cells[0].edge_count == 6
-        assert abs(rep.cells[0].rho_ratio - np.sqrt(3.0) / 4.0) < 1e-9
+        assert rep.edge_count[0] == 6
+        assert abs(rep.rho_ratio[0] - np.sqrt(3.0) / 4.0) < 1e-9
 
     def test_triangle_attains_edge_bound(self):
         tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.4, 0.8]])
         mesh = PolyMesh(tri, [[0, 1, 2]])
         rep = audit_mesh(mesh, gamma0=0.05, n0=3)
         assert rep.passed
-        assert rep.cells[0].edge_count == 3
+        assert rep.edge_count[0] == 3
 
     def test_invariant_under_rigid_motion(self):
         mesh = generate_voronoi(25, lloyd_iters=20, rng_seed=4)
@@ -168,7 +173,7 @@ class TestAuditMesh:
         rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
         moved = PolyMesh(mesh.vertices @ rot.T + np.array([3.0, -1.0]), mesh.cells)
         rep2 = audit_mesh(moved, gamma0=0.15, n0=10)
-        assert [c.passed for c in rep.cells] == [c.passed for c in rep2.cells]
+        assert np.array_equal(rep.cell_passed, rep2.cell_passed)
 
     def test_parameter_validation(self):
         mesh = generate_quad(1)
@@ -176,6 +181,57 @@ class TestAuditMesh:
             audit_mesh(mesh, gamma0=0.0)
         with pytest.raises(MeshError):
             audit_mesh(mesh, n0=2)
+
+
+def random_convex_mesh(seed):
+    rng = np.random.default_rng(seed)
+    return polygon_mesh([random_convex_polygon(rng, 3, 9) + 2.0 * i for i in range(8)])
+
+
+AUDIT_MESHES = {
+    "hexa-1": lambda: generate_hexa(1),
+    "hexa-2": lambda: generate_hexa(2),
+    "hexa-3": lambda: generate_hexa(3),
+    "voro-1": lambda: generate_family("voro", 1, rng_seed=2024),
+    "voro-2": lambda: generate_family("voro", 2, rng_seed=2024),
+    "rand-1": lambda: generate_family("rand", 1, rng_seed=2024),
+    "rand-2": lambda: generate_family("rand", 2, rng_seed=2024),
+    "convex-0": lambda: random_convex_mesh(0),
+    "convex-1": lambda: random_convex_mesh(1),
+    "notch": lambda: polygon_mesh([ARROW], validate=False),
+}
+
+
+@functools.cache
+def lp_audited(name):
+    """A mesh of AUDIT_MESHES and its LP audit, built once per test session."""
+    mesh = AUDIT_MESHES[name]()
+    return mesh, lp_audit(mesh)
+
+
+class TestAuditAgainstLinearProgram:
+    """The closed-form apex ball against the per-cell LP (helpers.lp_audit):
+    its radius is certified to lie inside the kernel, so it can be at most
+    the LP's Chebyshev radius, up to the LP's own rounding."""
+
+    @pytest.mark.parametrize("name", list(AUDIT_MESHES))
+    def test_apex_ball_bounds_the_lp_radius(self, name):
+        mesh, (lp_rho, _) = lp_audited(name)
+        rho = audit_mesh(mesh).rho_ratio
+        assert np.all(rho > 0.0)
+        assert np.all(rho <= lp_rho * (1.0 + 1e-12))
+
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_hexa_pass_mask_matches_the_lp(self, level):
+        mesh, (_, lp_passed) = lp_audited(f"hexa-{level}")
+        assert np.array_equal(audit_mesh(mesh).cell_passed, lp_passed)
+
+    def test_non_star_cell_fails_without_raising(self):
+        mesh = polygon_mesh([SQUARE + 5.0, U_SHAPE], validate=False)
+        rep = audit_mesh(mesh)
+        assert not rep.passed
+        assert rep.cell_passed.tolist() == [True, False]
+        assert rep.rho_ratio[1] == 0.0
 
 
 class TestPolyMeshValidation:
