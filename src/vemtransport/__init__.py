@@ -17,7 +17,7 @@ from .quadrature import PolygonRule, RadauRule, polygon_rule, edge_rule, gauss_r
 from .element import VemElement, VemSpace
 from .darcy import DarcyProblem, DiscreteVelocity, solve_darcy_mixed, analytic_velocity
 from .transport import TransportProblem, TransportSystem
-from .timestepping import TimePartition, SlabSolution, advance
+from .timestepping import Trajectory, advance
 from .postproc import ErrorReport, error_norms, minmax_trace, rate_table
 
 __version__ = "0.1.0"
@@ -42,8 +42,7 @@ __all__ = [
     "analytic_velocity",
     "TransportProblem",
     "TransportSystem",
-    "TimePartition",
-    "SlabSolution",
+    "Trajectory",
     "advance",
     "ErrorReport",
     "error_norms",

@@ -23,7 +23,7 @@ from .linalg import LinalgError
 from .meshio import write_polymesh, write_vtk, write_vtk_series
 from .postproc import error_norms, minmax_csv, minmax_trace, observed_rate, rate_table
 from .problems import ManufacturedProblem, get_problem
-from .timestepping import TimePartition, TimeSteppingError, advance
+from .timestepping import TimeSteppingError, advance
 from .transport import TransportProblem, TransportSystem
 
 log = logging.getLogger("vemtransport")
@@ -52,12 +52,10 @@ def run_manufactured_level(mesh, steps, k, q, D, backend, solver_tol, level=0):
         c_tilde=data.c_tilde,
         c_inflow=data.c_inflow,
         c0=data.c0,
-        t_final=data.t_final,
     )
     system = TransportSystem(mesh, k, tprob)
-    partition = TimePartition.uniform(data.t_final, steps)
-    slabs = advance(system, partition, q)
-    return error_norms(slabs, system, data.c, data.grad_c, level=level)
+    march = advance(system, data.t_final, steps, q)
+    return error_norms(march, system, data.c, data.grad_c, level=level)
 
 
 def _write_text(path, text):
@@ -231,24 +229,22 @@ def run_wells(config, out, timings):
 
     tprob = TransportProblem(
         D=config.D, velocity=velocity, f=wells.f, c_tilde=wells.c_tilde,
-        c_inflow=wells.c_inflow, c0=wells.c0, t_final=wells.t_final,
+        c_inflow=wells.c_inflow, c0=wells.c0,
     )
     system = TransportSystem(mesh, config.k, tprob)
     n_steps = int(round(wells.t_final / wells.dt))
-    partition = TimePartition.uniform(wells.t_final, n_steps)
-    slabs, failure = _timed(timings, "transport", advance, system, partition, config.q)
+    march, failure = _timed(
+        timings, "transport", advance, system, wells.t_final, n_steps, config.q
+    )
     if failure:
         return summary, failure
 
     nv = system.space.num_vertex_dofs
-    rows = minmax_trace(slabs, nv)
+    rows = minmax_trace(march, nv)
     _write_text(out / "minmax.csv", minmax_csv(rows))
-    snaps, times = [], []
-    for t_snap in (1.0, 2.0, 4.0):
-        for slab in slabs:
-            if abs(slab.t_end - t_snap) < 1e-12:
-                snaps.append(slab.trace_out[:nv])
-                times.append(t_snap)
+    # the wells grid is fixed (t_final 10, dt 0.1): slab n ends at (n + 1) dt
+    times = [1.0, 2.0, 4.0]
+    snaps = [march.values[round(t / wells.dt) - 1, -1, :nv] for t in times]
     write_vtk_series(mesh, str(out), "concentration", times, snaps)
 
     global_min = min(r[1] for r in rows)

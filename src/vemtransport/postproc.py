@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .element import monomial_gradients
-from .quadrature import gauss_interval
+from .quadrature import gauss_interval, lagrange_values
 
 
 @dataclass
@@ -73,28 +73,29 @@ class ErrorEvaluator:
         return l2, h1
 
 
-def error_norms(slabs, system, c_exact, grad_exact, level=0):
-    """Combined error report for a slab sequence against exact fields.
+def error_norms(march, system, c_exact, grad_exact, level=0):
+    """Combined error report for a march (a `timestepping.Trajectory`)
+    against exact fields.
 
     The indicator squares the final-time L2 error and adds the
     time-integrated squared H1 norm (L2 part plus seminorm part).
     """
     ev = ErrorEvaluator(system)
-    q1 = len(slabs[0].node_times)
+    ends, times, values = march
+    taus = np.diff(ends)
+    ref_nodes = (times - ends[:-1, None]) / taus[:, None]
     l2h1_sq = 0.0
-    for slab in slabs:
-        tq, wq = gauss_interval(slab.t_start, slab.t_end, q1 + 1)
+    for n, (t0, t1) in enumerate(zip(ends[:-1], ends[1:])):
+        tq, wq = gauss_interval(t0, t1, times.shape[1] + 1)
         for t, w in zip(tq, wq):
-            coeffs = slab.evaluate(t)
+            coeffs = (lagrange_values(ref_nodes[n], (t - t0) / taus[n]) @ values[n])[0]
             l2, h1 = ev.spatial_errors(coeffs, t, c_exact, grad_exact)
             l2h1_sq += w * (l2 + h1)
-    t_final = slabs[-1].t_end
-    l2f, h1f = ev.spatial_errors(slabs[-1].trace_out, t_final, c_exact, grad_exact)
-    dt = max(s.t_end - s.t_start for s in slabs)
+    l2f, h1f = ev.spatial_errors(values[-1, -1], ends[-1], c_exact, grad_exact)
     return ErrorReport(
         level=level,
         h=system.mesh.mesh_size,
-        dt=dt,
+        dt=float(taus.max()),
         l2_final=np.sqrt(l2f),
         l2h1=np.sqrt(l2h1_sq),
         indicator=np.sqrt(l2f + l2h1_sq),
@@ -102,18 +103,18 @@ def error_norms(slabs, system, c_exact, grad_exact, level=0):
     )
 
 
-def minmax_trace(slabs, n_vertex_dofs):
-    """Vertex-value extrema at every Radau node of every slab.
+def minmax_trace(march, n_vertex_dofs):
+    """Vertex-value extrema at every Radau node of every slab of a march.
 
     Returns a list of (time, min, max) rows; vertex dofs are the leading
     block of the global dof vector.
     """
-    rows = []
-    for slab in slabs:
-        for t, column in zip(slab.node_times, slab.values):
-            v = column[:n_vertex_dofs]
-            rows.append((float(t), float(v.min()), float(v.max())))
-    return rows
+    vertex = march.values[:, :, :n_vertex_dofs]
+    return list(zip(
+        march.times.ravel().tolist(),
+        vertex.min(axis=2).ravel().tolist(),
+        vertex.max(axis=2).ravel().tolist(),
+    ))
 
 
 _ERROR_COLUMNS = ["l2_final", "l2h1", "err", "h1_final"]

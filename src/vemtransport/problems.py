@@ -129,7 +129,6 @@ class WellsProblem:
             "s01": np.array([0.85, 0.15]),
             "s11": np.array([0.85, 0.85]),
         }
-        self.D = 0.001
         self.K_perm = 1.0
         self.mu = 1.0
         self.t_final = 10.0

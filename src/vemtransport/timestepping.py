@@ -3,9 +3,11 @@
 Each time slab carries a polynomial of degree q in time represented by
 its values at the mapped Radau nodes (the last node is the slab's right
 endpoint). A slab's matrix is kron(C, M) + tau kron(W, A0) (`slab_matrix`),
-with the spatial operator on the block diagonal only; its factorization
-is reused across slabs while the step size is constant.
+with the spatial operator on the block diagonal only. `advance` marches a
+uniform grid, so it builds and factorizes that matrix once per march.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -18,26 +20,12 @@ class TimeSteppingError(RuntimeError):
     pass
 
 
-class TimePartition:
-    """Strictly increasing time nodes 0 = t_0 < ... < t_N = T."""
+class Trajectory(NamedTuple):
+    """Slab values of one march over N slabs with q+1 Radau nodes each."""
 
-    def __init__(self, nodes):
-        self.nodes = np.asarray(nodes, dtype=float)
-        if self.nodes.ndim != 1 or len(self.nodes) < 2:
-            raise TimeSteppingError("need at least two time nodes")
-        if np.any(np.diff(self.nodes) <= 0.0):
-            raise TimeSteppingError("time nodes must be strictly increasing")
-
-    @classmethod
-    def uniform(cls, t_final, n_steps):
-        return cls(np.linspace(0.0, t_final, n_steps + 1))
-
-    @property
-    def n_slabs(self):
-        return len(self.nodes) - 1
-
-    def slab(self, n):
-        return float(self.nodes[n]), float(self.nodes[n + 1])
+    ends: np.ndarray  # (N+1,) slab endpoints, np.linspace(0, t_final, N+1)
+    times: np.ndarray  # (N, q+1) mapped Radau nodes; times[:, -1] == ends[1:]
+    values: np.ndarray  # (N, q+1, n_dofs) dof vectors at those nodes
 
 
 def lagrange_derivative_matrix(nodes):
@@ -55,29 +43,6 @@ def lagrange_derivative_matrix(nodes):
                         num *= (nodes[j] - nodes[b]) / (nodes[i] - nodes[b])
                 D[i, j] = num / (nodes[i] - nodes[j])
     return D
-
-
-class SlabSolution:
-    """Space-time coefficients of one slab at the mapped Radau nodes."""
-
-    def __init__(self, t_start, t_end, node_times, values):
-        self.t_start = t_start
-        self.t_end = t_end
-        self.node_times = node_times
-        self.values = values  # (q+1, n_dofs)
-        self._ref_nodes = (node_times - t_start) / (t_end - t_start)
-
-    @property
-    def trace_out(self):
-        """Left limit at the slab's right endpoint (the last node column)."""
-        return self.values[-1]
-
-    def evaluate(self, t):
-        """Value of the slab polynomial at time t (vector of dofs)."""
-        xi = (np.asarray(t, dtype=float) - self.t_start) / (self.t_end - self.t_start)
-        basis = lagrange_values(self._ref_nodes, xi)
-        out = basis @ self.values
-        return out[0] if np.ndim(t) == 0 else out
 
 
 def slab_matrix(M, A0, radau, tau):
@@ -105,45 +70,39 @@ def slab_rhs(M, radau, tau, rhs_blocks, carry):
     return (tau * w[:, None] * np.asarray(rhs_blocks) + np.outer(ell0, M @ carry)).ravel()
 
 
-def advance(system, partition, q):
-    """March the transport system over all slabs; returns the slab list.
+def advance(system, t_final, n_steps, q):
+    """March the transport system over n_steps uniform slabs of (0, t_final].
 
-    The spatial operators are stationary, so the block matrix and its
-    factorization are reused across slabs while the step size does not
-    change.
-    Solver failures are reported with the offending slab index.
+    The spatial operators are stationary and the step is uniform, so the
+    slab matrix is built and factorized once; each slab's load uses its
+    own width t1 - t0. Solver failures name the offending slab.
     """
+    if not (t_final > 0.0 and n_steps >= 1):
+        raise TimeSteppingError("need t_final > 0 and n_steps >= 1")
     radau = gauss_radau(q)
     M = system.mass()
     carry = system.initial_condition()
-    n_dofs = len(carry)
-    slabs = []
-    cached = None  # (tau, factorization, matrix)
-    for n in range(partition.n_slabs):
-        t0, t1 = partition.slab(n)
-        tau = t1 - t0
-        node_times, _ = map_radau(radau, t0, t1)
-        try:
+    ends = np.linspace(0.0, t_final, n_steps + 1)
+    times = np.empty((n_steps, q + 1))
+    values = np.empty((n_steps, q + 1, len(carry)))
+    n = 0
+    try:
+        matrix = slab_matrix(M, system.advection_operator(), radau, ends[1] - ends[0])
+        fact = Factorization(matrix)
+        for n in range(n_steps):
+            t0, t1 = ends[n], ends[n + 1]
+            times[n], _ = map_radau(radau, t0, t1)
             rhs_blocks = []
-            for t in node_times:
+            for t in times[n]:
                 F, G = system.rhs(t)
                 rhs_blocks.append(F + G)
-            rhs = slab_rhs(M, radau, tau, rhs_blocks, carry)
-            if cached is not None and abs(cached[0] - tau) < 1e-14 * max(1.0, tau):
-                _, fact, matrix = cached
-            else:
-                matrix = slab_matrix(M, system.advection_operator(), radau, tau)
-                fact = Factorization(matrix)
-                cached = (tau, fact, matrix)
+            rhs = slab_rhs(M, radau, t1 - t0, rhs_blocks, carry)
             x = fact.solve(rhs)
             res = np.linalg.norm(matrix @ x - rhs)
-            scale = np.linalg.norm(rhs)
-            if res > 1e-8 * max(1.0, scale):
+            if res > 1e-8 * max(1.0, np.linalg.norm(rhs)):
                 raise LinalgError(f"slab residual {res:.2e} too large")
-        except LinalgError as exc:
-            raise TimeSteppingError(f"solver failure on slab {n + 1}: {exc}") from exc
-        values = x.reshape(len(node_times), n_dofs)
-        slab = SlabSolution(t0, t1, node_times, values)
-        slabs.append(slab)
-        carry = slab.trace_out
-    return slabs
+            values[n] = x.reshape(q + 1, -1)
+            carry = values[n, -1]
+    except LinalgError as exc:
+        raise TimeSteppingError(f"solver failure on slab {n + 1}: {exc}") from exc
+    return Trajectory(ends, times, values)

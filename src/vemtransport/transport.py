@@ -39,8 +39,6 @@ class TransportProblem:
         the outward unit normal at each boundary point.
     c0 : callable (points) -> values
         Initial condition.
-    t_final : float
-        End of the simulation window.
 
     f is the flow's source and, like the flow, stationary: it is
     evaluated once, at t = 0, for both the reaction form and the
@@ -55,7 +53,6 @@ class TransportProblem:
         c_tilde=None,
         c_inflow=None,
         c0=None,
-        t_final=1.0,
     ):
         if D <= 0.0:
             raise ValueError("diffusion coefficient must be positive")
@@ -65,7 +62,6 @@ class TransportProblem:
         self.c_tilde = c_tilde or (lambda t, p: np.zeros(len(p)))
         self.c_inflow = c_inflow or (lambda t, p, n: np.zeros(len(p)))
         self.c0 = c0 or (lambda p: np.zeros(len(p)))
-        self.t_final = t_final
 
 
 class TransportSystem:

@@ -1059,13 +1059,12 @@ class SlabwiseProjection:
     """Degree-q polynomial per slab: L2-orthogonal residual against
     degree q-1 and exact match at each slab's right endpoint."""
 
-    def __init__(self, callback, partition, q, quad_points=None):
-        self.partition = partition
+    def __init__(self, callback, ends, q, quad_points=None):
+        self.ends = np.asarray(ends, dtype=float)  # slab endpoints t_0 < ... < t_N
         self.q = q
         npts = quad_points if quad_points is not None else max(2 * q + 4, 8)
         self.coeffs = []  # Legendre coefficients on [-1, 1] per slab
-        for n in range(partition.n_slabs):
-            t0, t1 = partition.slab(n)
+        for t0, t1 in zip(self.ends[:-1], self.ends[1:]):
             tau = t1 - t0
             tq, wq = gauss_interval(t0, t1, npts)
             vals = np.asarray(callback(tq), dtype=float)
@@ -1081,9 +1080,7 @@ class SlabwiseProjection:
     def evaluate(self, t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
         out = np.zeros_like(t)
-        edges = self.partition.nodes
-        for n in range(self.partition.n_slabs):
-            t0, t1 = edges[n], edges[n + 1]
+        for n, (t0, t1) in enumerate(zip(self.ends[:-1], self.ends[1:])):
             mask = (t > t0) & (t <= t1) if n > 0 else (t >= t0) & (t <= t1)
             if not np.any(mask):
                 continue
@@ -1092,9 +1089,10 @@ class SlabwiseProjection:
         return out
 
 
-def pi_tau(callback, partition, q):
-    """Slabwise projection of a time callback (see SlabwiseProjection)."""
-    return SlabwiseProjection(callback, partition, q)
+def pi_tau(callback, ends, q):
+    """Slabwise projection of a time callback on the slabs between `ends`
+    (see SlabwiseProjection)."""
+    return SlabwiseProjection(callback, ends, q)
 
 
 def export_matrix_market(A, path):

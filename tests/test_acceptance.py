@@ -22,9 +22,10 @@ from vemtransport.darcy import (
 from vemtransport.element import VemElement
 from vemtransport.geometry import generate_family, generate_hexa
 from vemtransport.postproc import minmax_trace, observed_rate
+from vemtransport.config import load_preset
 from vemtransport.problems import WellsProblem
 from vemtransport.quadrature import gauss_interval, gauss_radau, lagrange_values
-from vemtransport.timestepping import TimePartition, advance
+from vemtransport.timestepping import advance
 from vemtransport.transport import TransportProblem, TransportSystem
 
 from helpers import build_slab_system, l_tau, radau_iia_step
@@ -162,12 +163,11 @@ def test_criterion_06_constant_state_preservation():
             f=lambda t, p: np.zeros(len(p)),
             c_inflow=lambda t, p, n: np.ones(len(p)),
             c0=lambda p: np.ones(len(p)),
-            t_final=1.0,
         )
         system = TransportSystem(mesh, 1, prob)
-        slabs = advance(system, TimePartition.uniform(1.0, 10), 1)
+        march = advance(system, 1.0, 10, 1)
         ref = system.initial_condition()
-        dev = max(np.max(np.abs(s.values - ref[None, :])) for s in slabs)
+        dev = np.max(np.abs(march.values - ref))
         assert dev <= 1e-9, f"max deviation {dev:.2e}"
 
 
@@ -226,19 +226,19 @@ def test_criterion_10_wells_example():
             dprob = DarcyProblem(f=corrected_f, g_N=wells.g_N, dirichlet_edges=frozenset())
             vel, _ = solve_darcy_mixed(mesh, dprob, 1)
             tprob = TransportProblem(
-                D=wells.D, velocity=vel, f=wells.f, c_tilde=wells.c_tilde,
-                c_inflow=wells.c_inflow, c0=wells.c0, t_final=wells.t_final,
+                D=load_preset(f"wells-{variant}").D, velocity=vel, f=wells.f,
+                c_tilde=wells.c_tilde, c_inflow=wells.c_inflow, c0=wells.c0,
             )
             system = TransportSystem(mesh, 1, tprob)
             n_steps = int(round(wells.t_final / wells.dt))
-            slabs = advance(system, TimePartition.uniform(wells.t_final, n_steps), 1)
-            assert len(slabs) == 100
-            rows = minmax_trace(slabs, system.space.num_vertex_dofs)
+            march = advance(system, wells.t_final, n_steps, 1)
+            assert len(march.values) == 100
+            rows = minmax_trace(march, system.space.num_vertex_dofs)
             vmin = min(r[1] for r in rows)
             vmax = max(r[2] for r in rows)
             assert vmin >= -0.05 * vmax, f"{variant}: min {vmin:.3e} vs max {vmax:.3e}"
             if variant == "homo":
-                c = slabs[9].trace_out  # t = 1, the end of the injection ramp
+                c = march.values[9, -1]  # t = 1, the end of the injection ramp
                 scale = np.max(np.abs(c))
                 for mirror, shift in [([-1.0, 1.0], [1.0, 0.0]), ([1.0, -1.0], [0.0, 1.0])]:
                     mirrored = mesh.vertices * mirror + shift

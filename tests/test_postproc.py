@@ -12,7 +12,7 @@ from vemtransport.postproc import (
     observed_rate,
     rate_table,
 )
-from vemtransport.timestepping import TimePartition, advance
+from vemtransport.timestepping import advance
 from vemtransport.transport import TransportProblem, TransportSystem
 
 from helpers import dof_map
@@ -34,11 +34,10 @@ def constant_state_run(mesh, k=1, q=1, n_slabs=4):
         f=zeros_f,
         c_inflow=lambda t, p, n: np.ones(len(p)),
         c0=lambda p: np.ones(len(p)),
-        t_final=1.0,
     )
     system = TransportSystem(mesh, k, prob)
-    slabs = advance(system, TimePartition.uniform(1.0, n_slabs), q)
-    return system, slabs
+    march = advance(system, 1.0, n_slabs, q)
+    return system, march
 
 
 class TestErrorNorms:
@@ -46,12 +45,11 @@ class TestErrorNorms:
         # feed the solution's own projections, at the stacked evaluation
         # points, back as the "exact" fields
         mesh = generate_quad(4)
-        system, slabs = constant_state_run(mesh)
+        system, march = constant_state_run(mesh)
         ev = ErrorEvaluator(system)
         worst = 0.0
-        for slab in slabs:
-            for t in slab.node_times:
-                coeffs = slab.evaluate(t)
+        for t_slab, v_slab in zip(march.times, march.values):
+            for t, coeffs in zip(t_slab, v_slab):
                 vals, grad = ev.projections(coeffs)
                 l2, h1 = ev.spatial_errors(
                     coeffs, t, lambda t, pts: vals, lambda t, pts: grad
@@ -61,9 +59,9 @@ class TestErrorNorms:
 
     def test_constant_state_against_exact_one(self):
         mesh = generate_quad(4)
-        system, slabs = constant_state_run(mesh)
+        system, march = constant_state_run(mesh)
         rep = error_norms(
-            slabs,
+            march,
             system,
             lambda t, p: np.ones(len(p)),
             lambda t, p: np.zeros((len(p), 2)),
@@ -72,9 +70,9 @@ class TestErrorNorms:
 
     def test_indicator_identity(self):
         mesh = generate_quad(4)
-        system, slabs = constant_state_run(mesh)
+        system, march = constant_state_run(mesh)
         rep = error_norms(
-            slabs,
+            march,
             system,
             lambda t, p: np.sin(t) * p[:, 0],
             lambda t, p: np.column_stack([np.sin(t) * np.ones(len(p)), np.zeros(len(p))]),
@@ -83,12 +81,12 @@ class TestErrorNorms:
 
     def test_invariant_under_cell_relabeling(self):
         mesh = generate_voronoi(24, lloyd_iters=15, rng_seed=8)
-        system, slabs = constant_state_run(mesh, k=2, q=1, n_slabs=2)
+        system, march = constant_state_run(mesh, k=2, q=1, n_slabs=2)
         c_ex = lambda t, p: np.cos(t) * np.exp(p[:, 0] * p[:, 1])
         g_ex = lambda t, p: np.cos(t) * np.exp(p[:, 0] * p[:, 1])[:, None] * np.column_stack(
             [p[:, 1], p[:, 0]]
         )
-        rep = error_norms(slabs, system, c_ex, g_ex)
+        rep = error_norms(march, system, c_ex, g_ex)
 
         rng = np.random.default_rng(0)
         perm = rng.permutation(mesh.num_cells)
@@ -97,20 +95,8 @@ class TestErrorNorms:
         prob2 = TransportProblem(D=0.5, velocity=vel2, f=zeros_f)
         system2 = TransportSystem(mesh2, 2, prob2)
         mapping = dof_map(system.space, system2.space, perm)
-
-        class Slab2:
-            pass
-
-        slabs2 = []
-        for slab in slabs:
-            s2 = Slab2()
-            s2.node_times = slab.node_times
-            s2.t_start, s2.t_end = slab.t_start, slab.t_end
-            s2.values = slab.values[:, mapping]
-            s2.trace_out = s2.values[-1]
-            s2.evaluate = lambda t, s=slab: s.evaluate(t)[mapping]
-            slabs2.append(s2)
-        rep2 = error_norms(slabs2, system2, c_ex, g_ex)
+        march2 = march._replace(values=march.values[:, :, mapping])
+        rep2 = error_norms(march2, system2, c_ex, g_ex)
         assert rep2.indicator == pytest.approx(rep.indicator, rel=1e-12)
         assert rep2.l2_final == pytest.approx(rep.l2_final, rel=1e-12)
 
@@ -118,8 +104,8 @@ class TestErrorNorms:
 class TestMinMax:
     def test_constant_run(self):
         mesh = generate_quad(3)
-        system, slabs = constant_state_run(mesh)
-        rows = minmax_trace(slabs, system.space.num_vertex_dofs)
+        system, march = constant_state_run(mesh)
+        rows = minmax_trace(march, system.space.num_vertex_dofs)
         assert len(rows) == 4 * 2  # slabs x radau nodes
         for _, lo, hi in rows:
             assert lo == pytest.approx(1.0, abs=1e-10)
@@ -130,8 +116,8 @@ class TestMinMax:
         vel = analytic_velocity(unit_x, mesh, 1)
         prob = TransportProblem(D=1.0, velocity=vel, f=zeros_f)
         system = TransportSystem(mesh, 1, prob)
-        slabs = advance(system, TimePartition.uniform(1.0, 3), 1)
-        rows = minmax_trace(slabs, system.space.num_vertex_dofs)
+        march = advance(system, 1.0, 3, 1)
+        rows = minmax_trace(march, system.space.num_vertex_dofs)
         for _, lo, hi in rows:
             assert lo == 0.0 and hi == 0.0
 

@@ -10,6 +10,7 @@ summation order.
 import numpy as np
 import pytest
 
+from vemtransport.config import load_preset
 from vemtransport.darcy import _legendre_values, analytic_velocity
 from vemtransport.element import VemElement, uniform_edge_params
 from vemtransport.geometry import generate_quad, generate_voronoi
@@ -134,7 +135,7 @@ def wells_system(mesh, k):
     wells = WellsProblem("homo")
     vel = analytic_velocity(skewed_flow, mesh, k)
     prob = TransportProblem(
-        D=wells.D, velocity=vel, f=wells.f, c_tilde=wells.c_tilde,
+        D=load_preset("wells-homo").D, velocity=vel, f=wells.f, c_tilde=wells.c_tilde,
         c_inflow=wells.c_inflow, c0=wells.c0,
     )
     return TransportSystem(mesh, k, prob), wells

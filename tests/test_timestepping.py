@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from vemtransport import timestepping
 from vemtransport.darcy import analytic_velocity
-from vemtransport.geometry import generate_voronoi
+from vemtransport.geometry import generate_quad, generate_voronoi
 from vemtransport.quadrature import gauss_interval, gauss_radau, lagrange_values
 from vemtransport.timestepping import (
-    SlabSolution,
-    TimePartition,
     TimeSteppingError,
+    advance,
     lagrange_derivative_matrix,
     slab_matrix,
     slab_rhs,
@@ -109,31 +109,28 @@ class TestSlabSystem:
 
 class TestTemporalOrders:
     def _march_scalar(self, lam, q, n_steps, t_final=1.0):
+        """Slab ends (N+1,) and node values (N, q+1) of y' = -lam y, y(0) = 1."""
         radau = gauss_radau(q)
         one = sp.csr_matrix(np.array([[1.0]]))
         A = sp.csr_matrix(np.array([[lam]]))
-        part = TimePartition.uniform(t_final, n_steps)
+        ends = np.linspace(0.0, t_final, n_steps + 1)
+        values = np.empty((n_steps, q + 1))
         carry = np.array([1.0])
-        slabs = []
-        for n in range(part.n_slabs):
-            t0, t1 = part.slab(n)
-            tau = t1 - t0
+        for n in range(n_steps):
             mat, rhs = build_slab_system(
-                one, A, radau, tau, [np.zeros(1)] * (q + 1), carry
+                one, A, radau, ends[n + 1] - ends[n], [np.zeros(1)] * (q + 1), carry
             )
-            x = dense_solve(mat, rhs).reshape(q + 1, 1)
-            nodes = t0 + tau * radau.nodes
-            slabs.append(SlabSolution(t0, t1, nodes, x))
-            carry = slabs[-1].trace_out
-        return slabs
+            values[n] = dense_solve(mat, rhs)
+            carry = values[n, -1:]
+        return ends, values
 
     @pytest.mark.parametrize("q", [1, 2])
     def test_trace_superconvergence_2q_plus_1(self, q):
         lam = 1.0
         errs, taus = [], []
         for n_steps in (2, 4, 8, 16):
-            slabs = self._march_scalar(lam, q, n_steps)
-            err = abs(slabs[-1].trace_out[0] - np.exp(-lam))
+            _, values = self._march_scalar(lam, q, n_steps)
+            err = abs(values[-1, -1] - np.exp(-lam))
             errs.append(err)
             taus.append(1.0 / n_steps)
         rate = np.polyfit(np.log(taus), np.log(errs), 1)[0]
@@ -143,12 +140,14 @@ class TestTemporalOrders:
     def test_interval_l2_rate_q_plus_1(self, q):
         lam = 1.0
         errs, taus = [], []
+        nodes = gauss_radau(q).nodes
         for n_steps in (2, 4, 8, 16):
-            slabs = self._march_scalar(lam, q, n_steps)
+            ends, values = self._march_scalar(lam, q, n_steps)
             total = 0.0
-            for slab in slabs:
-                tq, wq = gauss_interval(slab.t_start, slab.t_end, q + 3)
-                vals = slab.evaluate(tq)[:, 0]
+            for n in range(n_steps):
+                t0, t1 = ends[n], ends[n + 1]
+                tq, wq = gauss_interval(t0, t1, q + 3)
+                vals = lagrange_values(nodes, (tq - t0) / (t1 - t0)) @ values[n]
                 total += wq @ (vals - np.exp(-lam * tq)) ** 2
             errs.append(np.sqrt(total))
             taus.append(1.0 / n_steps)
@@ -156,10 +155,10 @@ class TestTemporalOrders:
         assert abs(rate - (q + 1)) < 0.3
 
     def test_trace_equals_polynomial_at_slab_end(self):
-        slabs = self._march_scalar(2.0, 2, 3)
-        for slab in slabs:
-            val = slab.evaluate(slab.t_end)
-            assert val[0] == slab.trace_out[0]  # bit-exact at the endpoint
+        # the slab polynomial at its right end is the last node value, bit-exact
+        for q in range(5):
+            basis = lagrange_values(gauss_radau(q).nodes, 1.0)
+            assert np.array_equal(basis, np.eye(q + 1)[-1:])
 
 
 class TestWeightedInterpolant:
@@ -209,10 +208,10 @@ class TestWeightedInterpolant:
 class TestSlabwiseProjection:
     @pytest.mark.parametrize("q", [0, 1, 2, 3])
     def test_reproduces_degree_q(self, q):
-        part = TimePartition.uniform(1.0, 3)
+        ends = np.linspace(0.0, 1.0, 4)
         coeffs = np.arange(1.0, q + 2.0)
         v = np.polynomial.Polynomial(coeffs)
-        proj = pi_tau(lambda t: v(t), part, q)
+        proj = pi_tau(lambda t: v(t), ends, q)
         tt = np.linspace(0.05, 1.0, 13)
         assert np.max(np.abs(proj.evaluate(tt) - v(tt))) < 1e-12
 
@@ -220,8 +219,8 @@ class TestSlabwiseProjection:
     def test_l2_rate_q_plus_1(self, q):
         errs, taus = [], []
         for n_steps in (1, 2, 4, 8):
-            part = TimePartition.uniform(1.0, n_steps)
-            proj = pi_tau(lambda t: t ** (q + 1), part, q)
+            ends = np.linspace(0.0, 1.0, n_steps + 1)
+            proj = pi_tau(lambda t: t ** (q + 1), ends, q)
             tq, wq = gauss_interval(0.0, 1.0, 60)
             errs.append(np.sqrt(wq @ (proj.evaluate(tq) - tq ** (q + 1)) ** 2))
             taus.append(1.0 / n_steps)
@@ -230,19 +229,18 @@ class TestSlabwiseProjection:
 
     @pytest.mark.parametrize("q", [0, 1, 2])
     def test_right_endpoint_match(self, q):
-        part = TimePartition.uniform(2.0, 4)
+        ends = np.linspace(0.0, 2.0, 5)
         v = lambda t: np.cos(3.0 * np.asarray(t))
-        proj = pi_tau(v, part, q)
-        for tn in part.nodes[1:]:
+        proj = pi_tau(v, ends, q)
+        for tn in ends[1:]:
             assert abs(proj.evaluate(np.array([tn]))[0] - v(tn)) < 1e-12
 
     @pytest.mark.parametrize("q", [1, 2])
     def test_orthogonality_to_lower_degree(self, q):
-        part = TimePartition.uniform(1.0, 2)
+        ends = np.linspace(0.0, 1.0, 3)
         v = lambda t: np.exp(np.asarray(t))
-        proj = pi_tau(v, part, q)
-        for n in range(part.n_slabs):
-            t0, t1 = part.slab(n)
+        proj = pi_tau(v, ends, q)
+        for t0, t1 in zip(ends[:-1], ends[1:]):
             tq, wq = gauss_interval(t0, t1, 30)
             for j in range(q):
                 w = (tq - t0) ** j
@@ -250,19 +248,38 @@ class TestSlabwiseProjection:
                 assert abs(resid) < 1e-10
 
 
-class TestTimePartition:
-    def test_uniform(self):
-        part = TimePartition.uniform(1.0, 4)
-        assert part.n_slabs == 4
-        assert np.diff(part.nodes) == pytest.approx([0.25] * 4)
+class TestAdvance:
+    @pytest.fixture(scope="class")
+    def system(self):
+        mesh = generate_quad(3)
+        vel = analytic_velocity(lambda p: np.column_stack([1.0 + p[:, 1], -0.5 * p[:, 0]]), mesh, 1)
+        prob = TransportProblem(D=0.1, velocity=vel, c0=lambda p: np.sin(3.0 * p[:, 0]))
+        return TransportSystem(mesh, 1, prob)
 
-    def test_rejects_non_increasing(self):
-        with pytest.raises(TimeSteppingError):
-            TimePartition([0.0, 0.5, 0.5, 1.0])
+    @pytest.mark.parametrize("t_final,n_steps,q", [(1.0, 7, 1), (10.0, 100, 0), (1.0, 3, 2)])
+    def test_one_factorization_per_march(self, system, monkeypatch, t_final, n_steps, q):
+        calls = {"slab_matrix": 0, "Factorization": 0}
 
-    def test_rejects_too_short(self):
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(timestepping, name, counted(name, getattr(timestepping, name)))
+        march = advance(system, t_final, n_steps, q)
+        assert calls == {"slab_matrix": 1, "Factorization": 1}
+        assert march.values.shape == (n_steps, q + 1, system.space.n_dofs)
+        assert march.times.shape == (n_steps, q + 1)
+        ends = np.linspace(0.0, t_final, n_steps + 1)
+        assert np.array_equal(march.ends, ends)
+        assert np.array_equal(march.times[:, -1], ends[1:])
+
+    @pytest.mark.parametrize("t_final,n_steps", [(0.0, 4), (1.0, 0)])
+    def test_rejects_empty_march(self, system, t_final, n_steps):
         with pytest.raises(TimeSteppingError):
-            TimePartition([0.0])
+            advance(system, t_final, n_steps, 1)
 
 
 def test_lagrange_derivative_matrix():
