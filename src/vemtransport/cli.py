@@ -32,7 +32,8 @@ SOLVER_ERRORS = (DarcyError, TimeSteppingError, LinalgError)
 
 
 def run_manufactured_level(mesh, steps, k, q, D, backend, solver_tol, level=0):
-    """One space-time solve of the smooth benchmark; returns its report."""
+    """One space-time solve of the smooth benchmark; returns its error
+    report and the Darcy SolveReport (None for the analytic velocity)."""
     data = ManufacturedProblem(D=D)
     if backend == "analytic":
         velocity = analytic_velocity(data.velocity, mesh, k)
@@ -55,7 +56,12 @@ def run_manufactured_level(mesh, steps, k, q, D, backend, solver_tol, level=0):
     )
     system = TransportSystem(mesh, k, tprob)
     march = advance(system, data.t_final, steps, q)
-    return error_norms(march, system, data.c, data.grad_c, level=level)
+    return error_norms(march, system, data.c, data.grad_c, level=level), velocity.solve_report
+
+
+def solve_record(report):
+    """Manifest entry of a SolveReport."""
+    return {"residual": report.residual, "seconds": round(report.seconds, 3)}
 
 
 def _write_text(path, text):
@@ -168,6 +174,7 @@ def run_manufactured(config, out, timings):
     then write the rows that finished; returns (summary, failure)."""
     meshes = {}
     solves, reports = [], []
+    darcy_solves = {}
     failure = None
     for solve in manufactured_solves(config):
         if solve.level not in meshes:
@@ -175,17 +182,22 @@ def run_manufactured(config, out, timings):
                 timings, solve.level, generate_family,
                 config.mesh_family, solve.level, rng_seed=config.rng_seed,
             )
-        rep, failure = _timed(
+        result, failure = _timed(
             timings, solve.label, run_manufactured_level,
             meshes[solve.level], solve.steps, solve.k, solve.q, solve.D,
             config.velocity_backend, config.solver_tol, level=solve.level,
         )
         if failure:
             break
+        rep, darcy = result
+        if darcy is not None:
+            darcy_solves[solve.label] = solve_record(darcy)
         solves.append(solve)
         reports.append(rep)
         log.info("%s: h=%.4g err=%.6e", solve.label, rep.h, rep.indicator)
     summary = WRITERS[config.kind](out, solves, reports) if reports else {}
+    if darcy_solves:
+        summary["darcy_solves"] = darcy_solves
     return summary, failure
 
 
@@ -216,8 +228,7 @@ def run_wells(config, out, timings):
     if failure:
         return summary, failure
     velocity, pressure = flow
-    report = velocity.solve_report
-    summary["darcy_solve"] = {"residual": report.residual, "seconds": round(report.seconds, 3)}
+    summary["darcy_solve"] = solve_record(velocity.solve_report)
     write_vtk(
         mesh, out / "darcy.vtk",
         cell_data={
@@ -302,6 +313,10 @@ def main(argv=None):
     )
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument("--list-presets", action="store_true", help="list shipped presets")
+    parser.add_argument(
+        "--log-level", choices=["DEBUG", "INFO", "WARNING", "ERROR"], default="INFO",
+        help="logging threshold (default INFO)",
+    )
     sub = parser.add_subparsers(dest="command")
     for kind in KINDS:
         p = sub.add_parser(kind, help=f"run a {kind} experiment")
@@ -309,7 +324,7 @@ def main(argv=None):
         p.add_argument("--preset", help="name of a shipped preset")
         p.add_argument("--out", help="output directory override")
     args = parser.parse_args(argv)
-    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
+    logging.basicConfig(level=args.log_level, format="%(levelname)s %(message)s")
     if args.list_presets:
         print("\n".join(list_presets()))
         return 0

@@ -34,32 +34,45 @@ def n_poly(k):
     return (k + 1) * (k + 2) // 2 if k >= 0 else 0
 
 
-def _relative(points, center, scale):
+def _power_tables(points, center, scale, k):
+    """Power tables u**e, e = 0..k, of both relative coordinates
+    u = (points - center)/scale: shape (2, ..., m, k + 1). Columns 0 and 1
+    are 1 and u, which pow returns exactly. The columns e >= 2 are filled
+    with e and raised in place by one pow call: an exponent of stride 0
+    (a scalar, or the one exponent at k = 2) would make numpy compute
+    u**2 as u*u, which differs from pow in the last bit.
+    """
     center = np.asarray(center, dtype=float)
     scale = np.asarray(scale, dtype=float)
-    return (np.asarray(points, dtype=float) - center[..., None, :]) / scale[..., None, None]
+    rel = (np.asarray(points, dtype=float) - center[..., None, :]) / scale[..., None, None]
+    u = np.moveaxis(rel, -1, 0)
+    tables = np.ones(u.shape + (k + 1,))
+    tables[..., 1:2] = u[..., None]
+    high = tables[..., 2:]
+    high[...] = np.arange(2, k + 1)
+    np.power(u[..., None], high, out=high)
+    return tables
 
 
 def monomials(points, center, scale, k):
     """Scaled monomials ((x - center)/scale)^s, |s| <= k, at points.
 
     points is (..., m, 2), center (..., 2) and scale (...), one per
-    leading index; returns (..., m, n_poly(k)).
+    leading index; returns (..., m, n_poly(k)), C-contiguous: np.take
+    keeps C order, while fancy indexing would put the polynomial axis
+    outermost, a layout that changes the last bit of later matmuls.
     """
-    exps = monomial_exponents(k)
-    rel = _relative(points, center, scale)
-    return rel[..., 0, None] ** exps[:, 0] * rel[..., 1, None] ** exps[:, 1]
+    a, b = monomial_exponents(k).T
+    px, py = _power_tables(points, center, scale, k)
+    return np.take(px, a, -1) * np.take(py, b, -1)
 
 
 def monomial_gradients(points, center, scale, k):
     """x and y derivatives of the scaled monomials, each (..., m, n_poly(k))."""
-    exps = monomial_exponents(k)
-    rel = _relative(points, center, scale)
-    a, b = exps[:, 0], exps[:, 1]
-    x, y = rel[..., 0, None], rel[..., 1, None]
-    with np.errstate(invalid="ignore"):
-        gx = a * x ** np.maximum(a - 1, 0) * y**b
-        gy = b * x**a * y ** np.maximum(b - 1, 0)
+    a, b = monomial_exponents(k).T
+    px, py = _power_tables(points, center, scale, k)
+    gx = a * np.take(px, np.maximum(a - 1, 0), -1) * np.take(py, b, -1)
+    gy = b * np.take(px, a, -1) * np.take(py, np.maximum(b - 1, 0), -1)
     scale = np.asarray(scale, dtype=float)[..., None, None]
     return gx / scale, gy / scale
 
@@ -81,33 +94,6 @@ def monomial_maps(k):
         if b >= 2:
             maps[2, i, index[(a, b - 2)]] += b * (b - 1)
     return maps
-
-
-class MonomialBasis:
-    """Scaled monomials ((x - x_K)/h_K)^s, |s| <= k, on one cell."""
-
-    def __init__(self, k, center, scale):
-        self.k = k
-        self.center = np.asarray(center, dtype=float)
-        self.scale = float(scale)
-        self.exps = monomial_exponents(k)
-        self.size = len(self.exps)
-
-    def evaluate(self, points):
-        """Values at points, shape (npts, size)."""
-        return monomials(np.atleast_2d(points), self.center, self.scale, self.k)
-
-    def gradients(self, points):
-        """Gradient values, shapes ((npts, size), (npts, size))."""
-        return monomial_gradients(np.atleast_2d(points), self.center, self.scale, self.k)
-
-    def derivative_map(self, dim):
-        """Matrix mapping coefficients of p to coefficients of dp/dx_dim."""
-        return monomial_maps(self.k)[dim] / self.scale
-
-    def laplacian_coeffs(self, i):
-        """Monomial coefficients of the Laplacian of basis member i."""
-        return monomial_maps(self.k)[2, i] / self.scale**2
 
 
 def uniform_edge_params(k):
@@ -289,7 +275,6 @@ class VemElement:
         self.area = float(group.area[0])
         self.centroid = group.centroid[0]
         self.diameter = float(group.diameter[0])
-        self.basis = MonomialBasis(k, self.centroid, self.diameter)
         for name in ("dof_points", "data_points", "data_weights", "data_phi", "D", "H",
                      "G_stiff", "pin_coef", "pin_dof", "pi0_coef", "pi0_dof", "mass",
                      "stiff_unit"):
@@ -332,11 +317,11 @@ class VemElement:
 
     def project_h1_values(self, dofs, points):
         """Values of the H1-type projection of a dof vector at points."""
-        return self.basis.evaluate(points) @ (self.pin_coef @ dofs)
+        return monomials(points, self.centroid, self.diameter, self.k) @ (self.pin_coef @ dofs)
 
     def project_l2_values(self, dofs, points):
         """Values of the L2 projection of a dof vector at points."""
-        return self.basis.evaluate(points) @ (self.pi0_coef @ dofs)
+        return monomials(points, self.centroid, self.diameter, self.k) @ (self.pi0_coef @ dofs)
 
 
 class VemSpace:

@@ -1,7 +1,9 @@
 """Independent oracles shared by the test modules.
 
 Everything here deliberately avoids the production code paths it is used
-to check: polygon integrals go through the divergence theorem, time
+to check: scaled monomials through one pow call per monomial
+(pow_monomials, pow_monomial_gradients, MonomialBasis), polygon
+integrals go through the divergence theorem, time
 steps through a classical Runge-Kutta formulation, local norms through
 a P1 finite element solve of the space-defining PDE on a fine
 triangulation, and the batched local spaces through the per-cell loops
@@ -27,10 +29,61 @@ from scipy.special import roots_legendre
 
 from vemtransport import polygon as polyops
 from vemtransport.darcy import _boundary_moments, _flux_groups, _legendre_values
-from vemtransport.element import MonomialBasis, n_poly, uniform_edge_params
+from vemtransport.element import monomial_exponents, monomial_maps, n_poly, uniform_edge_params
 from vemtransport.geometry import MeshError, PolyMesh, _hexa_seeds, _snap_to_walls
 from vemtransport.quadrature import edge_rule, gauss_interval, lagrange_values, polygon_rule
 from vemtransport.timestepping import lagrange_derivative_matrix, slab_matrix, slab_rhs
+
+
+def _relative(points, center, scale):
+    center = np.asarray(center, dtype=float)
+    scale = np.asarray(scale, dtype=float)
+    return (np.asarray(points, dtype=float) - center[..., None, :]) / scale[..., None, None]
+
+
+def pow_monomials(points, center, scale, k):
+    """Scaled monomials ((x - center)/scale)^s, |s| <= k: each coordinate
+    raised to the exponent array of all n_poly(k) monomials."""
+    exps = monomial_exponents(k)
+    rel = _relative(points, center, scale)
+    return rel[..., 0, None] ** exps[:, 0] * rel[..., 1, None] ** exps[:, 1]
+
+
+def pow_monomial_gradients(points, center, scale, k):
+    """x and y derivatives of pow_monomials, four pow calls per monomial."""
+    a, b = monomial_exponents(k).T
+    rel = _relative(points, center, scale)
+    x, y = rel[..., 0, None], rel[..., 1, None]
+    gx = a * x ** np.maximum(a - 1, 0) * y**b
+    gy = b * x**a * y ** np.maximum(b - 1, 0)
+    scale = np.asarray(scale, dtype=float)[..., None, None]
+    return gx / scale, gy / scale
+
+
+class MonomialBasis:
+    """Scaled monomials ((x - x_K)/h_K)^s, |s| <= k, on one cell."""
+
+    def __init__(self, k, center, scale):
+        self.k = k
+        self.center = np.asarray(center, dtype=float)
+        self.scale = float(scale)
+        self.size = n_poly(k)
+
+    def evaluate(self, points):
+        """Values at points, shape (npts, size)."""
+        return pow_monomials(np.atleast_2d(points), self.center, self.scale, self.k)
+
+    def gradients(self, points):
+        """Gradient values, shapes ((npts, size), (npts, size))."""
+        return pow_monomial_gradients(np.atleast_2d(points), self.center, self.scale, self.k)
+
+    def derivative_map(self, dim):
+        """Matrix mapping coefficients of p to coefficients of dp/dx_dim."""
+        return monomial_maps(self.k)[dim] / self.scale
+
+    def laplacian_coeffs(self, i):
+        """Monomial coefficients of the Laplacian of basis member i."""
+        return monomial_maps(self.k)[2, i] / self.scale**2
 
 
 def gauss_on_segment(p0, p1, npts):

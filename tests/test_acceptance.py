@@ -180,7 +180,7 @@ def test_criterion_07_space_time_convergence(family, k):
         reports = []
         for level in (1, 2, 3, 4):
             mesh = get_mesh(family, level)
-            rep = run_manufactured_level(
+            rep, _ = run_manufactured_level(
                 mesh, STEPS[level], k, k, 1.0, "darcy", 1e-10, level=level
             )
             reports.append(rep)
@@ -196,7 +196,7 @@ def test_criterion_08_k_convergence():
         mesh = get_mesh("quad", 1)
         errs = []
         for k in (1, 2, 3, 4):
-            rep = run_manufactured_level(mesh, STEPS[1], k, k, 1.0, "darcy", 1e-10)
+            rep, _ = run_manufactured_level(mesh, STEPS[1], k, k, 1.0, "darcy", 1e-10)
             errs.append(rep.indicator)
         for i in range(3):
             shrink = errs[i] / errs[i + 1]
@@ -208,7 +208,7 @@ def test_criterion_09_diffusion_robustness():
         mesh = get_mesh("quad", 2)
         errs = []
         for D in (1e0, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7):
-            rep = run_manufactured_level(mesh, STEPS[2], 1, 1, D, "darcy", 1e-10)
+            rep, _ = run_manufactured_level(mesh, STEPS[2], 1, 1, D, "darcy", 1e-10)
             errs.append(rep.indicator)
         ratio = max(errs) / min(errs)
         assert ratio <= 3.0, f"max/min err ratio {ratio:.3f}"

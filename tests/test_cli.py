@@ -202,6 +202,51 @@ class TestCliDispatch:
         assert timings == ["geometry.generate.level_1", "level_1", "total"]
         assert (out / "errors.csv").is_file()
 
+    def test_manifest_records_every_darcy_solve(self, tmp_path):
+        cfg = ExperimentConfig.from_dict({
+            "kind": "convergence", "mesh_family": "quad", "levels": [1, 2],
+            "steps_per_level": [1, 2], "k": 1, "velocity_backend": "darcy",
+            "out_dir": str(tmp_path),
+        })
+        assert cli.run(cfg) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        solves = manifest["darcy_solves"]
+        assert sorted(solves) == ["level_1", "level_2"]
+        for record in solves.values():
+            assert 0.0 <= record["residual"] <= cfg.solver_tol
+            assert record["seconds"] >= 0.0
+
+    def test_analytic_velocity_records_no_darcy_solve(self, tmp_path):
+        cfg = ExperimentConfig.from_dict({
+            "kind": "custom", "mesh_family": "quad", "levels": [1], "steps_per_level": [1],
+            "k": 1, "velocity_backend": "analytic", "out_dir": str(tmp_path),
+        })
+        assert cli.run(cfg) == 0
+        assert "darcy_solves" not in json.loads((tmp_path / "manifest.json").read_text())
+
+    def test_log_level_warning_hides_the_per_level_lines(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "kind": "custom", "mesh_family": "quad", "levels": [1], "steps_per_level": [1],
+            "k": 1, "velocity_backend": "analytic", "out_dir": str(tmp_path / "out"),
+        }))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        logs = {}
+        for level in ["INFO", "WARNING"]:
+            argv = [sys.executable, "-m", "vemtransport.cli", "--log-level", level,
+                    "custom", "--config", str(path)]
+            done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            logs[level] = done.stderr
+        assert "INFO level_1: h=" in logs["INFO"]
+        assert "INFO" not in logs["WARNING"]
+
+    def test_unknown_log_level_exit_2(self):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--log-level", "LOUD", "custom"])
+        assert exc.value.code == 2
+
     @pytest.mark.parametrize("key, value", [("threads", 1), ("t_final", 1.0), ("n_steps", 4)])
     def test_removed_config_keys_exit_2(self, tmp_path, key, value):
         path = tmp_path / "cfg.json"

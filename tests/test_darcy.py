@@ -11,12 +11,12 @@ from vemtransport.darcy import (
     solve_darcy_mixed,
     velocity_l2_error,
 )
-from vemtransport.element import MonomialBasis, n_poly
+from vemtransport.element import n_poly
 from vemtransport.geometry import generate_hexa, generate_quad, generate_voronoi
 from vemtransport.linalg import solve as linalg_solve
 from vemtransport.quadrature import edge_rule
 
-from helpers import multiplier_darcy_solve
+from helpers import MonomialBasis, multiplier_darcy_solve
 
 
 def all_dirichlet(mesh):

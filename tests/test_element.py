@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from vemtransport.element import VemElement, VemSpace, monomial_exponents, n_poly
+from vemtransport import element
+from vemtransport.element import (
+    VemElement,
+    VemSpace,
+    monomial_exponents,
+    monomial_gradients,
+    monomials,
+    n_poly,
+)
 from vemtransport.geometry import generate_quad, generate_voronoi
 from vemtransport.quadrature import polygon_rule
 
@@ -10,6 +18,8 @@ from helpers import (
     _dense_polygon_rule,
     edge_trace_matrix,
     h1_project_callback,
+    pow_monomial_gradients,
+    pow_monomials,
     random_convex_polygon,
 )
 
@@ -40,6 +50,94 @@ def random_poly_callback(rng, k):
         return np.column_stack([gx + 0 * pts[:, 0], gy + 0 * pts[:, 0]])
 
     return p, grad
+
+
+def kernel_cases():
+    """(points, center, scale) on the stacked shapes the callers use:
+    (m, 2) and (1, 2) for one cell, (n, m, 2) for a cell group and
+    (n, e, m, 2) for its edges, which share their cell's center and
+    scale. Points scatter on both sides of the centers, so relative
+    coordinates take both signs, and every fifth point is a center."""
+    rng = np.random.default_rng(7)
+    n, e, m = 40, 5, 25
+
+    def around(center, scale, lead):
+        points = center[..., None, :] + rng.uniform(-1.0, 1.0, lead + (m, 2)) * scale[..., None, None]
+        points[..., ::5, :] = center[..., None, :]
+        return points
+
+    c1, h1 = rng.uniform(-1.0, 1.0, 2), np.asarray(rng.uniform(0.05, 2.0))
+    cn, hn = rng.uniform(-1.0, 1.0, (n, 2)), rng.uniform(0.05, 2.0, n)
+    ce, he = cn[:, None], hn[:, None]
+    return [
+        (around(c1, h1, ()), c1, h1),
+        (around(c1, h1, ())[1:2], c1, h1),
+        (around(cn, hn, (n,)), cn, hn),
+        (around(ce, he, (n, e)), ce, he),
+    ]
+
+
+def kernel_faults(values_fn, gradients_fn):
+    """Every way values_fn and gradients_fn depart from the pow-per-monomial
+    oracle: a value that differs in any bit, or an output that is not
+    C-contiguous (the layout changes the bits of later matmuls)."""
+    faults = []
+    for k in range(1, 7):
+        for points, center, scale in kernel_cases():
+            ref = [pow_monomials(points, center, scale, k),
+                   *pow_monomial_gradients(points, center, scale, k)]
+            got = [values_fn(points, center, scale, k),
+                   *gradients_fn(points, center, scale, k)]
+            for name, r, g in zip(["values", "d/dx", "d/dy"], ref, got):
+                where = f"k={k} {name} on {points.shape}"
+                if not g.flags.c_contiguous:
+                    faults.append(f"{where}: not C-contiguous")
+                if g.shape != r.shape or not np.array_equal(g.view(np.uint64), r.view(np.uint64)):
+                    faults.append(f"{where}: bits differ")
+    return faults
+
+
+def stride0_power_tables(points, center, scale, k):
+    # scalar exponents: numpy squares instead of calling pow for e = 2
+    u = element._power_tables(points, center, scale, 1)[..., 1]
+    return np.stack([u**e for e in range(k + 1)], axis=-1)
+
+
+def gathered_monomials(power_tables, columns):
+    """element.monomials with its power tables and its column gather
+    replaced, to show that kernel_faults catches either rule broken."""
+    def values(points, center, scale, k):
+        a, b = monomial_exponents(k).T
+        px, py = power_tables(points, center, scale, k)
+        return columns(px, a) * columns(py, b)
+    return values
+
+
+def take_columns(table, exps):
+    return np.take(table, exps, -1)
+
+
+def fancy_columns(table, exps):
+    return table[..., exps]
+
+
+class TestPowerTableKernel:
+    def test_matches_pow_oracle_bitwise_and_c_contiguous(self):
+        assert kernel_faults(monomials, monomial_gradients) == []
+
+    def test_gather_alone_passes_the_check(self):
+        values = gathered_monomials(element._power_tables, take_columns)
+        assert kernel_faults(values, monomial_gradients) == []
+
+    def test_check_catches_a_stride0_exponent(self):
+        values = gathered_monomials(stride0_power_tables, take_columns)
+        faults = kernel_faults(values, monomial_gradients)
+        assert "k=2 values on (25, 2): bits differ" in faults
+
+    def test_check_catches_fancy_indexed_columns(self):
+        values = gathered_monomials(element._power_tables, fancy_columns)
+        faults = kernel_faults(values, monomial_gradients)
+        assert any("not C-contiguous" in f for f in faults)
 
 
 class TestProjectorConsistency:
