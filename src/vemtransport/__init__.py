@@ -14,7 +14,7 @@ from .geometry import (
     audit_mesh,
 )
 from .quadrature import PolygonRule, RadauRule, polygon_rule, edge_rule, gauss_radau, map_radau
-from .element import VemElement, VemSpace
+from .element import VemSpace
 from .darcy import DarcyProblem, DiscreteVelocity, solve_darcy_mixed, analytic_velocity
 from .transport import TransportProblem, TransportSystem
 from .timestepping import Trajectory, advance
@@ -34,7 +34,6 @@ __all__ = [
     "edge_rule",
     "gauss_radau",
     "map_radau",
-    "VemElement",
     "VemSpace",
     "DarcyProblem",
     "DiscreteVelocity",

@@ -325,6 +325,8 @@ def main(argv=None):
         p.add_argument("--out", help="output directory override")
     args = parser.parse_args(argv)
     logging.basicConfig(level=args.log_level, format="%(levelname)s %(message)s")
+    # basicConfig does nothing once the root logger has a handler
+    log.setLevel(args.log_level)
     if args.list_presets:
         print("\n".join(list_presets()))
         return 0

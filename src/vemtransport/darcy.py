@@ -70,15 +70,6 @@ class CellPolynomials:
         self.k = k
         self.coeffs = np.asarray(coeffs, dtype=float)
 
-    def group_values(self, cg, points):
-        """Values on the cells of group cg at points (n, m, 2): (n, m),
-        or (n, m, components)."""
-        phi = monomials(points, cg.centroid, cg.diameter, self.k)
-        c = self.coeffs[cg.cells]
-        if c.ndim == 2:
-            return np.einsum("cpi,ci->cp", phi, c)
-        return phi @ np.swapaxes(c, 1, 2)
-
     def centroid_values(self):
         """Values at every cell's centroid: there only the constant
         monomial is nonzero."""
@@ -111,18 +102,13 @@ class DiscreteVelocity:
         coeffs = self.edge_flux_coeffs[self.mesh.boundary_edges]
         return self.mesh.boundary_signs[:, None] * (P @ coeffs[:, :, None])[..., 0]
 
-    def velocity_coefficients(self, ci):
-        """Monomial coefficients (2, n_poly) in the cell basis; an array of
-        cell ids gives (len(ci), 2, n_poly)."""
-        return self.cell_velocity.coeffs[ci]
 
-
-def analytic_velocity(u_callback, mesh, k, div_callback=None):
+def analytic_velocity(u_callback, mesh, k):
     """Wrap an analytic vector field in the DiscreteVelocity interface.
 
     Edge fluxes are L2 projections of u . n onto degree-k edge
     polynomials; element polynomials are L2 projections onto [P_k]^2.
-    Each callback is called once on the edge points and once on the
+    The callback is called once on the edge points and once on the
     stacked cell points.
     """
     ends = mesh.vertices[mesh.edges]
@@ -133,20 +119,12 @@ def analytic_velocity(u_callback, mesh, k, div_callback=None):
     flux = jw * ((er.weights * un) @ _legendre_values(k, er.params)) / er.length[:, None]
 
     rules, points = stack_rules(mesh.cell_groups, 2 * k + 6)
-    shapes = [w.shape for _, w in rules]
-    u_parts = split_stacked(u_callback(points), shapes)
-    d_parts = split_stacked(div_callback(points), shapes) if div_callback else [None] * len(rules)
+    u_parts = split_stacked(u_callback(points), [w.shape for _, w in rules])
     coeffs = np.zeros((mesh.num_cells, 2, n_poly(k)))
-    div = np.zeros((mesh.num_cells, n_poly(k)))
-    for cg, (pts, w), u, dv in zip(mesh.cell_groups, rules, u_parts, d_parts):
+    for cg, (pts, w), u in zip(mesh.cell_groups, rules, u_parts):
         phi = monomials(pts, cg.centroid, cg.diameter, k)
-        H = gram(phi, w, phi)
-        coeffs[cg.cells] = np.swapaxes(np.linalg.solve(H, gram(phi, w, u)), 1, 2)
-        if div_callback:
-            div[cg.cells] = np.linalg.solve(H, gram(phi, w, dv[..., None]))[..., 0]
-    cell_vel = CellPolynomials(k, coeffs)
-    cell_div = CellPolynomials(k, div) if div_callback else None
-    return DiscreteVelocity(mesh, k, flux, cell_vel, cell_div)
+        coeffs[cg.cells] = np.swapaxes(np.linalg.solve(gram(phi, w, phi), gram(phi, w, u)), 1, 2)
+    return DiscreteVelocity(mesh, k, flux, CellPolynomials(k, coeffs))
 
 
 class _FluxGroup:
@@ -166,10 +144,9 @@ class _FluxGroup:
         n_edge = nv * (k + 1)
         n_loc = n_edge + nk - 1
         points, w = rule
-        phi = monomials(points, c, h, k + 1)
+        phi, gx, gy = monomial_gradients(points, c, h, k + 1)
         self.f_moments = (np.swapaxes(phi[..., :nk], 1, 2) @ (w * f_values)[..., None])[..., 0]
         H_full = gram(phi, w, phi)
-        gx, gy = monomial_gradients(points, c, h, k + 1)
         G_full = gram(gx, w, gx) + gram(gy, w, gy)
         self.int_m = H_full[:, 0, :nk]  # integrals of the pressure monomials
 
@@ -350,25 +327,3 @@ def solve_darcy_mixed(mesh, problem, k, solver_tol=1e-10):
     velocity = DiscreteVelocity(mesh, k, flux, cell_vel, cell_div, solve_report=report)
     return velocity, CellPolynomials(k, x[n_u:].reshape(mesh.num_cells, nk))
 
-
-def _l2_distance(mesh, poly, callback, degree):
-    """L2 distance between elementwise polynomials and a callback, which
-    is called once on the stacked rule points of all cells."""
-    rules, points = stack_rules(mesh.cell_groups, degree)
-    exact = split_stacked(callback(points), [w.shape for _, w in rules])
-    total = 0.0
-    for cg, (pts, w), ex in zip(mesh.cell_groups, rules, exact):
-        diff = poly.group_values(cg, pts) - ex
-        total += float(np.sum(w * (diff**2 if diff.ndim == 2 else np.sum(diff**2, axis=-1))))
-    return np.sqrt(total)
-
-
-def velocity_l2_error(velocity, u_callback, quad_degree=None):
-    """L2 distance between the element velocity polynomials and a field."""
-    deg = quad_degree if quad_degree is not None else 2 * velocity.k + 6
-    return _l2_distance(velocity.mesh, velocity.cell_velocity, u_callback, deg)
-
-
-def pressure_l2_error(pressure, p_callback, mesh, quad_degree=6):
-    """L2 distance between elementwise pressures and a reference field."""
-    return _l2_distance(mesh, pressure, p_callback, quad_degree)

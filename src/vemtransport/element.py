@@ -9,15 +9,14 @@ dofi-dofi stabilizations, and the local mass, diffusion, convection and
 reaction matrices. Degrees k >= 2 use the standard enhancement
 convention: the missing moments of degree k-1 and k are identified with
 those of the H1-projection, which makes the L2 projector computable
-from the dofs. VemElement is a group of one cell.
+from the dofs.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import CellGroup, split_stacked
+from .geometry import split_stacked
 from .quadrature import edge_rule, lagrange_values
-from . import polygon as polyops
 
 
 def monomial_exponents(k):
@@ -68,13 +67,18 @@ def monomials(points, center, scale, k):
 
 
 def monomial_gradients(points, center, scale, k):
-    """x and y derivatives of the scaled monomials, each (..., m, n_poly(k))."""
+    """Values and x and y derivatives of the scaled monomials from one pair
+    of power tables: (phi, gx, gy), each (..., m, n_poly(k)); phi equals
+    monomials(points, center, scale, k) bit for bit."""
     a, b = monomial_exponents(k).T
     px, py = _power_tables(points, center, scale, k)
+    phi = np.take(px, a, -1) * np.take(py, b, -1)
     gx = a * np.take(px, np.maximum(a - 1, 0), -1) * np.take(py, b, -1)
     gy = b * np.take(px, a, -1) * np.take(py, np.maximum(b - 1, 0), -1)
     scale = np.asarray(scale, dtype=float)[..., None, None]
-    return gx / scale, gy / scale
+    gx /= scale
+    gy /= scale
+    return phi, gx, gy
 
 
 def monomial_maps(k):
@@ -152,19 +156,21 @@ class ElementGroup:
         inner = starts[:, :, None, :] + params[1:-1, None] * tang[:, :, None, :]
         self.dof_points = np.concatenate([starts, inner.reshape(nc, -1, 2)], axis=1)
 
-        # rules with the same point count are built once (e.g. 2k and 3k at k = 1)
-        rules = {}
+        # rules with the same point count (degree + 2) // 2 are built once
+        # (e.g. 2k and 3k at k = 1); the stiffness rule, of degree 2k, comes
+        # first and alone needs the gradients
+        points, w = group.rule(2 * k)
+        phi, gx, gy = monomial_gradients(points, c, h, k)
+        rules = {k + 1: (points, w, phi)}
 
         def rule(degree):
-            n = max(1, (degree + 2) // 2)
+            n = (degree + 2) // 2
             if n not in rules:
                 points, weights = group.rule(degree)
                 rules[n] = (points, weights, monomials(points, c, h, k))
             return rules[n]
 
-        points, w, phi = rule(max(2 * k, 2))
         self.H = H = gram(phi, w, phi)
-        gx, gy = monomial_gradients(points, c, h, k)
         self.G_stiff = gram(gx, w, gx) + gram(gy, w, gy)
         self.data_points, self.data_weights, self.data_phi = rule(2 * k + 2)
         _, self.conv_weights, self.conv_phi = rule(3 * k)
@@ -179,8 +185,7 @@ class ElementGroup:
         er = edge_rule(starts, ends, 2 * k)
         trace = lagrange_values(params, er.params)
         cv, hv = c[:, None], h[:, None]
-        phi_e = monomials(er.points, cv, hv, k)
-        egx, egy = monomial_gradients(er.points, cv, hv, k)
+        phi_e, egx, egy = monomial_gradients(er.points, cv, hv, k)
         gn = egx * normals[..., 0, None, None] + egy * normals[..., 1, None, None]
         weighted_trace = er.weights[..., None] * trace
         flux = _t(gn) @ weighted_trace
@@ -245,83 +250,6 @@ class ElementGroup:
         the data-rule points."""
         v0 = self.data_phi @ self.pi0_coef
         return gram(v0, self.data_weights * values, v0)
-
-
-class VemElement:
-    """Projectors, stabilizations and local matrices of one cell: an
-    ElementGroup of one, without the leading cell axis.
-
-    Parameters
-    ----------
-    verts : (n, 2) array
-        Counter-clockwise vertex loop of the cell.
-    k : int
-        Polynomial degree of the local space (k >= 1).
-    """
-
-    def __init__(self, verts, k):
-        if k < 1:
-            raise ValueError("degree k must be >= 1")
-        self.verts = np.asarray(verts, dtype=float)
-        if polyops.signed_area(self.verts) <= 0.0:
-            raise ValueError("cell must be counter-clockwise with positive area")
-        group = ElementGroup(CellGroup.of_polygon(self.verts), k)
-        self.group = group
-        self.k = k
-        self.nv = group.nv
-        self.n_poly = group.n_poly
-        self.n_moments = group.n_moments
-        self.n_dofs = group.n_dofs
-        self.area = float(group.area[0])
-        self.centroid = group.centroid[0]
-        self.diameter = float(group.diameter[0])
-        for name in ("dof_points", "data_points", "data_weights", "data_phi", "D", "H",
-                     "G_stiff", "pin_coef", "pin_dof", "pi0_coef", "pi0_dof", "mass",
-                     "stiff_unit"):
-            setattr(self, name, getattr(group, name)[0])
-        self.pg_coef = group.pg_coef[:, 0]
-
-    def mass_matrix(self):
-        return self.mass
-
-    def stiffness_matrix(self, diffusion):
-        """Diffusion bilinear form with scalar coefficient."""
-        return diffusion * self.stiff_unit
-
-    def convection_matrix(self, u_coef):
-        """Convection pairing for a polynomial velocity u_coef (2, n_poly)."""
-        return self.group.convection(np.asarray(u_coef, dtype=float)[None])[0]
-
-    def reaction_matrix(self, f_callback):
-        """Reaction form weighted by |f| at the quadrature points."""
-        return self.data_gram(np.abs(np.asarray(f_callback(self.data_points), dtype=float)))
-
-    def data_gram(self, values):
-        """Gram matrix of Pi0 of the basis weighted by values at the data-rule points."""
-        return self.group.data_gram(np.asarray(values, dtype=float)[None])[0]
-
-    def load_vector(self, values):
-        """Integrate values (given at the data-rule points) against Pi0 of the basis."""
-        v0 = self.data_phi @ self.pi0_coef
-        return v0.T @ (self.data_weights * values)
-
-    def interpolate(self, g):
-        """Dof vector of a scalar callback: point values plus moments."""
-        dofs = np.zeros(self.n_dofs)
-        dofs[: len(self.dof_points)] = np.asarray(g(self.dof_points), dtype=float)
-        if self.n_moments:
-            vals = np.asarray(g(self.data_points), dtype=float)
-            mom = self.data_phi[:, : self.n_moments].T @ (self.data_weights * vals)
-            dofs[self.nv * self.k :] = mom / self.area
-        return dofs
-
-    def project_h1_values(self, dofs, points):
-        """Values of the H1-type projection of a dof vector at points."""
-        return monomials(points, self.centroid, self.diameter, self.k) @ (self.pin_coef @ dofs)
-
-    def project_l2_values(self, dofs, points):
-        """Values of the L2 projection of a dof vector at points."""
-        return monomials(points, self.centroid, self.diameter, self.k) @ (self.pi0_coef @ dofs)
 
 
 class VemSpace:

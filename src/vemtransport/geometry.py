@@ -43,9 +43,8 @@ class PolyMesh:
         self.vertices = np.asarray(vertices, dtype=float).copy()
         counts = np.array([len(c) for c in cells], dtype=int)
         self._loop_vertices = np.concatenate(cells).astype(int)
-        self._loop_starts = np.cumsum(counts) - counts
         self._loop_groups = _length_groups(counts)
-        self.cells = np.split(self._loop_vertices, self._loop_starts[1:])
+        self.cells = np.split(self._loop_vertices, np.cumsum(counts)[:-1])
         self.meta = dict(meta or {})
         self._build_topology(counts)
         self._build_geometry(validate)
@@ -153,14 +152,6 @@ class PolyMesh:
     def num_edges(self):
         return len(self.edges)
 
-    def cell_polygon(self, ci):
-        return self.vertices[self.cells[ci]]
-
-    @cached_property
-    def cell_edges(self):
-        """Per cell, its (edge, direction) pairs in loop order, (nv, 2)."""
-        return np.split(self._loop_edges, self._loop_starts[1:])
-
     @cached_property
     def cell_groups(self):
         """The cells grouped by vertex count, ascending, as CellGroups."""
@@ -196,18 +187,6 @@ class CellGroup:
     centroid: np.ndarray
     diameter: np.ndarray
     apex: np.ndarray
-
-    @classmethod
-    def of_polygon(cls, verts):
-        """A group of one cell, numbered on its own: vertices and edges 0..nv-1."""
-        verts = np.asarray(verts, dtype=float)
-        loop = np.arange(len(verts))[None]
-        centroid = polygon.centroid(verts)[None]
-        return cls(
-            np.zeros(1, dtype=int), loop, loop, np.ones_like(loop), verts[None],
-            np.array([polygon.signed_area(verts)]), centroid,
-            np.array([polygon.diameter(verts)]), star_points(verts[None], centroid),
-        )
 
     def rule(self, degree):
         """Polygon rules of all cells: points (n, m, 2), weights (n, m)."""

@@ -47,7 +47,8 @@ class ErrorEvaluator:
         self.pin_operator = space.cell_operator([g.pin_coef for g in space.groups])
         # per-group monomial gradient tables at the data points, (n, m, n_poly)
         self.gx, self.gy = zip(*(
-            monomial_gradients(g.data_points, g.centroid, g.diameter, g.k) for g in space.groups
+            monomial_gradients(g.data_points, g.centroid, g.diameter, g.k)[1:]
+            for g in space.groups
         ))
 
     def projections(self, coeffs):

@@ -13,10 +13,12 @@ LoopPolyMesh and the per-cell clip and merge), the closed-form shape
 audit through one HiGHS linear program per cell (lp_audit), the
 Kronecker slab matrix through its per-block assembly
 (block_slab_matrix), and the pinned Darcy gauge through the
-Lagrange-multiplier saddle system (multiplier_darcy_solve). The other
-tools at the end (the slab system, the weighted interpolant l_tau, the
-slabwise projection pi_tau and the Matrix Market export) are used only
-by tests.
+Lagrange-multiplier saddle system (multiplier_darcy_solve). The
+one-cell views of the batched package types (VemElement, cell_polygon,
+cell_edges) and the L2 distances of elementwise polynomials
+(velocity_l2_error, pressure_l2_error) serve the tests only, as do the
+other tools at the end (the slab system, the weighted interpolant l_tau,
+the slabwise projection pi_tau and the Matrix Market export).
 """
 
 import numpy as np
@@ -29,9 +31,30 @@ from scipy.special import roots_legendre
 
 from vemtransport import polygon as polyops
 from vemtransport.darcy import _boundary_moments, _flux_groups, _legendre_values
-from vemtransport.element import monomial_exponents, monomial_maps, n_poly, uniform_edge_params
-from vemtransport.geometry import MeshError, PolyMesh, _hexa_seeds, _snap_to_walls
-from vemtransport.quadrature import edge_rule, gauss_interval, lagrange_values, polygon_rule
+from vemtransport.element import (
+    ElementGroup,
+    monomial_exponents,
+    monomial_maps,
+    monomials,
+    n_poly,
+    uniform_edge_params,
+)
+from vemtransport.geometry import (
+    CellGroup,
+    MeshError,
+    PolyMesh,
+    _hexa_seeds,
+    _snap_to_walls,
+    split_stacked,
+    stack_rules,
+)
+from vemtransport.quadrature import (
+    edge_rule,
+    gauss_interval,
+    lagrange_values,
+    polygon_rule,
+    star_points,
+)
 from vemtransport.timestepping import lagrange_derivative_matrix, slab_matrix, slab_rhs
 
 
@@ -140,6 +163,146 @@ def polygon_mesh(polygons, validate=True):
     offsets = np.cumsum([0] + [len(p) for p in polygons])
     cells = [np.arange(a, b) for a, b in zip(offsets[:-1], offsets[1:])]
     return PolyMesh(vertices, cells, validate=validate)
+
+
+def cell_polygon(mesh, ci):
+    """Vertex loop of cell ci, (nv, 2)."""
+    return mesh.vertices[mesh.cells[ci]]
+
+
+def cell_edges(mesh, ci):
+    """(edge, direction) pairs of cell ci in loop order, (nv, 2), read
+    from the cell group that holds it."""
+    for cg in mesh.cell_groups:
+        row = np.flatnonzero(cg.cells == ci)
+        if len(row):
+            return np.column_stack([cg.edges[row[0]], cg.directions[row[0]]])
+    raise IndexError(f"no cell {ci}")
+
+
+# -- one-cell views and L2 distances of the batched package types --------
+
+
+def one_cell_group(verts):
+    """A CellGroup of one cell, numbered on its own: vertices and edges 0..nv-1."""
+    verts = np.asarray(verts, dtype=float)
+    loop = np.arange(len(verts))[None]
+    centroid = polyops.centroid(verts)[None]
+    return CellGroup(
+        np.zeros(1, dtype=int), loop, loop, np.ones_like(loop), verts[None],
+        np.array([polyops.signed_area(verts)]), centroid,
+        np.array([polyops.diameter(verts)]), star_points(verts[None], centroid),
+    )
+
+
+class VemElement:
+    """Projectors, stabilizations and local matrices of one cell: an
+    ElementGroup of one, without the leading cell axis.
+
+    Parameters
+    ----------
+    verts : (n, 2) array
+        Counter-clockwise vertex loop of the cell.
+    k : int
+        Polynomial degree of the local space (k >= 1).
+    """
+
+    def __init__(self, verts, k):
+        if k < 1:
+            raise ValueError("degree k must be >= 1")
+        self.verts = np.asarray(verts, dtype=float)
+        if polyops.signed_area(self.verts) <= 0.0:
+            raise ValueError("cell must be counter-clockwise with positive area")
+        group = ElementGroup(one_cell_group(self.verts), k)
+        self.group = group
+        self.k = k
+        self.nv = group.nv
+        self.n_poly = group.n_poly
+        self.n_moments = group.n_moments
+        self.n_dofs = group.n_dofs
+        self.area = float(group.area[0])
+        self.centroid = group.centroid[0]
+        self.diameter = float(group.diameter[0])
+        for name in ("dof_points", "data_points", "data_weights", "data_phi", "D", "H",
+                     "G_stiff", "pin_coef", "pin_dof", "pi0_coef", "pi0_dof", "mass",
+                     "stiff_unit"):
+            setattr(self, name, getattr(group, name)[0])
+        self.pg_coef = group.pg_coef[:, 0]
+
+    def mass_matrix(self):
+        return self.mass
+
+    def stiffness_matrix(self, diffusion):
+        """Diffusion bilinear form with scalar coefficient."""
+        return diffusion * self.stiff_unit
+
+    def convection_matrix(self, u_coef):
+        """Convection pairing for a polynomial velocity u_coef (2, n_poly)."""
+        return self.group.convection(np.asarray(u_coef, dtype=float)[None])[0]
+
+    def reaction_matrix(self, f_callback):
+        """Reaction form weighted by |f| at the quadrature points."""
+        return self.data_gram(np.abs(np.asarray(f_callback(self.data_points), dtype=float)))
+
+    def data_gram(self, values):
+        """Gram matrix of Pi0 of the basis weighted by values at the data-rule points."""
+        return self.group.data_gram(np.asarray(values, dtype=float)[None])[0]
+
+    def load_vector(self, values):
+        """Integrate values (given at the data-rule points) against Pi0 of the basis."""
+        v0 = self.data_phi @ self.pi0_coef
+        return v0.T @ (self.data_weights * values)
+
+    def interpolate(self, g):
+        """Dof vector of a scalar callback: point values plus moments."""
+        dofs = np.zeros(self.n_dofs)
+        dofs[: len(self.dof_points)] = np.asarray(g(self.dof_points), dtype=float)
+        if self.n_moments:
+            vals = np.asarray(g(self.data_points), dtype=float)
+            mom = self.data_phi[:, : self.n_moments].T @ (self.data_weights * vals)
+            dofs[self.nv * self.k :] = mom / self.area
+        return dofs
+
+    def project_h1_values(self, dofs, points):
+        """Values of the H1-type projection of a dof vector at points."""
+        return monomials(points, self.centroid, self.diameter, self.k) @ (self.pin_coef @ dofs)
+
+    def project_l2_values(self, dofs, points):
+        """Values of the L2 projection of a dof vector at points."""
+        return monomials(points, self.centroid, self.diameter, self.k) @ (self.pi0_coef @ dofs)
+
+
+def group_values(poly, cg, points):
+    """Values of darcy.CellPolynomials on the cells of group cg at points
+    (n, m, 2): (n, m), or (n, m, components)."""
+    phi = monomials(points, cg.centroid, cg.diameter, poly.k)
+    c = poly.coeffs[cg.cells]
+    if c.ndim == 2:
+        return np.einsum("cpi,ci->cp", phi, c)
+    return phi @ np.swapaxes(c, 1, 2)
+
+
+def l2_distance(mesh, poly, callback, degree):
+    """L2 distance between elementwise polynomials and a callback, which
+    is called once on the stacked rule points of all cells."""
+    rules, points = stack_rules(mesh.cell_groups, degree)
+    exact = split_stacked(callback(points), [w.shape for _, w in rules])
+    total = 0.0
+    for cg, (pts, w), ex in zip(mesh.cell_groups, rules, exact):
+        diff = group_values(poly, cg, pts) - ex
+        total += float(np.sum(w * (diff**2 if diff.ndim == 2 else np.sum(diff**2, axis=-1))))
+    return np.sqrt(total)
+
+
+def velocity_l2_error(velocity, u_callback, quad_degree=None):
+    """L2 distance between the element velocity polynomials and a field."""
+    deg = quad_degree if quad_degree is not None else 2 * velocity.k + 6
+    return l2_distance(velocity.mesh, velocity.cell_velocity, u_callback, deg)
+
+
+def pressure_l2_error(pressure, p_callback, mesh, quad_degree=6):
+    """L2 distance between elementwise pressures and a reference field."""
+    return l2_distance(mesh, pressure, p_callback, quad_degree)
 
 
 # -- per-cell local spaces: the loop reference for the batched build ----
@@ -333,7 +496,7 @@ class LoopFluxElement:
         nk = n_poly(k)
         nk1 = n_poly(k + 1)
         self.n_internal = nk - 1
-        self.edges = mesh.cell_edges[ci]
+        self.edges = cell_edges(mesh, ci)
         self.n_loc = self.nv * (k + 1) + self.n_internal
 
         phi = self.basis_hi.evaluate(rule.points)
@@ -965,7 +1128,7 @@ def lp_audit(mesh, gamma0=0.1, n0=16):
     ratio = np.zeros(mesh.num_cells)
     passed = np.zeros(mesh.num_cells, dtype=bool)
     for ci in range(mesh.num_cells):
-        verts = mesh.cell_polygon(ci)
+        verts = cell_polygon(mesh, ci)
         region = verts if polyops.is_convex(verts) else polyops.kernel_polygon(verts)
         if len(region) >= 3:
             ratio[ci] = chebyshev_radius(region) / mesh.cell_diameters[ci]

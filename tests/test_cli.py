@@ -1,4 +1,6 @@
+import io
 import json
+import logging
 import os
 import re
 import subprocess
@@ -241,6 +243,26 @@ class TestCliDispatch:
             logs[level] = done.stderr
         assert "INFO level_1: h=" in logs["INFO"]
         assert "INFO" not in logs["WARNING"]
+
+    def test_log_level_holds_in_process_after_logging_is_configured(self, tmp_path):
+        # a program that configured logging first makes basicConfig a no-op
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "kind": "custom", "mesh_family": "quad", "levels": [1], "steps_per_level": [1],
+            "k": 1, "velocity_backend": "analytic", "out_dir": str(tmp_path / "out"),
+        }))
+        stream = io.StringIO()
+        handler = logging.StreamHandler(stream)
+        root, package = logging.getLogger(), logging.getLogger("vemtransport")
+        saved = package.level
+        package.setLevel(logging.NOTSET)
+        root.addHandler(handler)
+        try:
+            assert cli.main(["--log-level", "DEBUG", "custom", "--config", str(path)]) == 0
+        finally:
+            root.removeHandler(handler)
+            package.setLevel(saved)
+        assert "level_1: h=" in stream.getvalue()
 
     def test_unknown_log_level_exit_2(self):
         with pytest.raises(SystemExit) as exc:

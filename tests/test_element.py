@@ -3,7 +3,6 @@ import pytest
 
 from vemtransport import element
 from vemtransport.element import (
-    VemElement,
     VemSpace,
     monomial_exponents,
     monomial_gradients,
@@ -15,7 +14,9 @@ from vemtransport.quadrature import polygon_rule
 
 from helpers import (
     LocalSpaceOracle,
+    VemElement,
     _dense_polygon_rule,
+    cell_polygon,
     edge_trace_matrix,
     h1_project_callback,
     pow_monomial_gradients,
@@ -78,17 +79,20 @@ def kernel_cases():
 
 
 def kernel_faults(values_fn, gradients_fn):
-    """Every way values_fn and gradients_fn depart from the pow-per-monomial
-    oracle: a value that differs in any bit, or an output that is not
-    C-contiguous (the layout changes the bits of later matmuls)."""
+    """Every way values_fn and gradients_fn (values, d/dx, d/dy) depart from
+    the pow-per-monomial oracle: a value that differs in any bit, or an
+    output that is not C-contiguous (the layout changes the bits of later
+    matmuls)."""
     faults = []
+    names = ["values", "gradient-call values", "d/dx", "d/dy"]
     for k in range(1, 7):
         for points, center, scale in kernel_cases():
-            ref = [pow_monomials(points, center, scale, k),
-                   *pow_monomial_gradients(points, center, scale, k)]
+            values = pow_monomials(points, center, scale, k)
+            ref = [values, values, *pow_monomial_gradients(points, center, scale, k)]
             got = [values_fn(points, center, scale, k),
                    *gradients_fn(points, center, scale, k)]
-            for name, r, g in zip(["values", "d/dx", "d/dy"], ref, got):
+            assert len(got) == len(ref)
+            for name, r, g in zip(names, ref, got):
                 where = f"k={k} {name} on {points.shape}"
                 if not g.flags.c_contiguous:
                     faults.append(f"{where}: not C-contiguous")
@@ -444,7 +448,7 @@ class TestVemSpace:
         vec = space.interpolate(g)
         for cg, group_dofs in zip(mesh.cell_groups, space.group_dofs):
             for ci, dofs in zip(cg.cells, group_dofs):
-                local = VemElement(mesh.cell_polygon(ci), 3).interpolate(g)
+                local = VemElement(cell_polygon(mesh, ci), 3).interpolate(g)
                 assert np.max(np.abs(vec[dofs] - local)) < 1e-12
 
     def test_edge_trace_dofs_orientation(self):

@@ -14,7 +14,7 @@ from vemtransport.geometry import (
     generate_voronoi,
 )
 
-from helpers import ARROW, U_SHAPE, lp_audit, polygon_mesh, random_convex_polygon
+from helpers import ARROW, U_SHAPE, cell_polygon, lp_audit, polygon_mesh, random_convex_polygon
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -137,7 +137,7 @@ class TestMeshInvariants:
         mesh = mesh_factory()
         diams = []
         for ci in range(mesh.num_cells):
-            verts = mesh.cell_polygon(ci)
+            verts = cell_polygon(mesh, ci)
             d2 = np.sum((verts[:, None] - verts[None, :]) ** 2, axis=-1)
             diams.append(np.sqrt(d2.max()))
         assert abs(mesh.mesh_size - max(diams)) < 1e-15

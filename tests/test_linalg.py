@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from vemtransport.element import VemElement, monomials
+from vemtransport.element import monomials
 from vemtransport.linalg import (
     Factorization,
     NumericBreakdownError,
@@ -11,7 +11,7 @@ from vemtransport.linalg import (
 )
 from vemtransport.quadrature import polygon_rule
 
-from helpers import export_matrix_market
+from helpers import VemElement, export_matrix_market
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 

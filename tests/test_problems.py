@@ -4,6 +4,8 @@ import pytest
 from vemtransport.geometry import generate_quad
 from vemtransport.problems import ManufacturedProblem, WellsProblem, get_problem
 
+from helpers import cell_polygon
+
 
 class TestManufacturedData:
     """Finite-difference verification that the data really manufacture
@@ -149,7 +151,7 @@ class TestWellsData:
 
         total = 0.0
         for ci in range(mesh.num_cells):
-            rule = polygon_rule(mesh.cell_polygon(ci), 8)
+            rule = polygon_rule(cell_polygon(mesh, ci), 8)
             total += rule.weights @ corrected(rule.points)
         assert abs(total) < 1e-12
 

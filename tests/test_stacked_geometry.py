@@ -36,6 +36,8 @@ from helpers import (
     _centroid,
     _diameter,
     _second_moment,
+    cell_edges,
+    cell_polygon,
     lloyd_voronoi_loop,
     loop_generate_hexa,
     random_convex_polygon,
@@ -140,7 +142,7 @@ def test_mesh_geometry_matches_per_cell_formulas():
     mesh = generate_voronoi(40, lloyd_iters=3, rng_seed=11)
     assert len(mesh.cell_groups) > 1
     for c in range(mesh.num_cells):
-        verts = mesh.cell_polygon(c)
+        verts = cell_polygon(mesh, c)
         assert mesh.cell_areas[c] == _area(verts)
         assert_same(mesh.cell_centroids[c], _centroid(verts))
         assert mesh.cell_diameters[c] == _diameter(verts)
@@ -163,10 +165,11 @@ def assert_same_mesh(mesh, ref):
     for name in ("vertices", "edges", "edge_cells", "_edge_signs", "boundary_edges",
                  "boundary_signs"):
         assert_same(getattr(mesh, name), getattr(ref, name))
-    assert len(mesh.cells) == len(ref.cells) == len(mesh.cell_edges) == len(ref.cell_edges)
+    loops = [cell_edges(mesh, c) for c in range(mesh.num_cells)]
+    assert len(mesh.cells) == len(ref.cells) == len(loops) == len(ref.cell_edges)
     for a, b in zip(mesh.cells, ref.cells):
         assert_same(a, b)
-    for a, b in zip(mesh.cell_edges, ref.cell_edges):
+    for a, b in zip(loops, ref.cell_edges):
         assert_same(a, np.array(b))
     assert mesh.meta == ref.meta
 
