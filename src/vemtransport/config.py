@@ -47,7 +47,6 @@ class ExperimentConfig:
     wells_level: int = 3
     out_dir: str = "out"
     rng_seed: int = 2024
-    solver_tol: float = 1e-10
 
     def __post_init__(self):
         for f in fields(self):
@@ -87,8 +86,6 @@ class ExperimentConfig:
             raise ConfigError("wells_level must be >= 1")
         if self.rng_seed < 0:
             raise ConfigError("rng_seed must be >= 0")
-        if not self.solver_tol > 0.0:
-            raise ConfigError("solver_tol must be positive")
         if self.problem != "manufactured" and not self.problem.startswith("wells:"):
             raise ConfigError(f"unknown problem {self.problem!r}")
         if self.kind != "wells" and self.problem != "manufactured":

@@ -58,32 +58,18 @@ class DarcyProblem:
             self.g_N = lambda p: np.zeros(len(p))
 
 
-class CellPolynomials:
-    """Elementwise polynomials in the per-cell scaled monomial bases
-    (centered at the cell centroid, scaled by the cell diameter).
-
-    coeffs is (num_cells, n_poly), or (num_cells, m, n_poly) for a field
-    with m components.
-    """
-
-    def __init__(self, k, coeffs):
-        self.k = k
-        self.coeffs = np.asarray(coeffs, dtype=float)
-
-    def centroid_values(self):
-        """Values at every cell's centroid: there only the constant
-        monomial is nonzero."""
-        return self.coeffs[..., 0]
-
-
 class DiscreteVelocity:
     """Velocity field seen through edge normal-flux polynomials and
     per-element polynomial projections.
 
     Edge fluxes are Legendre series in the canonical (min->max vertex)
     edge parameter, taken against the canonical edge normal; interior
-    edges are single-valued by construction. solve_report is the
-    SolveReport of the saddle solve that gave a Darcy velocity.
+    edges are single-valued by construction. cell_velocity holds the
+    element velocities, (num_cells, 2, n_poly), and cell_divergence the
+    element divergences, (num_cells, n_poly), in the per-cell scaled
+    monomial bases (centered at the cell centroid, scaled by the cell
+    diameter). solve_report is the SolveReport of the saddle solve that
+    gave a Darcy velocity.
     """
 
     def __init__(self, mesh, k, edge_flux_coeffs, cell_velocity, cell_divergence=None,
@@ -124,14 +110,14 @@ def analytic_velocity(u_callback, mesh, k):
     for cg, (pts, w), u in zip(mesh.cell_groups, rules, u_parts):
         phi = monomials(pts, cg.centroid, cg.diameter, k)
         coeffs[cg.cells] = np.swapaxes(np.linalg.solve(gram(phi, w, phi), gram(phi, w, u)), 1, 2)
-    return DiscreteVelocity(mesh, k, flux, CellPolynomials(k, coeffs))
+    return DiscreteVelocity(mesh, k, flux, coeffs)
 
 
 class _FluxGroup:
     """Local mixed-VEM operators of a cell group, stacked over its cells.
 
-    rule is the group's degree-2(k+1) polygon rule (points, weights) and
-    f_values the flow source at its points; of these only the source
+    rule is the group's source rule (points, weights; see _source_rules)
+    and f_values the flow source at its points; of these only the source
     moments f_moments are kept. udofs and pdofs are the global velocity
     and pressure dofs of every cell, in the local order.
     """
@@ -204,11 +190,25 @@ class _FluxGroup:
         self.pdofs = n_u + cg.cells[:, None] * nk + np.arange(nk)
 
 
+def _source_rules(mesh, k):
+    """The degree-2(k+1) rules of every cell group on which the flow
+    source is integrated, and their stacked points (see stack_rules)."""
+    return stack_rules(mesh.cell_groups, 2 * (k + 1))
+
+
+def source_mean(mesh, f, k):
+    """Domain mean of the flow source f, integrated on the rules of the
+    degree-k Darcy load; f is called once, on the stacked points."""
+    rules, points = _source_rules(mesh, k)
+    weights = np.concatenate([w.ravel() for _, w in rules])
+    return float(weights @ f(points)) / float(mesh.cell_areas.sum())
+
+
 def _flux_groups(mesh, k, f):
     """Flux groups of all cells; f is evaluated once, on the stacked
     quadrature points of every cell. The rules and their monomial values
     are locals here, so they are freed before the saddle solve."""
-    rules, points = stack_rules(mesh.cell_groups, 2 * (k + 1))
+    rules, points = _source_rules(mesh, k)
     f_vals = split_stacked(f(points), [w.shape for _, w in rules])
     return [
         _FluxGroup(mesh, cg, k, rule, fv)
@@ -226,9 +226,10 @@ def _boundary_moments(mesh, edges, g, k):
     return (er.weights * gvals) @ _legendre_values(k, er.params), er, gvals
 
 
-def solve_darcy_mixed(mesh, problem, k, solver_tol=1e-10):
+def solve_darcy_mixed(mesh, problem, k):
     """Solve the mixed flow system; returns (DiscreteVelocity, pressure),
-    the velocity carrying the saddle solve's SolveReport.
+    the velocity carrying the saddle solve's SolveReport and the pressure
+    the (num_cells, n_poly) coefficients of its elementwise polynomials.
 
     Pressure Dirichlet data enters naturally via boundary terms. One sparse
     LU solve follows the elimination of the Neumann flux dofs and, on a
@@ -310,7 +311,7 @@ def solve_darcy_mixed(mesh, problem, k, solver_tol=1e-10):
     A = A[keep][:, keep]  # the full matrix is freed before the LU
     x = np.zeros(n_sys)
     x[idx] = values
-    x[keep], report = solve(A, rhs[keep], tol=solver_tol)
+    x[keep], report = solve(A, rhs[keep])
 
     flux = x[: mesh.num_edges * (k + 1)].reshape(mesh.num_edges, k + 1) * jw[None, :]
     vel_coeffs = np.zeros((mesh.num_cells, 2, nk))
@@ -322,8 +323,6 @@ def solve_darcy_mixed(mesh, problem, k, solver_tol=1e-10):
     if pure_neumann:
         x[n_u::nk] -= sum(float(np.sum(g.int_m * x[g.pdofs])) for g in groups) / volume
 
-    cell_vel = CellPolynomials(k, vel_coeffs)
-    cell_div = CellPolynomials(k, div_coeffs)
-    velocity = DiscreteVelocity(mesh, k, flux, cell_vel, cell_div, solve_report=report)
-    return velocity, CellPolynomials(k, x[n_u:].reshape(mesh.num_cells, nk))
+    velocity = DiscreteVelocity(mesh, k, flux, vel_coeffs, div_coeffs, solve_report=report)
+    return velocity, x[n_u:].reshape(mesh.num_cells, nk)
 

@@ -118,17 +118,12 @@ def clip_halfplane(verts, normal, offset, tol=1e-14):
     return out[keep]
 
 
-def clip_to_box(verts, xmin=0.0, xmax=1.0, ymin=0.0, ymax=1.0):
-    """Clip a polygon against an axis-aligned box."""
-    walls = [
-        (np.array([-1.0, 0.0]), -xmin),
-        (np.array([1.0, 0.0]), xmax),
-        (np.array([0.0, -1.0]), -ymin),
-        (np.array([0.0, 1.0]), ymax),
-    ]
+def clip_to_box(verts):
+    """Clip a polygon against the unit square, one wall at a time."""
+    walls = [((-1.0, 0.0), 0.0), ((1.0, 0.0), 1.0), ((0.0, -1.0), 0.0), ((0.0, 1.0), 1.0)]
     out = verts
     for normal, offset in walls:
-        out = clip_halfplane(out, normal, offset)
+        out = clip_halfplane(out, np.array(normal), offset)
         if len(out) == 0:
             return out
     return out

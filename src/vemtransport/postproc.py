@@ -162,10 +162,10 @@ def rate_table(reports):
     return "\n".join(text_rows), out.getvalue()
 
 
-def observed_rate(reports, column="indicator"):
-    """Least-squares slope of log(error) against log(h)."""
+def observed_rate(reports):
+    """Least-squares slope of log(indicator) against log(h)."""
     hs = np.array([r.h for r in reports])
-    es = np.array([getattr(r, column) for r in reports])
+    es = np.array([r.indicator for r in reports])
     if np.any(es <= 0):
         raise ValueError("errors must be positive for a rate fit")
     slope, _ = np.polyfit(np.log(hs), np.log(es), 1)

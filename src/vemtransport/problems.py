@@ -105,8 +105,8 @@ class WellsProblem:
     Gaussian bell sources/sinks of width parameter sigma = 100; variants
     differ in the corner sink strengths. The boundary is impermeable
     (g_N = 0 everywhere), so the flow problem is pure Neumann and the
-    source must be corrected to zero mean for solvability; use
-    `corrected_darcy_f` for the flow solve.
+    source must be corrected to zero mean for solvability; the caller
+    removes darcy.source_mean from darcy_f for the flow solve.
     """
 
     VARIANTS = {
@@ -146,24 +146,6 @@ class WellsProblem:
 
     def darcy_f(self, p):
         return self.f(0.0, p)
-
-    def f_mean(self, mesh, quad_degree=8):
-        """Domain integral of f divided by the domain area; f is called
-        once, on the stacked rule points of all cells."""
-        from .geometry import stack_rules
-
-        rules, points = stack_rules(mesh.cell_groups, quad_degree)
-        weights = np.concatenate([w.ravel() for _, w in rules])
-        return float(weights @ self.darcy_f(points)) / float(mesh.cell_areas.sum())
-
-    def corrected_darcy_f(self, mesh):
-        """Zero-mean source for the pure-Neumann flow solve.
-
-        Returns (callback, mean_removed); the correction is logged by the
-        caller, never applied silently.
-        """
-        mean = self.f_mean(mesh)
-        return (lambda p: self.darcy_f(p) - mean), mean
 
     def g_N(self, p):
         return np.zeros(len(p))

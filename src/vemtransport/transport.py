@@ -118,7 +118,7 @@ class TransportSystem:
         velocity = problem.velocity
         A = space.assemble([problem.D * g.stiff_unit for g in groups])
         K = space.assemble([
-            g.convection(velocity.cell_velocity.coeffs[cg.cells])
+            g.convection(velocity.cell_velocity[cg.cells])
             for g, cg in zip(groups, self.mesh.cell_groups)
         ])
         fabs = split_stacked(np.abs(self._f0), [g.data_weights.shape for g in groups])

@@ -272,24 +272,26 @@ class VemElement:
         return monomials(points, self.centroid, self.diameter, self.k) @ (self.pi0_coef @ dofs)
 
 
-def group_values(poly, cg, points):
-    """Values of darcy.CellPolynomials on the cells of group cg at points
-    (n, m, 2): (n, m), or (n, m, components)."""
-    phi = monomials(points, cg.centroid, cg.diameter, poly.k)
-    c = poly.coeffs[cg.cells]
+def group_values(coeffs, k, cg, points):
+    """Values on the cells of group cg at points (n, m, 2) of elementwise
+    degree-k polynomials with per-cell scaled monomial coefficients
+    coeffs, (num_cells, n_poly) or (num_cells, components, n_poly):
+    (n, m), or (n, m, components)."""
+    phi = monomials(points, cg.centroid, cg.diameter, k)
+    c = coeffs[cg.cells]
     if c.ndim == 2:
         return np.einsum("cpi,ci->cp", phi, c)
     return phi @ np.swapaxes(c, 1, 2)
 
 
-def l2_distance(mesh, poly, callback, degree):
-    """L2 distance between elementwise polynomials and a callback, which
-    is called once on the stacked rule points of all cells."""
+def l2_distance(mesh, coeffs, k, callback, degree):
+    """L2 distance between elementwise degree-k polynomials and a callback,
+    which is called once on the stacked rule points of all cells."""
     rules, points = stack_rules(mesh.cell_groups, degree)
     exact = split_stacked(callback(points), [w.shape for _, w in rules])
     total = 0.0
     for cg, (pts, w), ex in zip(mesh.cell_groups, rules, exact):
-        diff = group_values(poly, cg, pts) - ex
+        diff = group_values(coeffs, k, cg, pts) - ex
         total += float(np.sum(w * (diff**2 if diff.ndim == 2 else np.sum(diff**2, axis=-1))))
     return np.sqrt(total)
 
@@ -297,12 +299,12 @@ def l2_distance(mesh, poly, callback, degree):
 def velocity_l2_error(velocity, u_callback, quad_degree=None):
     """L2 distance between the element velocity polynomials and a field."""
     deg = quad_degree if quad_degree is not None else 2 * velocity.k + 6
-    return l2_distance(velocity.mesh, velocity.cell_velocity, u_callback, deg)
+    return l2_distance(velocity.mesh, velocity.cell_velocity, velocity.k, u_callback, deg)
 
 
-def pressure_l2_error(pressure, p_callback, mesh, quad_degree=6):
-    """L2 distance between elementwise pressures and a reference field."""
-    return l2_distance(mesh, pressure, p_callback, quad_degree)
+def pressure_l2_error(pressure, k, p_callback, mesh, quad_degree=6):
+    """L2 distance between elementwise degree-k pressures and a reference field."""
+    return l2_distance(mesh, pressure, k, p_callback, quad_degree)
 
 
 # -- per-cell local spaces: the loop reference for the batched build ----

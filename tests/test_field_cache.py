@@ -125,7 +125,7 @@ def test_one_field_computation_per_point_set(monkeypatch):
         return compute(self, p)
 
     monkeypatch.setattr(ManufacturedProblem, "_stationary_fields", spy)
-    run_manufactured_level(generate_family("quad", 1), 3, 1, 1, 1.0, "darcy", 1e-10, level=1)
+    run_manufactured_level(generate_family("quad", 1), 3, 1, 1, 1.0, "darcy", level=1)
     # 64 cells x 36 data-rule points, then 32 boundary edges x 4 Gauss points
     assert sorted(n for _, n, _ in calls) == [128, 2304]
     assert len({key for key, _, _ in calls}) == 2

@@ -47,7 +47,7 @@ STUDIES = [
      "d_values": [1.0, 1e-3]},
     {"kind": "drobust", "mesh_family": "voro", "levels": [1], "steps_per_level": [1],
      "velocity_backend": "analytic", "d_values": [1e-2]},
-    {"kind": "wells", "wells_level": 2, "k": 2},
+    {"kind": "wells", "wells_level": 1, "k": 1},
 ]
 
 
