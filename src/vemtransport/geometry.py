@@ -339,33 +339,57 @@ def _snap_to_walls(verts, tol=1e-10):
     return out
 
 
-def _voronoi_loops(seeds):
+def _mirrored_points(seeds, reach=1.0):
+    """The seeds, then their mirror images across the walls x = 0, x = 1,
+    y = 0 and y = 1 in that order: across each wall those of the seeds
+    within reach of it (<=, so every seed for reach >= 1)."""
+    x, y = seeds[:, 0], seeds[:, 1]
+    return np.vstack([
+        seeds,
+        seeds[x <= reach] * np.array([-1.0, 1.0]),
+        seeds[1.0 - x <= reach] * np.array([-1.0, 1.0]) + np.array([2.0, 0.0]),
+        seeds[y <= reach] * np.array([1.0, -1.0]),
+        seeds[1.0 - y <= reach] * np.array([1.0, -1.0]) + np.array([0.0, 2.0]),
+    ])
+
+
+def _voronoi_loops(seeds, reach=1.0):
     """Voronoi cells of seeds in (0,1)^2: their vertices stacked cell by
     cell, each cell sorted by angle about its seed, and the vertex counts.
 
-    Seeds are mirrored across the four walls so every original region is
+    Seeds are mirrored across the walls so every original region is
     finite and bounded by the walls. The Lloyd steps use these cells
     unclipped: the mirrored cells are already accurate to roundoff.
+
+    With reach < 1 only the seeds within reach of a wall are mirrored
+    across it, and the cells are certified: all bounded, and every vertex
+    nearer than reach / 2 to its own seed. A mirror point left out lies
+    at least reach from every seed, so farther than reach / 2 from every
+    vertex of a certified cell: the cell lies on its seed's side of their
+    bisector. Fewer points only enlarge the cells, so the certified cells
+    are those of the full mirror. Without the certificate the reach
+    doubles, up to mirroring every seed.
     """
-    mirrors = [
-        seeds * np.array([-1.0, 1.0]),
-        seeds * np.array([-1.0, 1.0]) + np.array([2.0, 0.0]),
-        seeds * np.array([1.0, -1.0]),
-        seeds * np.array([1.0, -1.0]) + np.array([0.0, 2.0]),
-    ]
-    vor = Voronoi(np.vstack([seeds] + mirrors))
-    regions = [vor.regions[r] for r in vor.point_region[: len(seeds)]]
-    counts = np.array([len(r) for r in regions])
-    region_ids = np.fromiter(itertools.chain.from_iterable(regions), dtype=int, count=counts.sum())
-    owner = np.repeat(np.arange(len(seeds)), counts)
-    bad = counts < 3
-    bad[owner[region_ids < 0]] = True
+    while True:
+        vor = Voronoi(_mirrored_points(seeds, reach))
+        regions = [vor.regions[r] for r in vor.point_region[: len(seeds)]]
+        counts = np.array([len(r) for r in regions])
+        region_ids = np.fromiter(
+            itertools.chain.from_iterable(regions), dtype=int, count=counts.sum()
+        )
+        owner = np.repeat(np.arange(len(seeds)), counts)
+        bad = counts < 3
+        bad[owner[region_ids < 0]] = True
+        verts = vor.vertices[region_ids]
+        d = verts - seeds[owner]
+        if reach >= 1.0 or (not bad.any() and 2.0 * np.hypot(d[:, 0], d[:, 1]).max() < reach):
+            break
+        reach *= 2.0
     if bad.any():
         raise MeshError(
             f"seed {np.argmax(bad)} has an unbounded Voronoi region despite wall mirroring"
         )
-    verts = vor.vertices[region_ids]
-    angles = np.arctan2(verts[:, 1] - seeds[owner, 1], verts[:, 0] - seeds[owner, 0])
+    angles = np.arctan2(d[:, 1], d[:, 0])
     return verts[np.lexsort((angles, owner))], counts
 
 
@@ -430,7 +454,7 @@ def generate_voronoi(n_seeds, lloyd_iters=0, rng_seed=0):
     for _ in range(lloyd_iters):
         energy, seeds = _lloyd_step(*loops, seeds)
         energies.append(energy)
-        loops = _voronoi_loops(seeds)
+        loops = _voronoi_loops(seeds, reach=4.0 / np.sqrt(n_seeds))
     energies.append(_lloyd_step(*loops, seeds)[0])
     cells = _clip_to_square(*loops)
 

@@ -44,6 +44,7 @@ from vemtransport.geometry import (
     MeshError,
     PolyMesh,
     _hexa_seeds,
+    _mirrored_points,
     _snap_to_walls,
     split_stacked,
     stack_rules,
@@ -941,16 +942,16 @@ def _second_moment(verts, point):
 
 def lloyd_voronoi_loop(n_seeds, lloyd_iters, rng_seed):
     """generate_voronoi one polygon at a time: the Lloyd relaxation with
-    the single-polygon formulas above, then the per-cell clip, merge and
-    topology below; for seeds that need no duplicate jitter. Returns
-    (LoopPolyMesh, Lloyd energies)."""
+    the single-polygon formulas above, its steps on the reduced mirror,
+    then the per-cell clip, merge and topology below; for seeds that need
+    no duplicate jitter. Returns (LoopPolyMesh, Lloyd energies)."""
     seeds = np.random.default_rng(rng_seed).random((n_seeds, 2))
     energies = []
-    cells = loop_clipped_voronoi_cells(seeds, clip=False)
+    cells = loop_voronoi_cells(seeds)
     for _ in range(lloyd_iters):
         energies.append(sum(_second_moment(v, s) for v, s in zip(cells, seeds)))
         seeds = np.array([_centroid(v) for v in cells])
-        cells = loop_clipped_voronoi_cells(seeds, clip=False)
+        cells = loop_voronoi_cells(seeds, reach=4.0 / np.sqrt(n_seeds))
     energies.append(sum(_second_moment(v, s) for v, s in zip(cells, seeds)))
     meta = {
         "family": "voro" if lloyd_iters > 0 else "rand",
@@ -960,39 +961,62 @@ def lloyd_voronoi_loop(n_seeds, lloyd_iters, rng_seed):
         "jittered_seeds": 0,
         "lloyd_energy": energies,
     }
-    cells = loop_clipped_voronoi_cells(seeds, clip=True)
-    return loop_merge_cell_polygons(cells, meta=meta), energies
+    return loop_merge_cell_polygons(loop_clipped_cells(cells), meta=meta), energies
 
 
 # -- per-cell mesh generation: the oracle of geometry's stacked path --------
 
 
-def loop_clipped_voronoi_cells(seeds, clip=True):
-    """Voronoi cells of seeds in (0,1)^2, one cell at a time: mirrored
-    seeds, a per-cell angle sort and, with clip, every cell snapped,
-    clipped to the square and snapped again."""
+def _qhull_cells(seeds, points):
+    """The Voronoi cells of the seeds, the first points of the qhull
+    input, one at a time and each sorted by angle about its seed; None
+    for a seed whose region is unbounded."""
+    vor = Voronoi(points)
+    cells = []
+    for i, seed in enumerate(seeds):
+        region = vor.regions[vor.point_region[i]]
+        if -1 in region or len(region) < 3:
+            cells.append(None)
+            continue
+        verts = vor.vertices[region]
+        angles = np.arctan2(verts[:, 1] - seed[1], verts[:, 0] - seed[0])
+        cells.append(verts[np.argsort(angles)])
+    return cells
+
+
+def loop_voronoi_cells(seeds, reach=1.0):
+    """Voronoi cells of seeds in (0,1)^2, one cell at a time: qhull on the
+    seeds mirrored across all four walls or, for reach < 1, on geometry's
+    near-wall selection (_mirrored_points). A reduced diagram is taken
+    only when every cell is bounded with all its vertices nearer than
+    reach / 2 to its seed; otherwise the reach doubles."""
+    while reach < 1.0:
+        cells = _qhull_cells(seeds, _mirrored_points(seeds, reach))
+        if all(v is not None and 2.0 * np.hypot(*(v - s).T).max() < reach
+               for v, s in zip(cells, seeds)):
+            return cells
+        reach *= 2.0
     mirrors = [
         seeds * np.array([-1.0, 1.0]),
         seeds * np.array([-1.0, 1.0]) + np.array([2.0, 0.0]),
         seeds * np.array([1.0, -1.0]),
         seeds * np.array([1.0, -1.0]) + np.array([0.0, 2.0]),
     ]
-    vor = Voronoi(np.vstack([seeds] + mirrors))
-    cells = []
-    for i in range(len(seeds)):
-        region = vor.regions[vor.point_region[i]]
-        if -1 in region or len(region) < 3:
-            raise MeshError("unbounded Voronoi region despite wall mirroring")
-        verts = vor.vertices[region]
-        angles = np.arctan2(verts[:, 1] - seeds[i, 1], verts[:, 0] - seeds[i, 0])
-        verts = verts[np.argsort(angles)]
-        if clip:
-            verts = polyops.clip_to_box(_snap_to_walls(verts))
-            verts = _snap_to_walls(verts)
+    cells = _qhull_cells(seeds, np.vstack([seeds] + mirrors))
+    if any(v is None for v in cells):
+        raise MeshError("unbounded Voronoi region despite wall mirroring")
+    return cells
+
+
+def loop_clipped_cells(cells):
+    """Every cell snapped, clipped to the square and snapped again."""
+    clipped = []
+    for i, verts in enumerate(cells):
+        verts = _snap_to_walls(polyops.clip_to_box(_snap_to_walls(verts)))
         if len(verts) < 3:
             raise MeshError(f"seed {i} produced an empty clipped cell")
-        cells.append(verts)
-    return cells
+        clipped.append(verts)
+    return clipped
 
 
 def loop_merge_cell_polygons(polys, tol=1e-9, meta=None):
@@ -1077,7 +1101,7 @@ class LoopPolyMesh(PolyMesh):
 def loop_generate_hexa(level, distortion=0.15):
     """generate_hexa through the per-cell clip, merge and topology."""
     seeds, pitch = _hexa_seeds(8 * 2 ** (level - 1))
-    cells = loop_clipped_voronoi_cells(seeds)
+    cells = loop_clipped_cells(loop_voronoi_cells(seeds))
     base = loop_merge_cell_polygons(
         cells, meta={"family": "hexa", "level": level, "distortion": distortion}
     )

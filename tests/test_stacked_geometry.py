@@ -6,7 +6,8 @@ loop alone, and the single-loop call the bits of the one-polygon
 formulas in helpers.py (_area, _centroid, _diameter, _second_moment).
 The generators must give the bits of the per-cell clip, merge and
 topology in helpers.py, and their errors must name the seed, cell or
-edge at fault.
+edge at fault. The Lloyd steps' qhull input mirrors only the seeds near
+a wall; its certified cells must be the full-mirror cells to roundoff.
 """
 
 import warnings
@@ -15,13 +16,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vemtransport import polygon
+from vemtransport import geometry, polygon
 from vemtransport.geometry import (
     FAMILY_LEVEL_SIZES,
     MeshError,
     PolyMesh,
     _clip_to_square,
+    _hexa_seeds,
+    _lloyd_step,
     _merge_cell_polygons,
+    _mirrored_points,
     _snap_to_walls,
     _voronoi_loops,
     generate_family,
@@ -201,6 +205,71 @@ def test_voronoi_matches_per_cell_generation(family, level, seed):
     n_seeds = FAMILY_LEVEL_SIZES[family][level - 1]
     ref, _ = lloyd_voronoi_loop(n_seeds, 100 if family == "voro" else 0, seed)
     assert_same_mesh(mesh, ref)
+
+
+def record_reaches(monkeypatch):
+    """The reach of every qhull input _voronoi_loops builds, in order."""
+    reaches = []
+
+    def recorded(seeds, reach=1.0):
+        reaches.append(reach)
+        return _mirrored_points(seeds, reach)
+
+    monkeypatch.setattr(geometry, "_mirrored_points", recorded)
+    return reaches
+
+
+def assert_same_cells(loops, expected):
+    """Equal vertex counts, and angle-sorted vertices equal within 1e-14."""
+    assert_same(loops[1], expected[1])
+    assert np.abs(loops[0] - expected[0]).max() <= 1e-14
+
+
+@pytest.mark.parametrize("rng_seed", [0, 1, 2])
+@pytest.mark.parametrize("n", [64, 256, 1024])
+def test_reduced_mirror_gives_the_full_mirror_cells(monkeypatch, n, rng_seed):
+    reach = 4.0 / np.sqrt(n)
+    reaches = record_reaches(monkeypatch)
+    seeds = np.random.default_rng(rng_seed).random((n, 2))
+    for step in range(4):  # the raw seeds, then after 1, 2 and 3 Lloyd steps
+        full = _voronoi_loops(seeds)
+        reaches.clear()
+        assert_same_cells(_voronoi_loops(seeds, reach=reach), full)
+        assert reaches[0] == reach
+        if step:  # relaxed cells are certified at the first reach
+            assert reaches == [reach]
+        seeds = _lloyd_step(*full, seeds)[1]
+
+
+@pytest.mark.parametrize(
+    "far", [[[0.9, 0.9], [0.5, 0.9], [0.9, 0.5], [0.6, 0.6]], [[0.6, 0.6]]],
+    ids=["large-cells", "unbounded"],
+)
+def test_clustered_seeds_widen_the_reach(monkeypatch, far):
+    # all but a few of 1,024 seeds in the corner [0, 0.3]^2: the far cells
+    # are too large for reach 0.125, and a far seed within no reach of a
+    # wall keeps an unbounded region
+    rng = np.random.default_rng(5)
+    seeds = np.vstack([0.3 * rng.random((1024 - len(far), 2)), far])
+    reaches = record_reaches(monkeypatch)
+    loops = _voronoi_loops(seeds, reach=0.125)
+    assert reaches[0] == 0.125 and len(reaches) > 1
+    assert reaches == sorted(reaches)
+    assert_same_cells(loops, _voronoi_loops(seeds))
+
+
+def test_default_mirror_takes_every_seed():
+    # the hexa lattice has seeds on x = 0 and x = 1: at full reach (<=)
+    # they are mirrored too, so the qhull input is the one of all four walls
+    seeds, _ = _hexa_seeds(8)
+    assert np.any(seeds[:, 0] == 0.0) and np.any(seeds[:, 0] == 1.0)
+    mirrors = [
+        seeds * np.array([-1.0, 1.0]),
+        seeds * np.array([-1.0, 1.0]) + np.array([2.0, 0.0]),
+        seeds * np.array([1.0, -1.0]),
+        seeds * np.array([1.0, -1.0]) + np.array([0.0, 2.0]),
+    ]
+    assert_same(_mirrored_points(seeds), np.vstack([seeds] + mirrors))
 
 
 def test_near_repeated_vertices_take_the_clip_path():
