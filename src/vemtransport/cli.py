@@ -18,7 +18,7 @@ from typing import NamedTuple
 from . import __version__
 from .config import KINDS, ConfigError, ExperimentConfig, list_presets, load_preset
 from .darcy import DarcyError, DarcyProblem, analytic_velocity, solve_darcy_mixed, source_mean
-from .geometry import generate_family, generate_hexa
+from .geometry import MeshError, generate_family, generate_hexa
 from .linalg import LinalgError
 from .meshio import write_polymesh, write_vtk, write_vtk_series
 from .postproc import error_norms, minmax_csv, minmax_trace, observed_rate, rate_table
@@ -28,7 +28,7 @@ from .transport import TransportProblem, TransportSystem
 
 log = logging.getLogger("vemtransport")
 
-SOLVER_ERRORS = (DarcyError, TimeSteppingError, LinalgError)
+SOLVER_ERRORS = (DarcyError, TimeSteppingError, LinalgError, MeshError)
 
 
 def run_manufactured_level(mesh, steps, k, q, D, backend, level=0):

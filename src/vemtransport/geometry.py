@@ -2,7 +2,7 @@
 
 Provides the half-edge style PolyMesh container, four mesh generators
 (structured quads, distorted hexagons, Lloyd-optimized and random
-Voronoi), and a star-shapedness audit. Cells are stored
+Voronoi), and a shape-regularity audit. Cells are convex and stored
 counter-clockwise; outward normals are edge tangents rotated by -90
 degrees.
 """
@@ -16,7 +16,7 @@ import numpy as np
 from scipy.spatial import Voronoi, cKDTree
 
 from . import polygon
-from .quadrature import fan_rule, star_points
+from .quadrature import fan_rule
 
 log = logging.getLogger(__name__)
 
@@ -33,13 +33,11 @@ class PolyMesh:
     vertices : (nv, 2) array
         Vertex coordinates.
     cells : sequence of int arrays
-        Counter-clockwise vertex index loops, one per cell.
-    validate : bool
-        Run the geometric sanity checks (simple cells, positive area,
-        outward normals).
+        Counter-clockwise vertex index loops, one per cell; each cell
+        must be a simple convex polygon of positive area.
     """
 
-    def __init__(self, vertices, cells, meta=None, validate=True):
+    def __init__(self, vertices, cells, meta=None):
         self.vertices = np.asarray(vertices, dtype=float).copy()
         counts = np.array([len(c) for c in cells], dtype=int)
         self._loop_vertices = np.concatenate(cells).astype(int)
@@ -47,7 +45,7 @@ class PolyMesh:
         self.cells = np.split(self._loop_vertices, np.cumsum(counts)[:-1])
         self.meta = dict(meta or {})
         self._build_topology(counts)
-        self._build_geometry(validate)
+        self._build_geometry()
 
     def _build_topology(self, counts):
         """Number the edges by first occurrence along the cell loops, in
@@ -98,22 +96,25 @@ class PolyMesh:
         # outward normal = sign * canonical normal on each boundary edge
         self.boundary_signs = self._edge_signs[self.boundary_edges, 0]
 
-    def _build_geometry(self, validate):
+    def _build_geometry(self):
         nc = len(self.cells)
         loops = [(cells, self.vertices[self._loop_vertices[pos]])
                  for cells, pos in self._loop_groups]
         self.cell_areas = np.empty(nc)
-        simple = np.ones(nc, dtype=bool)
+        simple = np.empty(nc, dtype=bool)
+        convex = np.empty(nc, dtype=bool)
         for cells, verts in loops:
             self.cell_areas[cells] = polygon.signed_area(verts)
-            if validate:
-                simple[cells] = polygon.is_simple(verts)
-        bad = np.flatnonzero((self.cell_areas <= 0.0) | ~simple)
+            simple[cells] = polygon.is_simple(verts)
+            convex[cells] = polygon.is_convex(verts)
+        bad = np.flatnonzero((self.cell_areas <= 0.0) | ~simple | ~convex)
         if len(bad):
             ci, a = bad[0], self.cell_areas[bad[0]]
             if a <= 0.0:
                 raise MeshError(f"cell {ci} has non-positive signed area {a}")
-            raise MeshError(f"cell {ci} is not a simple polygon")
+            if not simple[ci]:
+                raise MeshError(f"cell {ci} is not a simple polygon")
+            raise MeshError(f"cell {ci} is not convex")
         self.cell_centroids = np.empty((nc, 2))
         self.cell_diameters = np.empty(nc)
         for cells, verts in loops:
@@ -128,15 +129,6 @@ class PolyMesh:
         tangents = tangents / self.edge_lengths[:, None]
         # canonical normal: min->max tangent rotated by -90 degrees
         self.edge_normals = np.column_stack([tangents[:, 1], -tangents[:, 0]])
-
-        if validate:
-            bd = self.boundary_edges
-            n_out = self.boundary_signs[:, None] * self.edge_normals[bd]
-            ends = self.vertices[self.edges[bd]]
-            mid = 0.5 * (ends[:, 0] + ends[:, 1]) - self.cell_centroids[self.edge_cells[bd, 0]]
-            inward = np.flatnonzero(n_out[:, 0] * mid[:, 0] + n_out[:, 1] * mid[:, 1] <= 0.0)
-            if len(inward):
-                raise MeshError(f"boundary edge {bd[inward[0]]} normal does not point outward")
 
     # -- accessors -------------------------------------------------------
 
@@ -160,10 +152,9 @@ class PolyMesh:
             ids = self._loop_vertices[pos]
             loops = self._loop_edges[pos]
             verts = self.vertices[ids]
-            centroids = self.cell_centroids[cells]
             groups.append(CellGroup(
                 cells, ids, loops[..., 0], loops[..., 1], verts, self.cell_areas[cells],
-                centroids, self.cell_diameters[cells], star_points(verts, centroids),
+                self.cell_centroids[cells], self.cell_diameters[cells],
             ))
         return groups
 
@@ -174,8 +165,7 @@ class CellGroup:
 
     vertex_ids, edges and directions are (n, nv) in each cell's
     counter-clockwise order; a direction is +1 where the loop runs along
-    the canonical min -> max edge direction. verts is (n, nv, 2); apex
-    holds the star points every cell's quadrature is fanned around.
+    the canonical min -> max edge direction. verts is (n, nv, 2).
     """
 
     cells: np.ndarray
@@ -186,11 +176,11 @@ class CellGroup:
     area: np.ndarray
     centroid: np.ndarray
     diameter: np.ndarray
-    apex: np.ndarray
 
     def rule(self, degree):
-        """Polygon rules of all cells: points (n, m, 2), weights (n, m)."""
-        return fan_rule(self.verts, self.apex, degree)
+        """Polygon rules of all cells, fanned around their centroids:
+        points (n, m, 2), weights (n, m)."""
+        return fan_rule(self.verts, self.centroid, degree)
 
 
 def _length_groups(counts):
@@ -244,15 +234,12 @@ def audit_mesh(mesh, gamma0=0.1, n0=16):
     """Audit every cell against the shape-regularity assumptions.
 
     A cell passes when it has at most n0 edges and rho_K >= gamma0 * h_K.
-    rho_K is the smallest signed distance from the cell's fan apex (its
-    centroid if convex, else polygon.star_point) to the lines through its
-    edges. The ball B(apex, rho_K) lies in every edge's inner half-plane,
-    hence in the kernel, so the cell is star-shaped with respect to it:
-    rho_K is a lower bound of the kernel's inscribed radius, equal to it
-    when the apex is the kernel's Chebyshev center (a square, a regular
-    hexagon). A cell without a star point gets rho_K = 0. The apex is
-    found without mesh.cell_groups, which raises on such a cell.
-    Report-only: never raises on failures.
+    rho_K is the smallest distance from the cell's centroid to the lines
+    through its edges. The cell is convex, so the ball B(centroid, rho_K)
+    lies in it and the cell is star-shaped with respect to that ball:
+    rho_K is a lower bound of the cell's inscribed radius, equal to it
+    when the centroid is the Chebyshev center (a square, a regular
+    hexagon). Report-only: never raises on failures.
     """
     if not 0.0 < gamma0 < 1.0:
         raise MeshError("gamma0 must lie in (0, 1)")
@@ -262,11 +249,10 @@ def audit_mesh(mesh, gamma0=0.1, n0=16):
     edge_count = np.empty(mesh.num_cells, dtype=int)
     for cells, pos in mesh._loop_groups:
         verts = mesh.vertices[mesh._loop_vertices[pos]]
-        apex = polygon.star_points(verts, mesh.cell_centroids[cells])
         e = np.roll(verts, -1, axis=1) - verts
-        d = apex[:, None, :] - verts
+        d = mesh.cell_centroids[cells][:, None, :] - verts
         dist = (e[..., 0] * d[..., 1] - e[..., 1] * d[..., 0]) / np.hypot(e[..., 0], e[..., 1])
-        rho[cells] = np.nan_to_num(dist.min(axis=1))  # no star point: NaN -> 0
+        rho[cells] = dist.min(axis=1)
         edge_count[cells] = pos.shape[1]
     ratio = rho / mesh.cell_diameters
     return MeshAudit(ratio, edge_count, (ratio >= gamma0) & (edge_count <= n0))

@@ -3,10 +3,7 @@
 All polygons are (n, 2) float arrays of vertices in counter-clockwise
 order unless stated otherwise. signed_area, centroid, diameter,
 second_moment_about, is_convex and is_simple also take a stack (..., n, 2)
-and give, loop for loop, the bits of the call on that loop alone. A
-star point is found in closed form: the centroid of a convex polygon,
-else the centroid when it lies in the kernel polygon, else the kernel's
-centroid.
+and give, loop for loop, the bits of the call on that loop alone.
 """
 
 import numpy as np
@@ -53,10 +50,6 @@ def second_moment_about(verts, point):
     ixx = np.sum((x * x + x * xn + xn * xn) * cross, axis=-1) / 12.0
     iyy = np.sum((y * y + y * yn + yn * yn) * cross, axis=-1) / 12.0
     return _scalar_if_one(ixx + iyy)
-
-
-def edge_vectors(verts):
-    return np.roll(verts, -1, axis=0) - verts
 
 
 def is_convex(verts, tol=1e-12):
@@ -127,58 +120,3 @@ def clip_to_box(verts):
         if len(out) == 0:
             return out
     return out
-
-
-def kernel_polygon(verts):
-    """Kernel of a simple polygon: points seeing every boundary point.
-
-    Computed by clipping a bounding box against the half-plane left of
-    each (counter-clockwise) edge. Empty result means the polygon is not
-    star-shaped.
-    """
-    lo = verts.min(axis=0) - 1.0
-    hi = verts.max(axis=0) + 1.0
-    kernel = np.array([[lo[0], lo[1]], [hi[0], lo[1]], [hi[0], hi[1]], [lo[0], hi[1]]])
-    e = edge_vectors(verts)
-    for i in range(len(verts)):
-        # left of edge i: outward normal is the tangent rotated by -90 deg
-        normal = np.array([e[i, 1], -e[i, 0]])
-        norm = np.hypot(normal[0], normal[1])
-        if norm == 0.0:
-            continue
-        normal /= norm
-        kernel = clip_halfplane(kernel, normal, normal @ verts[i])
-        if len(kernel) < 3:
-            return np.zeros((0, 2))
-    return kernel
-
-
-def star_point(verts):
-    """A point the polygon is star-shaped around, or None.
-
-    Prefers the centroid when it lies in the kernel, otherwise uses the
-    kernel's centroid: the kernel is convex with positive area, so its
-    centroid is an interior point.
-    """
-    c = centroid(verts)
-    if is_convex(verts):
-        return c
-    kernel = kernel_polygon(verts)
-    if len(kernel) < 3 or abs(signed_area(kernel)) < 1e-14 * diameter(verts) ** 2:
-        return None
-    e = edge_vectors(kernel)
-    normals = np.column_stack([e[:, 1], -e[:, 0]])
-    dist = np.sum(normals * (c[None, :] - kernel), axis=1)
-    if np.all(dist <= 0.0):
-        return c
-    return centroid(kernel)
-
-
-def star_points(verts, centroids):
-    """Star points of a stack of loops (nc, nv, 2): the centroid of every
-    convex loop, star_point of the others, a NaN row where there is none."""
-    apex = np.array(centroids, dtype=float)
-    for c in np.flatnonzero(~is_convex(verts)):
-        point = star_point(verts[c])
-        apex[c] = np.nan if point is None else point
-    return apex

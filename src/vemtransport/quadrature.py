@@ -1,8 +1,8 @@
 """Numerical integration on polygons, edges, and time slabs.
 
-Polygon rules fan-triangulate the cell around a star point and apply a
-collapsed Gauss-Jacobi x Gauss-Legendre product per triangle, so weights
-stay positive and points interior. The temporal rule is the right
+Polygon rules fan-triangulate the convex cell around its centroid and
+apply a collapsed Gauss-Jacobi x Gauss-Legendre product per triangle, so
+weights stay positive and points interior. The temporal rule is the right
 Gauss-Radau family on (0, 1] with the endpoint node pinned at 1.
 """
 
@@ -103,22 +103,15 @@ def edge_rule(p0, p1, degree):
     return EdgeRule(points, weights, t, float(length) if length.ndim == 0 else length)
 
 
-def star_points(verts, centroids):
-    """Fan points of a stack of polygons, verts (nc, nv, 2), by
-    polygon.star_points. Raises QuadratureError when a cell has none."""
-    apex = polygon.star_points(verts, centroids)
-    if np.isnan(apex).any():
-        raise QuadratureError("polygon is not star-shaped: no interior fan point")
-    return apex
-
-
 def fan_rule(verts, apex, degree):
     """Polygon rules of a stack of cells with the same vertex count.
 
-    verts (nc, nv, 2) are counter-clockwise loops and apex (nc, 2) their
-    star points; returns points (nc, nv * m, 2) and weights (nc, nv * m),
-    the collapsed product rule on every fan triangle, exact for total
-    degree `degree`.
+    verts (nc, nv, 2) are counter-clockwise loops and apex (nc, 2) the
+    points they are fanned around; returns points (nc, nv * m, 2) and
+    weights (nc, nv * m), the collapsed product rule on every fan
+    triangle, exact for total degree `degree`. Raises QuadratureError
+    when an apex does not see its whole cell (a fan triangle of
+    non-positive area).
     """
     if degree < 0:
         raise QuadratureError("degree must be >= 0")
@@ -141,17 +134,13 @@ def fan_rule(verts, apex, degree):
 
 
 def polygon_rule(verts, degree):
-    """Quadrature on a simple polygon, exact for total degree `degree`.
+    """Quadrature on a convex polygon, exact for total degree `degree`.
 
-    The cell is fanned into triangles around polygon.star_point (the
-    centroid of a convex cell). Fails if no star point exists, i.e. the
-    cell violates the mesh regularity assumption.
+    The cell is fanned into triangles around its centroid; a cell the
+    centroid does not see raises QuadratureError (see fan_rule).
     """
     verts = np.asarray(verts, dtype=float)
-    apex = polygon.star_point(verts)
-    if apex is None:
-        raise QuadratureError("polygon is not star-shaped: no interior fan point")
-    points, weights = fan_rule(verts[None], apex[None], degree)
+    points, weights = fan_rule(verts[None], polygon.centroid(verts)[None], degree)
     return PolygonRule(points=points[0], weights=weights[0], exact_degree=degree)
 
 

@@ -54,7 +54,6 @@ from vemtransport.quadrature import (
     gauss_interval,
     lagrange_values,
     polygon_rule,
-    star_points,
 )
 from vemtransport.timestepping import lagrange_derivative_matrix, slab_matrix, slab_rhs
 
@@ -149,21 +148,18 @@ def random_convex_polygon(rng, n_min=4, n_max=9, scale=1.0):
             return verts
 
 
-#: star-shaped but not convex: the centroid does not see the notch
-ARROW = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 2.0], [1.0, 0.6], [0.0, 2.0]])
-#: no point sees the whole boundary
+#: not convex, and no point sees the whole boundary
 U_SHAPE = np.array(
     [[0, 0], [3, 0], [3, 3], [2, 3], [2, 1], [1, 1], [1, 3], [0, 3]], dtype=float
 )
 
 
-def polygon_mesh(polygons, validate=True):
-    """A mesh of separate cells (no shared edges) from vertex loops;
-    non-convex cells need validate=False (outward-normal check)."""
+def polygon_mesh(polygons):
+    """A mesh of separate cells (no shared edges) from vertex loops."""
     vertices = np.vstack(polygons)
     offsets = np.cumsum([0] + [len(p) for p in polygons])
     cells = [np.arange(a, b) for a, b in zip(offsets[:-1], offsets[1:])]
-    return PolyMesh(vertices, cells, validate=validate)
+    return PolyMesh(vertices, cells)
 
 
 def cell_polygon(mesh, ci):
@@ -188,11 +184,10 @@ def one_cell_group(verts):
     """A CellGroup of one cell, numbered on its own: vertices and edges 0..nv-1."""
     verts = np.asarray(verts, dtype=float)
     loop = np.arange(len(verts))[None]
-    centroid = polyops.centroid(verts)[None]
     return CellGroup(
         np.zeros(1, dtype=int), loop, loop, np.ones_like(loop), verts[None],
-        np.array([polyops.signed_area(verts)]), centroid,
-        np.array([polyops.diameter(verts)]), star_points(verts[None], centroid),
+        np.array([polyops.signed_area(verts)]), polyops.centroid(verts)[None],
+        np.array([polyops.diameter(verts)]),
     )
 
 
@@ -1148,16 +1143,13 @@ def chebyshev_radius(verts):
 
 def lp_audit(mesh, gamma0=0.1, n0=16):
     """The shape audit one cell at a time by linear programming: the
-    Chebyshev radius of each cell, or of its kernel polygon when it is
-    not convex (0 without a kernel), over h_K. Returns the per-cell
+    Chebyshev radius of each cell over h_K. Returns the per-cell
     (rho_ratio, passed) arrays."""
     ratio = np.zeros(mesh.num_cells)
     passed = np.zeros(mesh.num_cells, dtype=bool)
     for ci in range(mesh.num_cells):
         verts = cell_polygon(mesh, ci)
-        region = verts if polyops.is_convex(verts) else polyops.kernel_polygon(verts)
-        if len(region) >= 3:
-            ratio[ci] = chebyshev_radius(region) / mesh.cell_diameters[ci]
+        ratio[ci] = chebyshev_radius(verts) / mesh.cell_diameters[ci]
         passed[ci] = ratio[ci] >= gamma0 and len(verts) <= n0
     return ratio, passed
 

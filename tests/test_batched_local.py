@@ -14,11 +14,10 @@ from hypothesis import given, settings, strategies as st
 
 from vemtransport.darcy import _flux_groups
 from vemtransport.element import VemSpace, n_poly
-from vemtransport.geometry import generate_hexa, generate_quad, generate_voronoi
+from vemtransport.geometry import MeshError, generate_hexa, generate_quad, generate_voronoi
 from vemtransport.quadrature import QuadratureError, polygon_rule
 
 from helpers import (
-    ARROW,
     U_SHAPE,
     LoopFluxElement,
     LoopVemElement,
@@ -110,21 +109,8 @@ def test_random_mixed_batches_match_loop(seed, k):
     check_flux(mesh, k)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_star_shaped_nonconvex_cell(k):
-    # fanned around polygon.star_point instead of the centroid, alone and
-    # inside a group of convex cells of the same vertex count
-    pentagon = np.array([[0.0, 0.0], [1.0, 0.0], [1.3, 0.7], [0.5, 1.2], [-0.2, 0.6]])
-    mesh = polygon_mesh([pentagon + 3.0, ARROW, pentagon - 3.0], validate=False)
-    check_space(mesh, k, np.random.default_rng(0))
-    check_flux(mesh, k)
-    ref = LoopVemElement(ARROW, k)
-    assert_rel_close(VemElement(ARROW, k).mass_matrix(), ref.mass)
-
-
 def test_non_star_cell_raises():
     with pytest.raises(QuadratureError):
         VemElement(U_SHAPE, 1)
-    mesh = polygon_mesh([U_SHAPE - 5.0, U_SHAPE + 5.0], validate=False)
-    with pytest.raises(QuadratureError):
-        VemSpace(mesh, 1)
+    with pytest.raises(MeshError, match="^cell 0 is not convex$"):
+        polygon_mesh([U_SHAPE - 5.0, U_SHAPE + 5.0])

@@ -13,6 +13,7 @@ import pytest
 from vemtransport import cli
 from vemtransport.config import ConfigError, ExperimentConfig, list_presets, load_preset
 from vemtransport.darcy import DarcyError
+from vemtransport.geometry import MeshError
 from vemtransport.timestepping import TimeSteppingError
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -328,6 +329,20 @@ class TestCliDispatch:
         assert len(lines) == 2 and lines[1].startswith(first_row)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["failure"]["solve"] == failed
+
+    def test_mesh_failure_exit_3_names_the_cell(self, tmp_path, monkeypatch, caplog):
+        def broken(*args, **kwargs):
+            raise MeshError("cell 3 is not convex")
+
+        monkeypatch.setattr(cli, "generate_family", broken)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "kind": "convergence", "mesh_family": "quad", "levels": [1],
+            "steps_per_level": [1], "k": 1, "out_dir": str(tmp_path / "out"),
+        }))
+        with caplog.at_level(logging.ERROR, logger="vemtransport"):
+            assert cli.main(["convergence", "--config", str(path)]) == 3
+        assert "cell 3 is not convex" in caplog.text
 
 
 class TestWells:

@@ -90,7 +90,7 @@ class TestErrorNorms:
 
         rng = np.random.default_rng(0)
         perm = rng.permutation(mesh.num_cells)
-        mesh2 = PolyMesh(mesh.vertices, [mesh.cells[p] for p in perm], validate=False)
+        mesh2 = PolyMesh(mesh.vertices, [mesh.cells[p] for p in perm])
         vel2 = analytic_velocity(unit_x, mesh2, 2)
         prob2 = TransportProblem(D=0.5, velocity=vel2, f=zeros_f)
         system2 = TransportSystem(mesh2, 2, prob2)

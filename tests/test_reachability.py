@@ -26,9 +26,6 @@ PACKAGE = Path(vemtransport.__file__).parent
 #: functions no study reaches, and why they stay in the package
 UNREACHED = {
     "quadrature.polygon_rule": "the benchmark tracer counts calls to it",
-    "polygon.star_point": "non-convex cells, which PolyMesh accepts; no generator makes one",
-    "polygon.kernel_polygon": "non-convex cells, which PolyMesh accepts; no generator makes one",
-    "polygon.edge_vectors": "non-convex cells, which PolyMesh accepts; no generator makes one",
     "config.load_preset": "the full presets are too large for tier-1",
 }
 

@@ -35,6 +35,7 @@ from vemtransport.geometry import (
 )
 
 from helpers import (
+    U_SHAPE,
     LoopPolyMesh,
     _area,
     _centroid,
@@ -132,6 +133,7 @@ def separate_cells(polygons):
         ([SQUARE, CROSSED_HEXAGON, SQUARE + 4.0, FLAT], "cell 1 is not a simple polygon"),
         ([SQUARE, SQUARE + 4.0, BOW_TIE, FLAT], "cell 2 has non-positive signed area 0.0"),
         ([CROSSED_HEXAGON + 8.0, FLAT + 4.0], "cell 0 is not a simple polygon"),
+        ([SQUARE, U_SHAPE + 4.0, SQUARE + 8.0, FLAT + 12.0], "cell 1 is not convex"),
     ],
 )
 def test_invalid_cell_raises_naming_the_lowest_cell(polygons, message):
@@ -191,7 +193,7 @@ def test_hexa_matches_per_cell_generation(level, distortion):
     mesh = generate_hexa(level, distortion)
     assert_same_mesh(mesh, loop_generate_hexa(level, distortion))
     if distortion:
-        assert mesh.meta["distortion_applied"] > 0.0
+        assert mesh.meta["distortion_applied"] == 0.15
 
 
 @pytest.mark.parametrize(
@@ -325,11 +327,3 @@ def test_topology_errors_name_the_cell_or_edge(cells, message):
     for cls in (PolyMesh, LoopPolyMesh):
         with pytest.raises(MeshError, match=f"^{message}$"):
             cls(FAN, cells)
-
-
-def test_inward_boundary_normal_names_the_edge():
-    # a U-shaped cell: the notch's side and floor edges (3 and 4) face its centroid
-    u_shape = np.array([(0, 0), (3, 0), (3, 3), (2, 3), (2, 1), (1, 1), (1, 3), (0, 3)],
-                       dtype=float)
-    with pytest.raises(MeshError, match="^boundary edge 3 normal does not point outward$"):
-        PolyMesh(u_shape, [np.arange(8)])
