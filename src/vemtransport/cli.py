@@ -79,14 +79,6 @@ def write_manifest(out_dir, config, timings, extra):
     _write_text(Path(out_dir) / "manifest.json", json.dumps(payload, indent=1, sort_keys=True))
 
 
-def _generate(timings, level, generator, *args, **kwargs):
-    """Generate a mesh, recording its seconds under geometry.generate.level_<level>."""
-    t0 = time.perf_counter()
-    mesh = generator(*args, **kwargs)
-    timings[f"geometry.generate.level_{level}"] = time.perf_counter() - t0
-    return mesh
-
-
 def _timed(timings, label, fn, *args, **kwargs):
     """Call fn, recording its seconds under `label`.
 
@@ -178,10 +170,12 @@ def run_manufactured(config, out, timings):
     failure = None
     for solve in manufactured_solves(config):
         if solve.level not in meshes:
-            meshes[solve.level] = _generate(
-                timings, solve.level, generate_family,
+            meshes[solve.level], failure = _timed(
+                timings, f"geometry.generate.level_{solve.level}", generate_family,
                 config.mesh_family, solve.level, rng_seed=config.rng_seed,
             )
+            if failure:
+                break
         result, failure = _timed(
             timings, solve.label, run_manufactured_level,
             meshes[solve.level], solve.steps, solve.k, solve.q, solve.D,
@@ -207,7 +201,11 @@ def run_wells(config, out, timings):
     t = 1, 2, 4. Returns (summary, failure)."""
     wells = get_problem(config.problem)
     level = config.wells_level
-    mesh = _generate(timings, level, generate_hexa, level, distortion=0.0)
+    mesh, failure = _timed(
+        timings, f"geometry.generate.level_{level}", generate_hexa, level, distortion=0.0
+    )
+    if failure:
+        return {}, failure
     write_polymesh(mesh, out / "mesh.txt")
     write_vtk(mesh, out / "mesh.vtk")
 

@@ -230,10 +230,15 @@ class MeshAudit:
         return bool(self.cell_passed.all())
 
 
-def audit_mesh(mesh, gamma0=0.1, n0=16):
+#: the shape-regularity thresholds: rho_K >= GAMMA0 h_K and at most N0 edges
+GAMMA0 = 0.1
+N0 = 16
+
+
+def audit_mesh(mesh):
     """Audit every cell against the shape-regularity assumptions.
 
-    A cell passes when it has at most n0 edges and rho_K >= gamma0 * h_K.
+    A cell passes when it has at most N0 edges and rho_K >= GAMMA0 * h_K.
     rho_K is the smallest distance from the cell's centroid to the lines
     through its edges. The cell is convex, so the ball B(centroid, rho_K)
     lies in it and the cell is star-shaped with respect to that ball:
@@ -241,10 +246,6 @@ def audit_mesh(mesh, gamma0=0.1, n0=16):
     when the centroid is the Chebyshev center (a square, a regular
     hexagon). Report-only: never raises on failures.
     """
-    if not 0.0 < gamma0 < 1.0:
-        raise MeshError("gamma0 must lie in (0, 1)")
-    if n0 < 3:
-        raise MeshError("n0 must be at least 3")
     rho = np.empty(mesh.num_cells)
     edge_count = np.empty(mesh.num_cells, dtype=int)
     for cells, pos in mesh._loop_groups:
@@ -255,7 +256,7 @@ def audit_mesh(mesh, gamma0=0.1, n0=16):
         rho[cells] = dist.min(axis=1)
         edge_count[cells] = pos.shape[1]
     ratio = rho / mesh.cell_diameters
-    return MeshAudit(ratio, edge_count, (ratio >= gamma0) & (edge_count <= n0))
+    return MeshAudit(ratio, edge_count, (ratio >= GAMMA0) & (edge_count <= N0))
 
 
 # -- generators ----------------------------------------------------------
@@ -268,28 +269,21 @@ def generate_quad(n):
     xs = np.linspace(0.0, 1.0, n + 1)
     xv, yv = np.meshgrid(xs, xs, indexing="ij")
     vertices = np.column_stack([xv.ravel(), yv.ravel()])
-
-    def vid(i, j):
-        return i * (n + 1) + j
-
-    cells = []
-    for i in range(n):
-        for j in range(n):
-            cells.append([vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)])
-    mesh = PolyMesh(vertices, cells, meta={"family": "quad", "n": n})
-    return mesh
+    # cell (i, j), i major, runs from vertex i (n + 1) + j counter-clockwise
+    corners = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).reshape(-1, 1)
+    cells = corners + np.array([0, n + 1, n + 2, 1])
+    return PolyMesh(vertices, cells, meta={"family": "quad", "n": n})
 
 
-def _merge_cell_polygons(polys, tol=1e-9, meta=None):
-    """Build a PolyMesh from per-cell vertex loops, merging shared points.
+def _merge_cell_polygons(stacked, counts, tol=1e-9, meta=None):
+    """Build a PolyMesh from cell loops stacked cell by cell with the
+    given vertex counts, merging shared points.
 
     Points closer than tol are chained into components; each component
     becomes the vertex at its smallest stacked index. In every loop a
     repeat of the previous vertex is dropped, and then a last vertex
     equal to the first.
     """
-    counts = np.array([len(p) for p in polys])
-    stacked = np.vstack(polys)
     pairs = cKDTree(stacked).query_pairs(tol, output_type="ndarray")
     roots = np.arange(len(stacked))
     while True:  # min-label propagation along the pairs
@@ -345,7 +339,7 @@ def _voronoi_loops(seeds, reach=1.0):
 
     Seeds are mirrored across the walls so every original region is
     finite and bounded by the walls. The Lloyd steps use these cells
-    unclipped: the mirrored cells are already accurate to roundoff.
+    uncut: the mirrored cells are already accurate to roundoff.
 
     With reach < 1 only the seeds within reach of a wall are mirrored
     across it, and the cells are certified: all bounded, and every vertex
@@ -379,24 +373,30 @@ def _voronoi_loops(seeds, reach=1.0):
     return verts[np.lexsort((angles, owner))], counts
 
 
-def _clip_to_square(verts, counts):
-    """The stacked cell loops as a list, wall cells clipped to the unit square.
+def _cut_to_square(verts, counts):
+    """The stacked cell loops cut to the unit square: (verts, counts).
 
-    A wall cell has a coordinate outside [1e-10, 1 - 1e-10] or two
-    consecutive vertices within 1e-14, which clip_halfplane would merge.
-    Only these are snapped to the walls, Sutherland-Hodgman clipped and
-    snapped again, pinning the wall coordinates exactly; for any other
-    cell those three steps return the loop unchanged.
+    The vertices are snapped to the walls and those outside [0, 1]^2
+    dropped. The wall mirror bounds every cell by the walls, so a cell
+    reaches past a wall only where its seed lies on that wall and the
+    Voronoi cut falls on cell vertices: every edge the cut creates must
+    join two vertices on one wall, or the seed's cell is rejected.
     """
-    starts = np.cumsum(counts) - counts
-    at_wall = np.any((verts < 1e-10) | (verts > 1.0 - 1e-10), axis=1)
-    repeated = np.max(np.abs(verts[_next_in_loop(counts)] - verts), axis=1) <= 1e-14
-    cells = np.split(verts, starts[1:])
-    for i in np.flatnonzero(np.logical_or.reduceat(at_wall | repeated, starts)):
-        cells[i] = _snap_to_walls(polygon.clip_to_box(_snap_to_walls(cells[i])))
-        if len(cells[i]) < 3:
-            raise MeshError(f"seed {i} produced an empty clipped cell")
-    return cells
+    verts = _snap_to_walls(verts)
+    inside = np.all((verts >= 0.0) & (verts <= 1.0), axis=1)
+    owner = np.repeat(np.arange(len(counts)), counts)[inside]
+    kept = np.bincount(owner, minlength=len(counts))
+    if np.any(kept < 3):
+        raise MeshError(f"seed {np.argmax(kept < 3)} produced an empty clipped cell")
+    # a kept vertex followed by a dropped one starts an edge of the cut
+    cut = ~inside[_next_in_loop(counts)][inside]
+    verts = verts[inside]
+    nxt = verts[_next_in_loop(kept)]
+    on_wall = np.any((verts == nxt) & ((verts == 0.0) | (verts == 1.0)), axis=1)
+    bad = owner[cut & ~on_wall]
+    if len(bad):
+        raise MeshError(f"seed {bad[0]} has a cell edge crossing a wall off its vertices")
+    return verts, kept
 
 
 def _lloyd_step(verts, counts, seeds):
@@ -412,7 +412,7 @@ def _lloyd_step(verts, counts, seeds):
 
 
 def generate_voronoi(n_seeds, lloyd_iters=0, rng_seed=0):
-    """Clipped Voronoi tessellation of (0,1)^2 from random seed points.
+    """Voronoi tessellation of (0,1)^2 from random seed points.
 
     lloyd_iters = 0 gives the raw random ("rand") family; lloyd_iters > 0
     relaxes the seeds toward cell centroids ("voro" family). Deterministic
@@ -442,7 +442,6 @@ def generate_voronoi(n_seeds, lloyd_iters=0, rng_seed=0):
         energies.append(energy)
         loops = _voronoi_loops(seeds, reach=4.0 / np.sqrt(n_seeds))
     energies.append(_lloyd_step(*loops, seeds)[0])
-    cells = _clip_to_square(*loops)
 
     meta = {
         "family": "voro" if lloyd_iters > 0 else "rand",
@@ -452,7 +451,7 @@ def generate_voronoi(n_seeds, lloyd_iters=0, rng_seed=0):
         "jittered_seeds": jittered,
         "lloyd_energy": energies,
     }
-    return _merge_cell_polygons(cells, meta=meta)
+    return _merge_cell_polygons(*_cut_to_square(*loops), meta=meta)
 
 
 def _hexa_seeds(nx):
@@ -476,44 +475,34 @@ def _hexa_seeds(nx):
 def generate_hexa(level, distortion=0.15):
     """Tessellation of (0,1)^2 by (possibly distorted) hexagons.
 
-    A triangular seed lattice generates a clipped honeycomb; interior
-    vertices then get a deterministic sinusoidal perturbation of
-    amplitude `distortion` times the lattice pitch, halved until the
-    shape-regularity audit passes. distortion = 0 keeps the regular
-    honeycomb (used by the wells example).
+    A triangular seed lattice generates a honeycomb cut to the square;
+    interior vertices then get a deterministic sinusoidal perturbation of
+    amplitude `distortion` times the lattice pitch. A distorted cell that
+    is not convex or fails the shape audit raises MeshError naming it.
+    distortion = 0 keeps the regular honeycomb (used by the wells example).
     """
     if level < 1:
         raise MeshError("level must be >= 1")
-    nx = 8 * 2 ** (level - 1)
-    seeds, pitch = _hexa_seeds(nx)
-    cells = _clip_to_square(*_voronoi_loops(seeds))
+    seeds, pitch = _hexa_seeds(8 * 2 ** (level - 1))
     base = _merge_cell_polygons(
-        cells, meta={"family": "hexa", "level": level, "distortion": distortion}
+        *_cut_to_square(*_voronoi_loops(seeds)),
+        meta={"family": "hexa", "level": level, "distortion": distortion},
     )
     if distortion <= 0.0:
         return base
 
     verts = base.vertices
-    interior = np.ones(len(verts), dtype=bool)
-    for axis in (0, 1):
-        interior &= (verts[:, axis] > 1e-12) & (verts[:, axis] < 1.0 - 1e-12)
-
+    interior = np.all((verts > 1e-12) & (verts < 1.0 - 1e-12), axis=1)
     amp = distortion * pitch
-    while amp > 1e-3 * pitch:
-        moved = verts.copy()
-        x, y = verts[interior, 0], verts[interior, 1]
-        moved[interior, 0] += amp * np.sin(3.0 * np.pi * x) * np.sin(2.0 * np.pi * y + 0.7)
-        moved[interior, 1] += amp * np.sin(2.0 * np.pi * x + 1.3) * np.sin(3.0 * np.pi * y)
-        try:
-            mesh = PolyMesh(moved, base.cells, meta=dict(base.meta, distortion_applied=amp / pitch))
-        except MeshError:
-            amp *= 0.5
-            continue
-        if audit_mesh(mesh).passed:
-            return mesh
-        amp *= 0.5
-    log.warning("hexa distortion clamped to zero at level %d", level)
-    return base
+    moved = verts.copy()
+    x, y = verts[interior, 0], verts[interior, 1]
+    moved[interior, 0] += amp * np.sin(3.0 * np.pi * x) * np.sin(2.0 * np.pi * y + 0.7)
+    moved[interior, 1] += amp * np.sin(2.0 * np.pi * x + 1.3) * np.sin(3.0 * np.pi * y)
+    mesh = PolyMesh(moved, base.cells, meta=base.meta)
+    audit = audit_mesh(mesh)
+    if not audit.passed:
+        raise MeshError(f"cell {np.argmin(audit.cell_passed)} fails the shape audit")
+    return mesh
 
 
 #: mesh levels sized so that h is approximately proportional to the time

@@ -1,9 +1,10 @@
 """Planar polygon primitives shared by the mesh and quadrature layers.
 
 All polygons are (n, 2) float arrays of vertices in counter-clockwise
-order unless stated otherwise. signed_area, centroid, diameter,
-second_moment_about, is_convex and is_simple also take a stack (..., n, 2)
-and give, loop for loop, the bits of the call on that loop alone.
+order unless stated otherwise. Every function also takes a stack
+(..., n, 2) and gives, loop for loop, the bits of the call on that loop
+alone. Cutting cells to the unit square is geometry's work: the wall
+mirror already bounds them, so it only drops vertices.
 """
 
 import numpy as np
@@ -80,43 +81,3 @@ def is_simple(verts, tol=1e-14):
     crossing = ~parallel & (tol < t) & (t < 1 - tol) & (tol < u) & (u < 1 - tol)
     simple = ~np.any(crossing, axis=-1)
     return bool(simple) if simple.ndim == 0 else simple
-
-
-def clip_halfplane(verts, normal, offset, tol=1e-14):
-    """Sutherland-Hodgman clip keeping the side normal . x <= offset.
-
-    Returns a new vertex loop (possibly empty). Consecutive duplicates
-    produced by grazing cuts are removed.
-    """
-    n = len(verts)
-    out = []
-    dist = verts @ normal - offset
-    for i in range(n):
-        j = (i + 1) % n
-        di, dj = dist[i], dist[j]
-        if di <= tol:
-            out.append(verts[i])
-        if (di < -tol and dj > tol) or (di > tol and dj < -tol):
-            t = di / (di - dj)
-            out.append(verts[i] + t * (verts[j] - verts[i]))
-    if not out:
-        return np.zeros((0, 2))
-    out = np.asarray(out)
-    keep = [0]
-    for i in range(1, len(out)):
-        if np.max(np.abs(out[i] - out[keep[-1]])) > tol:
-            keep.append(i)
-    if len(keep) > 1 and np.max(np.abs(out[keep[-1]] - out[keep[0]])) <= tol:
-        keep.pop()
-    return out[keep]
-
-
-def clip_to_box(verts):
-    """Clip a polygon against the unit square, one wall at a time."""
-    walls = [((-1.0, 0.0), 0.0), ((1.0, 0.0), 1.0), ((0.0, -1.0), 0.0), ((0.0, 1.0), 1.0)]
-    out = verts
-    for normal, offset in walls:
-        out = clip_halfplane(out, np.array(normal), offset)
-        if len(out) == 0:
-            return out
-    return out

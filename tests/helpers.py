@@ -9,9 +9,9 @@ a P1 finite element solve of the space-defining PDE on a fine
 triangulation, and the batched local spaces through the per-cell loops
 they replaced (LoopVemElement, LoopFluxElement), mesh generation
 through one polygon at a time (lloyd_voronoi_loop, loop_generate_hexa,
-LoopPolyMesh and the per-cell clip and merge), the closed-form shape
-audit through one HiGHS linear program per cell (lp_audit), the
-Kronecker slab matrix through its per-block assembly
+LoopPolyMesh and the per-cell Sutherland-Hodgman clip and merge), the
+closed-form shape audit through one HiGHS linear program per cell
+(lp_audit), the Kronecker slab matrix through its per-block assembly
 (block_slab_matrix), and the pinned Darcy gauge through the
 Lagrange-multiplier saddle system (multiplier_darcy_solve). The
 one-cell views of the batched package types (VemElement, cell_polygon,
@@ -1003,11 +1003,52 @@ def loop_voronoi_cells(seeds, reach=1.0):
     return cells
 
 
+def clip_halfplane(verts, normal, offset, tol=1e-14):
+    """Sutherland-Hodgman clip keeping the side normal . x <= offset.
+
+    Returns a new vertex loop (possibly empty). Consecutive duplicates
+    produced by grazing cuts are removed.
+    """
+    n = len(verts)
+    out = []
+    dist = verts @ normal - offset
+    for i in range(n):
+        j = (i + 1) % n
+        di, dj = dist[i], dist[j]
+        if di <= tol:
+            out.append(verts[i])
+        if (di < -tol and dj > tol) or (di > tol and dj < -tol):
+            t = di / (di - dj)
+            out.append(verts[i] + t * (verts[j] - verts[i]))
+    if not out:
+        return np.zeros((0, 2))
+    out = np.asarray(out)
+    keep = [0]
+    for i in range(1, len(out)):
+        if np.max(np.abs(out[i] - out[keep[-1]])) > tol:
+            keep.append(i)
+    if len(keep) > 1 and np.max(np.abs(out[keep[-1]] - out[keep[0]])) <= tol:
+        keep.pop()
+    return out[keep]
+
+
+def clip_to_box(verts):
+    """Clip a polygon against the unit square, one wall at a time."""
+    walls = [((-1.0, 0.0), 0.0), ((1.0, 0.0), 1.0), ((0.0, -1.0), 0.0), ((0.0, 1.0), 1.0)]
+    out = verts
+    for normal, offset in walls:
+        out = clip_halfplane(out, np.array(normal), offset)
+        if len(out) == 0:
+            return out
+    return out
+
+
 def loop_clipped_cells(cells):
-    """Every cell snapped, clipped to the square and snapped again."""
+    """Every cell snapped, Sutherland-Hodgman clipped to the square and
+    snapped again."""
     clipped = []
     for i, verts in enumerate(cells):
-        verts = _snap_to_walls(polyops.clip_to_box(_snap_to_walls(verts)))
+        verts = _snap_to_walls(clip_to_box(_snap_to_walls(verts)))
         if len(verts) < 3:
             raise MeshError(f"seed {i} produced an empty clipped cell")
         clipped.append(verts)
@@ -1094,7 +1135,8 @@ class LoopPolyMesh(PolyMesh):
 
 
 def loop_generate_hexa(level, distortion=0.15):
-    """generate_hexa through the per-cell clip, merge and topology."""
+    """generate_hexa through the per-cell clip, merge, topology and LP
+    audit."""
     seeds, pitch = _hexa_seeds(8 * 2 ** (level - 1))
     cells = loop_clipped_cells(loop_voronoi_cells(seeds))
     base = loop_merge_cell_polygons(
@@ -1107,21 +1149,15 @@ def loop_generate_hexa(level, distortion=0.15):
     for axis in (0, 1):
         interior &= (verts[:, axis] > 1e-12) & (verts[:, axis] < 1.0 - 1e-12)
     amp = distortion * pitch
-    while amp > 1e-3 * pitch:
-        moved = verts.copy()
-        x, y = verts[interior, 0], verts[interior, 1]
-        moved[interior, 0] += amp * np.sin(3.0 * np.pi * x) * np.sin(2.0 * np.pi * y + 0.7)
-        moved[interior, 1] += amp * np.sin(2.0 * np.pi * x + 1.3) * np.sin(3.0 * np.pi * y)
-        try:
-            meta = dict(base.meta, distortion_applied=amp / pitch)
-            mesh = LoopPolyMesh(moved, base.cells, meta=meta)
-        except MeshError:
-            amp *= 0.5
-            continue
-        if lp_audit(mesh)[1].all():
-            return mesh
-        amp *= 0.5
-    return base
+    moved = verts.copy()
+    x, y = verts[interior, 0], verts[interior, 1]
+    moved[interior, 0] += amp * np.sin(3.0 * np.pi * x) * np.sin(2.0 * np.pi * y + 0.7)
+    moved[interior, 1] += amp * np.sin(2.0 * np.pi * x + 1.3) * np.sin(3.0 * np.pi * y)
+    mesh = LoopPolyMesh(moved, base.cells, meta=base.meta)
+    passed = lp_audit(mesh)[1]
+    if not passed.all():
+        raise MeshError(f"cell {np.argmin(passed)} fails the shape audit")
+    return mesh
 
 
 def chebyshev_radius(verts):

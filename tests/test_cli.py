@@ -344,6 +344,34 @@ class TestCliDispatch:
             assert cli.main(["convergence", "--config", str(path)]) == 3
         assert "cell 3 is not convex" in caplog.text
 
+    def test_mesh_failure_keeps_finished_rows(self, tmp_path, monkeypatch):
+        real = cli.generate_family
+
+        def broken_at_level_2(family, level, **kwargs):
+            if level == 2:
+                raise MeshError("cell 5 is not convex")
+            return real(family, level, **kwargs)
+
+        monkeypatch.setattr(cli, "generate_family", broken_at_level_2)
+        cfg = ExperimentConfig.from_dict(
+            {
+                "kind": "convergence",
+                "mesh_family": "quad",
+                "levels": [1, 2],
+                "steps_per_level": [1, 2],
+                "k": 1,
+                "velocity_backend": "analytic",
+                "out_dir": str(tmp_path),
+            }
+        )
+        assert cli.run(cfg) == 3
+        lines = (tmp_path / "convergence.csv").read_text().strip().split("\n")
+        assert len(lines) == 2 and lines[1].startswith("1,")
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["failure"] == {
+            "solve": "geometry.generate.level_2", "error": "cell 5 is not convex",
+        }
+
 
 class TestWells:
     def test_darcy_failure_exit_3_with_manifest(self, tmp_path, monkeypatch):

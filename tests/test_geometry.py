@@ -156,33 +156,30 @@ class TestAuditMesh:
         ang = np.linspace(0.0, 2.0 * np.pi, 7)[:-1]
         hexa = 0.5 * np.column_stack([np.cos(ang), np.sin(ang)])  # unit diameter
         mesh = PolyMesh(hexa, [list(range(6))])
-        rep = audit_mesh(mesh, gamma0=0.3, n0=16)
+        rep = audit_mesh(mesh)
         assert rep.passed
         assert rep.edge_count[0] == 6
+        assert rep.rho_ratio[0] >= 0.3
         assert abs(rep.rho_ratio[0] - np.sqrt(3.0) / 4.0) < 1e-9
 
     def test_triangle_attains_edge_bound(self):
         tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.4, 0.8]])
         mesh = PolyMesh(tri, [[0, 1, 2]])
-        rep = audit_mesh(mesh, gamma0=0.05, n0=3)
+        rep = audit_mesh(mesh)
         assert rep.passed
         assert rep.edge_count[0] == 3
+        assert rep.rho_ratio[0] >= 0.05
 
     def test_invariant_under_rigid_motion(self):
         mesh = generate_voronoi(25, lloyd_iters=20, rng_seed=4)
-        rep = audit_mesh(mesh, gamma0=0.15, n0=10)
+        rep = audit_mesh(mesh)
         theta = 0.73
         rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
         moved = PolyMesh(mesh.vertices @ rot.T + np.array([3.0, -1.0]), mesh.cells)
-        rep2 = audit_mesh(moved, gamma0=0.15, n0=10)
+        rep2 = audit_mesh(moved)
+        assert np.array_equal(rep.edge_count, rep2.edge_count)
+        assert np.allclose(rep.rho_ratio, rep2.rho_ratio, rtol=1e-12, atol=0.0)
         assert np.array_equal(rep.cell_passed, rep2.cell_passed)
-
-    def test_parameter_validation(self):
-        mesh = generate_quad(1)
-        with pytest.raises(MeshError):
-            audit_mesh(mesh, gamma0=0.0)
-        with pytest.raises(MeshError):
-            audit_mesh(mesh, n0=2)
 
 
 def random_convex_mesh(seed):

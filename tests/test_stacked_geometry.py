@@ -4,10 +4,12 @@ relaxation and mesh generation built on them.
 A stacked call must give, loop for loop, the bits of the call on that
 loop alone, and the single-loop call the bits of the one-polygon
 formulas in helpers.py (_area, _centroid, _diameter, _second_moment).
-The generators must give the bits of the per-cell clip, merge and
-topology in helpers.py, and their errors must name the seed, cell or
-edge at fault. The Lloyd steps' qhull input mirrors only the seeds near
-a wall; its certified cells must be the full-mirror cells to roundoff.
+The generators must give the bits of the per-cell Sutherland-Hodgman
+clip, merge and topology in helpers.py, though they cut a cell to the
+square by dropping vertices, and their errors must name the seed, cell
+or edge at fault. The Lloyd steps' qhull input mirrors only the seeds
+near a wall; its certified cells must be the full-mirror cells to
+roundoff.
 """
 
 import warnings
@@ -21,12 +23,11 @@ from vemtransport.geometry import (
     FAMILY_LEVEL_SIZES,
     MeshError,
     PolyMesh,
-    _clip_to_square,
+    _cut_to_square,
     _hexa_seeds,
     _lloyd_step,
     _merge_cell_polygons,
     _mirrored_points,
-    _snap_to_walls,
     _voronoi_loops,
     generate_family,
     generate_hexa,
@@ -44,6 +45,7 @@ from helpers import (
     cell_edges,
     cell_polygon,
     lloyd_voronoi_loop,
+    loop_clipped_cells,
     loop_generate_hexa,
     random_convex_polygon,
 )
@@ -192,8 +194,22 @@ def test_quad_topology_matches_edge_dictionary(level):
 def test_hexa_matches_per_cell_generation(level, distortion):
     mesh = generate_hexa(level, distortion)
     assert_same_mesh(mesh, loop_generate_hexa(level, distortion))
-    if distortion:
-        assert mesh.meta["distortion_applied"] == 0.15
+    assert mesh.meta["distortion"] == distortion
+
+
+def test_hexa_distortion_that_breaks_a_cell_raises():
+    # applied once: no smaller amplitude is tried in its place
+    with pytest.raises(MeshError, match="^cell 24 is not convex$"):
+        generate_hexa(1, distortion=0.5)
+
+
+def test_hexa_cell_that_fails_the_audit_raises(monkeypatch):
+    ratio = geometry.audit_mesh(generate_hexa(1)).rho_ratio
+    first = np.argmax(ratio < 0.3)
+    assert 0 < first and ratio.min() > geometry.GAMMA0
+    monkeypatch.setattr(geometry, "GAMMA0", 0.3)
+    with pytest.raises(MeshError, match=f"^cell {first} fails the shape audit$"):
+        generate_hexa(1)
 
 
 @pytest.mark.parametrize(
@@ -274,27 +290,44 @@ def test_default_mirror_takes_every_seed():
     assert_same(_mirrored_points(seeds), np.vstack([seeds] + mirrors))
 
 
-def test_near_repeated_vertices_take_the_clip_path():
+def test_near_repeated_vertices_merge_to_one():
     # an interior cell whose second and third vertices lie 5e-15 apart:
-    # clip_halfplane merges them, so the cell must be clipped too
+    # the cut keeps both, and the merge drops the repeat as the clip did
     verts = np.array([[0.2, 0.2], [0.8, 0.2], [0.8, 0.2 + 5e-15], [0.8, 0.8], [0.2, 0.8]])
-    (cell,) = _clip_to_square(verts, np.array([5]))
-    expected = _snap_to_walls(polygon.clip_to_box(_snap_to_walls(verts)))
+    mesh = _merge_cell_polygons(*_cut_to_square(verts, np.array([5])))
+    (expected,) = loop_clipped_cells([verts])
     assert len(expected) == 4
-    assert_same(cell, expected)
+    assert_same(mesh.vertices, expected)
+    assert_same(mesh.cells[0], np.arange(4))
 
 
-def test_only_wall_cells_are_clipped(monkeypatch):
-    # an interior square and one on the walls x = 1 and y = 0
-    clipped = []
-    clip_to_box = polygon.clip_to_box
-    monkeypatch.setattr(polygon, "clip_to_box", lambda v: clipped.append(v) or clip_to_box(v))
-    verts = np.vstack([0.25 + 0.5 * SQUARE, 0.5 * SQUARE + [0.5, 0.0]])
-    cells = _clip_to_square(verts, np.array([4, 4]))
-    assert len(clipped) == 1
-    assert_same(clipped[0], verts[4:])
-    assert_same(cells[0], verts[:4])
-    assert_same(cells[1], _snap_to_walls(clip_to_box(_snap_to_walls(verts[4:]))))
+def test_wall_seed_hexagon_is_cut_as_the_clip_does():
+    # a lattice seed on x = 0 mirrors onto itself, so its hexagon reaches
+    # past the wall and the cut drops the vertices on the far side
+    seeds, _ = _hexa_seeds(8)
+    verts, counts = _voronoi_loops(seeds)
+    i = np.flatnonzero(seeds[:, 0] == 0.0)[0]
+    start = counts[:i].sum()
+    hexagon = verts[start : start + counts[i]]
+    assert len(hexagon) == 6 and hexagon[:, 0].min() < 0.0 < hexagon[:, 0].max()
+    cut, kept = _cut_to_square(hexagon, np.array([6]))
+    (expected,) = loop_clipped_cells([hexagon])
+    assert kept.tolist() == [4]
+    assert_same(cut, expected)
+
+
+def test_cut_off_the_vertices_names_the_seed():
+    # seed 1's cell crosses x = 0 between two vertices off the wall, where
+    # a clip would have to add points
+    verts = np.vstack([0.25 + 0.5 * SQUARE, [[0.1, 0.1], [0.3, 0.1], [0.3, 0.3], [-0.2, 0.2]]])
+    with pytest.raises(MeshError, match="^seed 1 has a cell edge crossing a wall"):
+        _cut_to_square(verts, np.array([4, 4]))
+
+
+def test_cut_to_fewer_than_three_vertices_names_the_seed():
+    verts = np.vstack([0.25 + 0.5 * SQUARE, 0.5 * SQUARE - [0.25, 0.25]])
+    with pytest.raises(MeshError, match="^seed 1 produced an empty clipped cell$"):
+        _cut_to_square(verts, np.array([4, 4]))
 
 
 def test_unbounded_region_names_the_seed():
@@ -305,7 +338,9 @@ def test_unbounded_region_names_the_seed():
 
 def test_merge_degeneration_names_the_cell():
     with pytest.raises(MeshError, match="^cell 1 degenerated to fewer than 3 vertices"):
-        _merge_cell_polygons([SQUARE, SQUARE * 1e-10 + 5.0, SQUARE + 2.0])
+        _merge_cell_polygons(
+            np.vstack([SQUARE, SQUARE * 1e-10 + 5.0, SQUARE + 2.0]), np.array([4, 4, 4])
+        )
 
 
 #: corners of four unit triangles around the origin, and one more point
