@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial import Voronoi, cKDTree
+from scipy.spatial import Delaunay, Voronoi, cKDTree
 
 from . import polygon
 from .quadrature import fan_rule
@@ -275,9 +275,9 @@ def generate_quad(n):
     return PolyMesh(vertices, cells, meta={"family": "quad", "n": n})
 
 
-def _merge_cell_polygons(stacked, counts, tol=1e-9, meta=None):
-    """Build a PolyMesh from cell loops stacked cell by cell with the
-    given vertex counts, merging shared points.
+def _merge_cell_polygons(stacked, counts, tol=1e-9):
+    """The vertices and cells of a PolyMesh from cell loops stacked cell
+    by cell with the given vertex counts, merging shared points.
 
     Points closer than tol are chained into components; each component
     becomes the vertex at its smallest stacked index. In every loop a
@@ -307,8 +307,7 @@ def _merge_cell_polygons(stacked, counts, tol=1e-9, meta=None):
         raise MeshError(
             f"cell {np.argmax(kept < 3)} degenerated to fewer than 3 vertices during merge"
         )
-    cells = np.split(ids[keep], np.cumsum(kept)[:-1])
-    return PolyMesh(stacked[unique_roots], cells, meta=meta)
+    return stacked[unique_roots], np.split(ids[keep], np.cumsum(kept)[:-1])
 
 
 def _snap_to_walls(verts, tol=1e-10):
@@ -333,44 +332,94 @@ def _mirrored_points(seeds, reach=1.0):
     ])
 
 
-def _voronoi_loops(seeds, reach=1.0):
-    """Voronoi cells of seeds in (0,1)^2: their vertices stacked cell by
-    cell, each cell sorted by angle about its seed, and the vertex counts.
+def _certified(diagram, seeds, reach=1.0):
+    """diagram(points, n), a diagram of the first n points, of the seeds
+    in (0,1)^2 mirrored across the walls, which bounds every cell by
+    them, at the smallest certified reach from the given one up.
 
-    Seeds are mirrored across the walls so every original region is
-    finite and bounded by the walls. The Lloyd steps use these cells
-    uncut: the mirrored cells are already accurate to roundoff.
-
+    diagram also returns a mask of the seeds with unbounded cells and
+    r_max, the largest distance from a seed to a vertex of its cell.
     With reach < 1 only the seeds within reach of a wall are mirrored
-    across it, and the cells are certified: all bounded, and every vertex
-    nearer than reach / 2 to its own seed. A mirror point left out lies
-    at least reach from every seed, so farther than reach / 2 from every
-    vertex of a certified cell: the cell lies on its seed's side of their
-    bisector. Fewer points only enlarge the cells, so the certified cells
-    are those of the full mirror. Without the certificate the reach
-    doubles, up to mirroring every seed.
+    across it. A left-out image lies at least reach from every seed, so
+    when every cell is bounded and 2 r_max < reach it lies on the far
+    side of each cell's bisectors, and the cells are the full mirror's.
+    Otherwise the reach doubles, up to mirroring every seed.
     """
     while True:
-        vor = Voronoi(_mirrored_points(seeds, reach))
-        regions = [vor.regions[r] for r in vor.point_region[: len(seeds)]]
-        counts = np.array([len(r) for r in regions])
-        region_ids = np.fromiter(
-            itertools.chain.from_iterable(regions), dtype=int, count=counts.sum()
-        )
-        owner = np.repeat(np.arange(len(seeds)), counts)
-        bad = counts < 3
-        bad[owner[region_ids < 0]] = True
-        verts = vor.vertices[region_ids]
-        d = verts - seeds[owner]
-        if reach >= 1.0 or (not bad.any() and 2.0 * np.hypot(d[:, 0], d[:, 1]).max() < reach):
+        result, bad, r_max = diagram(_mirrored_points(seeds, reach), len(seeds))
+        if reach >= 1.0 or (not bad.any() and 2.0 * r_max < reach):
             break
         reach *= 2.0
     if bad.any():
         raise MeshError(
             f"seed {np.argmax(bad)} has an unbounded Voronoi region despite wall mirroring"
         )
+    return result
+
+
+def _voronoi_loops(points, n):
+    """Voronoi cells of the first n points (seeds, see _certified):
+    their vertices stacked cell by cell, each cell sorted by angle about
+    its point, and the vertex counts."""
+    vor = Voronoi(points)
+    regions = [vor.regions[r] for r in vor.point_region[:n]]
+    counts = np.array([len(r) for r in regions])
+    region_ids = np.fromiter(itertools.chain.from_iterable(regions), dtype=int, count=counts.sum())
+    owner = np.repeat(np.arange(n), counts)
+    bad = counts < 3
+    bad[owner[region_ids < 0]] = True
+    verts = vor.vertices[region_ids]
+    d = verts - points[owner]
     angles = np.arctan2(d[:, 1], d[:, 0])
-    return verts[np.lexsort((angles, owner))], counts
+    return (verts[np.lexsort((angles, owner))], counts), bad, np.hypot(d[:, 0], d[:, 1]).max()
+
+
+def _cross(a, b):
+    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+
+
+def _dot(a, b):
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
+
+
+def _kite_moments(points, n):
+    """Energy of the Voronoi cells of the first n points (seeds, see
+    _certified) about their points, summed cell by cell, and the cell
+    centroids, from the Delaunay triangulation.
+
+    The circumcenter O of a counter-clockwise triangle (i, j, k) is a
+    Voronoi vertex, and point i's share of the triangle is the kite
+    (p_i, m_ij, O, m_ki) through the edge midpoints m: two signed
+    triangles, one negative where O lies past an obtuse corner. The kites
+    at a point tile its cell, so its moments are bincounts over corners.
+    A hull point's cell is unbounded, and r_max is the largest
+    circumradius of a triangle at one of the n points.
+    """
+    tri = Delaunay(points)
+    s = tri.simplices  # counter-clockwise in 2-D, as scipy documents
+    a = points[s[:, 0]]
+    b, c = points[s[:, 1]] - a, points[s[:, 2]] - a
+    bb, cc = _dot(b, b), _dot(c, c)
+    d = 2.0 * _cross(b, c)
+    o = a + np.column_stack([c[:, 1] * bb - b[:, 1] * cc, b[:, 0] * cc - c[:, 0] * bb]) / d[:, None]
+
+    t, r = np.nonzero(s < n)  # every corner at one of the n points, by triangle
+    i = s[t, r]
+    p = points[i]
+    u = 0.5 * (points[s[t, (r + 1) % 3]] - p)
+    v = 0.5 * (points[s[t, (r + 2) % 3]] - p)
+    w = o[t] - p
+    a1, a2 = 0.5 * _cross(u, w), 0.5 * _cross(w, v)
+    first = (a1[:, None] * (u + w) + a2[:, None] * (w + v)) / 3.0
+    second = (a1 * (_dot(u, u) + _dot(u, w) + _dot(w, w))
+              + a2 * (_dot(w, w) + _dot(w, v) + _dot(v, v))) / 6.0
+    area, fx, fy, energy = (np.bincount(i, x, minlength=n)
+                            for x in (a1 + a2, first[:, 0], first[:, 1], second))
+    bad = np.bincount(i, minlength=n) == 0
+    hull = tri.convex_hull.ravel()
+    bad[hull[hull < n]] = True
+    centroids = points[:n] + np.column_stack([fx, fy]) / area[:, None]
+    return (sum(energy.tolist()), centroids), bad, np.hypot(w[:, 0], w[:, 1]).max()
 
 
 def _cut_to_square(verts, counts):
@@ -399,18 +448,6 @@ def _cut_to_square(verts, counts):
     return verts, kept
 
 
-def _lloyd_step(verts, counts, seeds):
-    """Energy of the stacked cells about their seeds and the cell
-    centroids, a vertex-count group at a time; the energy sums the cells
-    in order."""
-    energy = np.empty(len(counts))
-    centroids = np.empty((len(counts), 2))
-    for idx, pos in _length_groups(counts):
-        energy[idx] = polygon.second_moment_about(verts[pos], seeds[idx])
-        centroids[idx] = polygon.centroid(verts[pos])
-    return sum(energy.tolist()), centroids
-
-
 def generate_voronoi(n_seeds, lloyd_iters=0, rng_seed=0):
     """Voronoi tessellation of (0,1)^2 from random seed points.
 
@@ -436,12 +473,12 @@ def generate_voronoi(n_seeds, lloyd_iters=0, rng_seed=0):
         log.warning("jittered %d duplicate Voronoi seeds", jittered)
 
     energies = []
-    loops = _voronoi_loops(seeds)
+    reach = 1.0  # the raw seeds are mirrored in full
     for _ in range(lloyd_iters):
-        energy, seeds = _lloyd_step(*loops, seeds)
+        energy, seeds = _certified(_kite_moments, seeds, reach)
         energies.append(energy)
-        loops = _voronoi_loops(seeds, reach=4.0 / np.sqrt(n_seeds))
-    energies.append(_lloyd_step(*loops, seeds)[0])
+        reach = 4.0 / np.sqrt(n_seeds)
+    energies.append(_certified(_kite_moments, seeds, reach)[0])
 
     meta = {
         "family": "voro" if lloyd_iters > 0 else "rand",
@@ -451,7 +488,8 @@ def generate_voronoi(n_seeds, lloyd_iters=0, rng_seed=0):
         "jittered_seeds": jittered,
         "lloyd_energy": energies,
     }
-    return _merge_cell_polygons(*_cut_to_square(*loops), meta=meta)
+    loops = _certified(_voronoi_loops, seeds, reach)
+    return PolyMesh(*_merge_cell_polygons(*_cut_to_square(*loops)), meta)
 
 
 def _hexa_seeds(nx):
@@ -484,21 +522,19 @@ def generate_hexa(level, distortion=0.15):
     if level < 1:
         raise MeshError("level must be >= 1")
     seeds, pitch = _hexa_seeds(8 * 2 ** (level - 1))
-    base = _merge_cell_polygons(
-        *_cut_to_square(*_voronoi_loops(seeds)),
-        meta={"family": "hexa", "level": level, "distortion": distortion},
+    verts, cells = _merge_cell_polygons(
+        *_cut_to_square(*_certified(_voronoi_loops, seeds, 4.0 / np.sqrt(len(seeds))))
     )
+    meta = {"family": "hexa", "level": level, "distortion": distortion}
     if distortion <= 0.0:
-        return base
+        return PolyMesh(verts, cells, meta)
 
-    verts = base.vertices
     interior = np.all((verts > 1e-12) & (verts < 1.0 - 1e-12), axis=1)
     amp = distortion * pitch
-    moved = verts.copy()
     x, y = verts[interior, 0], verts[interior, 1]
-    moved[interior, 0] += amp * np.sin(3.0 * np.pi * x) * np.sin(2.0 * np.pi * y + 0.7)
-    moved[interior, 1] += amp * np.sin(2.0 * np.pi * x + 1.3) * np.sin(3.0 * np.pi * y)
-    mesh = PolyMesh(moved, base.cells, meta=base.meta)
+    verts[interior, 0] += amp * np.sin(3.0 * np.pi * x) * np.sin(2.0 * np.pi * y + 0.7)
+    verts[interior, 1] += amp * np.sin(2.0 * np.pi * x + 1.3) * np.sin(3.0 * np.pi * y)
+    mesh = PolyMesh(verts, cells, meta)
     audit = audit_mesh(mesh)
     if not audit.passed:
         raise MeshError(f"cell {np.argmin(audit.cell_passed)} fails the shape audit")

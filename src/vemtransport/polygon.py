@@ -30,27 +30,11 @@ def centroid(verts):
     return np.stack([cx, cy], axis=-1)
 
 
-def _scalar_if_one(value):
-    return float(value) if np.ndim(value) == 0 else value
-
-
 def diameter(verts):
     """Maximum vertex-vertex distance."""
     d2 = np.sum((verts[..., :, None, :] - verts[..., None, :, :]) ** 2, axis=-1)
-    return _scalar_if_one(np.sqrt(d2.max(axis=(-2, -1))))
-
-
-def second_moment_about(verts, point):
-    """Closed-form integral of |x - point|^2 over a simple polygon."""
-    point = np.asarray(point)
-    x = verts[..., 0] - point[..., 0, None]
-    y = verts[..., 1] - point[..., 1, None]
-    xn = np.roll(x, -1, axis=-1)
-    yn = np.roll(y, -1, axis=-1)
-    cross = x * yn - xn * y
-    ixx = np.sum((x * x + x * xn + xn * xn) * cross, axis=-1) / 12.0
-    iyy = np.sum((y * y + y * yn + yn * yn) * cross, axis=-1) / 12.0
-    return _scalar_if_one(ixx + iyy)
+    d = np.sqrt(d2.max(axis=(-2, -1)))
+    return float(d) if d.ndim == 0 else d
 
 
 def is_convex(verts, tol=1e-12):

@@ -68,9 +68,10 @@ class ErrorEvaluator:
         vals, grad = self.projections(coeffs)
         ex = np.asarray(c_exact(t, pts), dtype=float)
         gex = np.asarray(grad_exact(t, pts), dtype=float)
-        l2 = float(w @ (ex - vals) ** 2)
+        # numpy's own sum, not a BLAS ddot, which OpenBLAS threads past ~10k entries
+        l2 = float(np.einsum("i,i->", w, (ex - vals) ** 2))
         sq = (gex - grad) ** 2
-        h1 = float(w @ (sq[:, 0] + sq[:, 1]))
+        h1 = float(np.einsum("i,i->", w, sq[:, 0] + sq[:, 1]))
         return l2, h1
 
 

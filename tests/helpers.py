@@ -8,8 +8,9 @@ steps through a classical Runge-Kutta formulation, local norms through
 a P1 finite element solve of the space-defining PDE on a fine
 triangulation, and the batched local spaces through the per-cell loops
 they replaced (LoopVemElement, LoopFluxElement), mesh generation
-through one polygon at a time (lloyd_voronoi_loop, loop_generate_hexa,
-LoopPolyMesh and the per-cell Sutherland-Hodgman clip and merge), the
+through one seed or polygon at a time (lloyd_voronoi_loop with its
+per-seed kites, loop_generate_hexa, LoopPolyMesh and the per-cell
+Sutherland-Hodgman clip and merge), the
 closed-form shape audit through one HiGHS linear program per cell
 (lp_audit), the Kronecker slab matrix through its per-block assembly
 (block_slab_matrix), and the pinned Darcy gauge through the
@@ -26,7 +27,7 @@ import scipy.sparse as sp
 from scipy.io import mmwrite
 from scipy.optimize import linprog
 from scipy.sparse.linalg import splu
-from scipy.spatial import Voronoi, cKDTree
+from scipy.spatial import Delaunay, Voronoi, cKDTree
 from scipy.special import roots_legendre
 
 from vemtransport import polygon as polyops
@@ -936,18 +937,19 @@ def _second_moment(verts, point):
 
 
 def lloyd_voronoi_loop(n_seeds, lloyd_iters, rng_seed):
-    """generate_voronoi one polygon at a time: the Lloyd relaxation with
-    the single-polygon formulas above, its steps on the reduced mirror,
-    then the per-cell clip, merge and topology below; for seeds that need
-    no duplicate jitter. Returns (LoopPolyMesh, Lloyd energies)."""
+    """generate_voronoi one seed and one cell at a time: the Lloyd
+    relaxation with the per-seed kites below, its steps after the first
+    on the reduced mirror, then the per-cell clip, merge and topology;
+    for seeds that need no duplicate jitter. Returns (LoopPolyMesh,
+    Lloyd energies)."""
     seeds = np.random.default_rng(rng_seed).random((n_seeds, 2))
     energies = []
-    cells = loop_voronoi_cells(seeds)
+    reach = 1.0
     for _ in range(lloyd_iters):
-        energies.append(sum(_second_moment(v, s) for v, s in zip(cells, seeds)))
-        seeds = np.array([_centroid(v) for v in cells])
-        cells = loop_voronoi_cells(seeds, reach=4.0 / np.sqrt(n_seeds))
-    energies.append(sum(_second_moment(v, s) for v, s in zip(cells, seeds)))
+        energy, seeds = loop_kite_moments(seeds, reach)
+        energies.append(energy)
+        reach = 4.0 / np.sqrt(n_seeds)
+    energies.append(loop_kite_moments(seeds, reach)[0])
     meta = {
         "family": "voro" if lloyd_iters > 0 else "rand",
         "n_seeds": n_seeds,
@@ -956,7 +958,74 @@ def lloyd_voronoi_loop(n_seeds, lloyd_iters, rng_seed):
         "jittered_seeds": 0,
         "lloyd_energy": energies,
     }
+    cells = loop_voronoi_cells(seeds, reach)
     return loop_merge_cell_polygons(loop_clipped_cells(cells), meta=meta), energies
+
+
+def _seed_kites(points, n):
+    """Per seed, one of the first n points: the second moment of its
+    Voronoi cell about it and the cell centroid, summing the kites of the
+    Delaunay triangles at it one at a time in triangle order; None for a
+    seed on the hull or in no triangle. Also the largest circumradius of
+    a triangle at a bounded seed."""
+    tri = Delaunay(points)
+    hull = set(tri.convex_hull.ravel().tolist())
+    at = [[] for _ in range(n)]
+    for t in tri.simplices.tolist():
+        if min(t) >= n:
+            continue
+        (ax, ay), (bx, by), (cx, cy) = (points[v].tolist() for v in t)
+        if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) < 0.0:
+            t = [t[0], t[2], t[1]]
+            bx, by, cx, cy = cx, cy, bx, by
+        bx, by, cx, cy = bx - ax, by - ay, cx - ax, cy - ay
+        bb, cc = bx * bx + by * by, cx * cx + cy * cy
+        d = 2.0 * (bx * cy - by * cx)
+        center = (ax + (cy * bb - by * cc) / d, ay + (bx * cc - cx * bb) / d)
+        for r, i in enumerate(t):
+            if i < n:
+                at[i].append((t[(r + 1) % 3], t[(r + 2) % 3], center))
+    moments, r_max = [], 0.0
+    for i, corners in enumerate(at):
+        if i in hull or not corners:
+            moments.append(None)
+            continue
+        px, py = points[i].tolist()
+        area = mx = my = second = 0.0
+        for j, k, (ox, oy) in corners:
+            (jx, jy), (kx, ky) = points[j].tolist(), points[k].tolist()
+            ux, uy = 0.5 * (jx - px), 0.5 * (jy - py)
+            vx, vy = 0.5 * (kx - px), 0.5 * (ky - py)
+            wx, wy = ox - px, oy - py
+            a1, a2 = 0.5 * (ux * wy - uy * wx), 0.5 * (wx * vy - wy * vx)
+            area += a1 + a2
+            mx += (a1 * (ux + wx) + a2 * (wx + vx)) / 3.0
+            my += (a1 * (uy + wy) + a2 * (wy + vy)) / 3.0
+            uu, uw, ww = ux * ux + uy * uy, ux * wx + uy * wy, wx * wx + wy * wy
+            wv, vv = wx * vx + wy * vy, vx * vx + vy * vy
+            second += (a1 * (uu + uw + ww) + a2 * (ww + wv + vv)) / 6.0
+            r_max = max(r_max, float(np.hypot(wx, wy)))
+        moments.append((second, (px + mx / area, py + my / area)))
+    return moments, r_max
+
+
+def loop_kite_moments(seeds, reach=1.0):
+    """The Lloyd energy (the cells' second moments about their seeds,
+    summed seed by seed) and the cell centroids, one seed at a time from
+    the kites (seed, edge midpoint, circumcenter, edge midpoint) of the
+    Delaunay triangles at it, on geometry's mirrored points
+    (_mirrored_points). A reduced triangulation is taken only when no
+    seed is on its hull and every circumradius at a seed is below
+    reach / 2; otherwise the reach doubles, up to 1."""
+    while True:
+        moments, r_max = _seed_kites(_mirrored_points(seeds, reach), len(seeds))
+        bounded = all(m is not None for m in moments)
+        if reach >= 1.0 or (bounded and 2.0 * r_max < reach):
+            break
+        reach *= 2.0
+    if not bounded:
+        raise MeshError("unbounded Voronoi region despite wall mirroring")
+    return sum(m[0] for m in moments), np.array([m[1] for m in moments])
 
 
 # -- per-cell mesh generation: the oracle of geometry's stacked path --------
@@ -1138,7 +1207,7 @@ def loop_generate_hexa(level, distortion=0.15):
     """generate_hexa through the per-cell clip, merge, topology and LP
     audit."""
     seeds, pitch = _hexa_seeds(8 * 2 ** (level - 1))
-    cells = loop_clipped_cells(loop_voronoi_cells(seeds))
+    cells = loop_clipped_cells(loop_voronoi_cells(seeds, reach=4.0 / np.sqrt(len(seeds))))
     base = loop_merge_cell_polygons(
         cells, meta={"family": "hexa", "level": level, "distortion": distortion}
     )

@@ -3,12 +3,14 @@ relaxation and mesh generation built on them.
 
 A stacked call must give, loop for loop, the bits of the call on that
 loop alone, and the single-loop call the bits of the one-polygon
-formulas in helpers.py (_area, _centroid, _diameter, _second_moment).
-The generators must give the bits of the per-cell Sutherland-Hodgman
-clip, merge and topology in helpers.py, though they cut a cell to the
+formulas in helpers.py (_area, _centroid, _diameter). The generators
+must give the bits of the per-seed kite loop and the per-cell
+Sutherland-Hodgman clip, merge and topology in helpers.py, though they
+take the Lloyd moments from stacked Delaunay kites and cut a cell to the
 square by dropping vertices, and their errors must name the seed, cell
-or edge at fault. The Lloyd steps' qhull input mirrors only the seeds
-near a wall; its certified cells must be the full-mirror cells to
+or edge at fault. The kites must give the polygon moments of the cells
+to roundoff. The Lloyd steps' qhull input mirrors only the seeds near a
+wall; its certified cells and moments must be the full mirror's to
 roundoff.
 """
 
@@ -23,9 +25,10 @@ from vemtransport.geometry import (
     FAMILY_LEVEL_SIZES,
     MeshError,
     PolyMesh,
+    _certified,
     _cut_to_square,
     _hexa_seeds,
-    _lloyd_step,
+    _kite_moments,
     _merge_cell_polygons,
     _mirrored_points,
     _voronoi_loops,
@@ -47,6 +50,8 @@ from helpers import (
     lloyd_voronoi_loop,
     loop_clipped_cells,
     loop_generate_hexa,
+    loop_kite_moments,
+    loop_voronoi_cells,
     random_convex_polygon,
 )
 
@@ -71,21 +76,16 @@ def assert_same(actual, expected):
     assert np.array_equal(actual, expected, equal_nan=True)
 
 
-def check_stack(stack, points):
+def check_stack(stack):
     """Every stacked primitive against its per-loop call."""
     assert_same(polygon.signed_area(stack), [polygon.signed_area(v) for v in stack])
     assert_same(polygon.centroid(stack), [polygon.centroid(v) for v in stack])
     assert_same(polygon.diameter(stack), [polygon.diameter(v) for v in stack])
-    assert_same(
-        polygon.second_moment_about(stack, points),
-        [polygon.second_moment_about(v, s) for v, s in zip(stack, points)],
-    )
     assert_same(polygon.is_simple(stack), [polygon.is_simple(v) for v in stack])
-    for v, s in zip(stack, points):
+    for v in stack:
         assert polygon.signed_area(v) == _area(v)
         assert_same(polygon.centroid(v), _centroid(v))
         assert polygon.diameter(v) == _diameter(v)
-        assert polygon.second_moment_about(v, s) == _second_moment(v, s)
 
 
 @settings(max_examples=30, deadline=None)
@@ -93,7 +93,7 @@ def check_stack(stack, points):
 def test_convex_stacks_match_per_loop_calls(seed, nv, size):
     rng = np.random.default_rng(seed)
     stack = np.array([random_convex_polygon(rng, n_min=nv, n_max=nv) for _ in range(size)])
-    check_stack(stack, rng.random((size, 2)))
+    check_stack(stack)
 
 
 @settings(max_examples=15, deadline=None)
@@ -102,7 +102,7 @@ def test_star_shaped_stacks_match_per_loop_calls(seed, nv, size):
     # up to 24 vertices, past the length where numpy's pairwise sums split
     rng = np.random.default_rng(seed)
     stack = np.array([round_polygon(rng, nv) for _ in range(size)])
-    check_stack(stack, rng.random((size, 2)))
+    check_stack(stack)
 
 
 @pytest.mark.parametrize("bad", [BOW_TIE, CROSSED_HEXAGON])
@@ -112,12 +112,11 @@ def test_non_simple_loop_inside_a_stack(bad):
     stack = np.array([random_convex_polygon(rng, n_min=nv, n_max=nv), bad, round_polygon(rng, nv)])
     assert polygon.is_simple(stack).tolist() == [True, False, True]
     with np.errstate(divide="ignore", invalid="ignore"):  # the bow-tie's centroid is 0/0
-        check_stack(stack, rng.random((3, 2)))
+        check_stack(stack)
 
 
 def test_single_loops_keep_scalar_results():
     assert isinstance(polygon.diameter(SQUARE), float)
-    assert isinstance(polygon.second_moment_about(SQUARE, [0.5, 0.5]), float)
     assert isinstance(polygon.is_simple(SQUARE), bool)
     assert polygon.centroid(SQUARE).shape == (2,)
 
@@ -226,7 +225,7 @@ def test_voronoi_matches_per_cell_generation(family, level, seed):
 
 
 def record_reaches(monkeypatch):
-    """The reach of every qhull input _voronoi_loops builds, in order."""
+    """The reach of every qhull input _certified builds, in order."""
     reaches = []
 
     def recorded(seeds, reach=1.0):
@@ -243,6 +242,12 @@ def assert_same_cells(loops, expected):
     assert np.abs(loops[0] - expected[0]).max() <= 1e-14
 
 
+def assert_same_moments(moments, expected):
+    """Energies equal within 1e-14 relative, centroids within 1e-14."""
+    assert abs(moments[0] - expected[0]) <= 1e-14 * expected[0]
+    assert np.abs(moments[1] - expected[1]).max() <= 1e-14
+
+
 @pytest.mark.parametrize("rng_seed", [0, 1, 2])
 @pytest.mark.parametrize("n", [64, 256, 1024])
 def test_reduced_mirror_gives_the_full_mirror_cells(monkeypatch, n, rng_seed):
@@ -250,13 +255,28 @@ def test_reduced_mirror_gives_the_full_mirror_cells(monkeypatch, n, rng_seed):
     reaches = record_reaches(monkeypatch)
     seeds = np.random.default_rng(rng_seed).random((n, 2))
     for step in range(4):  # the raw seeds, then after 1, 2 and 3 Lloyd steps
-        full = _voronoi_loops(seeds)
+        full = _certified(_voronoi_loops, seeds)
+        moments = _certified(_kite_moments, seeds, 1.0)
         reaches.clear()
-        assert_same_cells(_voronoi_loops(seeds, reach=reach), full)
+        assert_same_cells(_certified(_voronoi_loops, seeds, reach), full)
+        assert reaches[0] == reach
+        reaches.clear()
+        assert_same_moments(_certified(_kite_moments, seeds, reach), moments)
         assert reaches[0] == reach
         if step:  # relaxed cells are certified at the first reach
             assert reaches == [reach]
-        seeds = _lloyd_step(*full, seeds)[1]
+        seeds = moments[1]
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
+def test_hexa_lattice_on_the_reduced_mirror_gives_the_full_mirror_cells(monkeypatch, level):
+    # generate_hexa mirrors at reach 4 / sqrt(n) too, wall seeds included
+    seeds, _ = _hexa_seeds(8 * 2 ** (level - 1))
+    reach = 4.0 / np.sqrt(len(seeds))
+    reaches = record_reaches(monkeypatch)
+    loops = _certified(_voronoi_loops, seeds, reach)
+    assert reaches == [reach]
+    assert_same_cells(loops, _certified(_voronoi_loops, seeds))
 
 
 @pytest.mark.parametrize(
@@ -270,10 +290,47 @@ def test_clustered_seeds_widen_the_reach(monkeypatch, far):
     rng = np.random.default_rng(5)
     seeds = np.vstack([0.3 * rng.random((1024 - len(far), 2)), far])
     reaches = record_reaches(monkeypatch)
-    loops = _voronoi_loops(seeds, reach=0.125)
+    loops = _certified(_voronoi_loops, seeds, 0.125)
     assert reaches[0] == 0.125 and len(reaches) > 1
     assert reaches == sorted(reaches)
-    assert_same_cells(loops, _voronoi_loops(seeds))
+    widened = reaches.copy()
+    reaches.clear()
+    moments = _certified(_kite_moments, seeds, 0.125)
+    assert reaches == widened  # the kites are certified as the cells are
+    assert_same_cells(loops, _certified(_voronoi_loops, seeds))
+    assert_same_moments(moments, _certified(_kite_moments, seeds, 1.0))
+
+
+@pytest.mark.parametrize("lloyd_iters", [0, 10])
+def test_one_delaunay_per_lloyd_step_and_one_voronoi_per_mesh(monkeypatch, lloyd_iters):
+    calls = []
+    for name in ("Delaunay", "Voronoi"):
+        def counted(points, qhull=getattr(geometry, name), name=name):
+            calls.append(name)
+            return qhull(points)
+
+        monkeypatch.setattr(geometry, name, counted)
+    reaches = record_reaches(monkeypatch)
+    generate_voronoi(256, lloyd_iters=lloyd_iters, rng_seed=2024)
+    assert calls == ["Delaunay"] * (lloyd_iters + 1) + ["Voronoi"]
+    # the raw seeds are mirrored in full, the relaxed ones at 4 / sqrt(256),
+    # and the final cells at the reach of the final energy
+    steps = [1.0] + [0.25] * lloyd_iters
+    assert reaches == steps + steps[-1:]
+
+
+@pytest.mark.parametrize("n, rng_seed", [(64, 0), (256, 1), (1024, 2)])
+def test_kites_give_the_polygon_moments(n, rng_seed):
+    # the polygon formulas take moments about the origin, so their roundoff
+    # grows on small cells: up to 1.1e-13 was seen on these seeds
+    seeds = np.random.default_rng(rng_seed).random((n, 2))
+    for _ in range(3):  # the raw seeds, then after 1 and 2 Lloyd steps
+        energy, centroids = loop_kite_moments(seeds)
+        cells = loop_voronoi_cells(seeds)
+        assert np.abs(centroids - [_centroid(v) for v in cells]).max() <= 1e-12
+        second = sum(_second_moment(v, p) for v, p in zip(cells, seeds))
+        assert abs(energy - second) <= 1e-14 * second
+        seeds = centroids
 
 
 def test_default_mirror_takes_every_seed():
@@ -294,18 +351,18 @@ def test_near_repeated_vertices_merge_to_one():
     # an interior cell whose second and third vertices lie 5e-15 apart:
     # the cut keeps both, and the merge drops the repeat as the clip did
     verts = np.array([[0.2, 0.2], [0.8, 0.2], [0.8, 0.2 + 5e-15], [0.8, 0.8], [0.2, 0.8]])
-    mesh = _merge_cell_polygons(*_cut_to_square(verts, np.array([5])))
+    vertices, cells = _merge_cell_polygons(*_cut_to_square(verts, np.array([5])))
     (expected,) = loop_clipped_cells([verts])
     assert len(expected) == 4
-    assert_same(mesh.vertices, expected)
-    assert_same(mesh.cells[0], np.arange(4))
+    assert_same(vertices, expected)
+    assert_same(cells[0], np.arange(4))
 
 
 def test_wall_seed_hexagon_is_cut_as_the_clip_does():
     # a lattice seed on x = 0 mirrors onto itself, so its hexagon reaches
     # past the wall and the cut drops the vertices on the far side
     seeds, _ = _hexa_seeds(8)
-    verts, counts = _voronoi_loops(seeds)
+    verts, counts = _certified(_voronoi_loops, seeds)
     i = np.flatnonzero(seeds[:, 0] == 0.0)[0]
     start = counts[:i].sum()
     hexagon = verts[start : start + counts[i]]
@@ -331,9 +388,12 @@ def test_cut_to_fewer_than_three_vertices_names_the_seed():
 
 
 def test_unbounded_region_names_the_seed():
-    # a seed outside the square keeps an unbounded region after mirroring
-    with pytest.raises(MeshError, match="^seed 2 has an unbounded Voronoi region"):
-        _voronoi_loops(np.array([[0.5, 0.5], [0.25, 0.25], [0.5, 3.0]]))
+    # a seed outside the square keeps an unbounded region after mirroring,
+    # in the cells and in the kites
+    seeds = np.array([[0.5, 0.5], [0.25, 0.25], [0.5, 3.0]])
+    for diagram in (_voronoi_loops, _kite_moments):
+        with pytest.raises(MeshError, match="^seed 2 has an unbounded Voronoi region"):
+            _certified(diagram, seeds)
 
 
 def test_merge_degeneration_names_the_cell():
