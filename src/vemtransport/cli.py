@@ -115,9 +115,9 @@ def manufactured_solves(config):
         lv, n = c.levels[0], c.steps_per_level[0]
         return [Solve(f"k_{k}", lv, n, k, k, c.D) for k in c.k_range]
     if c.kind == "drobust":
-        # a multi-level config sweeps at level 2
+        # a multi-level config sweeps at level 2, which it lists
         lv = c.levels[0] if len(c.levels) == 1 else 2
-        n = dict(zip(c.levels, c.steps_per_level)).get(lv, 6)
+        n = c.steps_per_level[c.levels.index(lv)]
         return [Solve(f"D_{D:.3e}", lv, n, c.k, c.q, D) for D in c.d_values]
     return [Solve(f"level_{c.levels[0]}", c.levels[0], c.steps_per_level[0], c.k, c.q, c.D)]
 
@@ -283,7 +283,7 @@ def run(config):
 def _build_config(args, kind):
     if args.preset:
         config = load_preset(args.preset)
-        if config.kind != kind and kind != "custom":
+        if config.kind != kind:
             raise ConfigError(
                 f"preset {args.preset!r} is a {config.kind!r} preset, not {kind!r}"
             )

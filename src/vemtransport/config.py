@@ -77,6 +77,8 @@ class ExperimentConfig:
             raise ConfigError("steps_per_level must align with levels")
         if any(n < 1 for n in self.steps_per_level):
             raise ConfigError("steps_per_level entries must be >= 1")
+        if self.kind == "drobust" and len(self.levels) > 1 and 2 not in self.levels:
+            raise ConfigError("a multi-level drobust config sweeps at level 2, so levels must list 2")
         if not self.d_values or any(not (0.0 < d < float("inf")) for d in self.d_values):
             raise ConfigError("d_values must be a non-empty list of positive finite numbers")
         # kconv runs q = k, and the Radau rules stop at q = 10

@@ -7,18 +7,14 @@ counter-clockwise; outward normals are edge tangents rotated by -90
 degrees.
 """
 
-import itertools
-import logging
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial import Delaunay, Voronoi, cKDTree
+from scipy.spatial import Delaunay, cKDTree
 
 from . import polygon
 from .quadrature import fan_rule
-
-log = logging.getLogger(__name__)
 
 
 class MeshError(ValueError):
@@ -37,13 +33,12 @@ class PolyMesh:
         must be a simple convex polygon of positive area.
     """
 
-    def __init__(self, vertices, cells, meta=None):
+    def __init__(self, vertices, cells):
         self.vertices = np.asarray(vertices, dtype=float).copy()
         counts = np.array([len(c) for c in cells], dtype=int)
         self._loop_vertices = np.concatenate(cells).astype(int)
         self._loop_groups = _length_groups(counts)
         self.cells = np.split(self._loop_vertices, np.cumsum(counts)[:-1])
-        self.meta = dict(meta or {})
         self._build_topology(counts)
         self._build_geometry()
 
@@ -272,7 +267,7 @@ def generate_quad(n):
     # cell (i, j), i major, runs from vertex i (n + 1) + j counter-clockwise
     corners = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).reshape(-1, 1)
     cells = corners + np.array([0, n + 1, n + 2, 1])
-    return PolyMesh(vertices, cells, meta={"family": "quad", "n": n})
+    return PolyMesh(vertices, cells)
 
 
 def _merge_cell_polygons(stacked, counts, tol=1e-9):
@@ -321,57 +316,21 @@ def _snap_to_walls(verts, tol=1e-10):
 def _mirrored_points(seeds, reach=1.0):
     """The seeds, then their mirror images across the walls x = 0, x = 1,
     y = 0 and y = 1 in that order: across each wall those of the seeds
-    within reach of it (<=, so every seed for reach >= 1)."""
+    within reach of it (<=, so every seed for reach >= 1). A seed on a
+    wall is its own image there, so it is left out: qhull would drop one
+    of the two coincident points, perhaps the seed."""
     x, y = seeds[:, 0], seeds[:, 1]
+
+    def near(d):
+        return (d > 0.0) & (d <= reach)
+
     return np.vstack([
         seeds,
-        seeds[x <= reach] * np.array([-1.0, 1.0]),
-        seeds[1.0 - x <= reach] * np.array([-1.0, 1.0]) + np.array([2.0, 0.0]),
-        seeds[y <= reach] * np.array([1.0, -1.0]),
-        seeds[1.0 - y <= reach] * np.array([1.0, -1.0]) + np.array([0.0, 2.0]),
+        seeds[near(x)] * np.array([-1.0, 1.0]),
+        seeds[near(1.0 - x)] * np.array([-1.0, 1.0]) + np.array([2.0, 0.0]),
+        seeds[near(y)] * np.array([1.0, -1.0]),
+        seeds[near(1.0 - y)] * np.array([1.0, -1.0]) + np.array([0.0, 2.0]),
     ])
-
-
-def _certified(diagram, seeds, reach=1.0):
-    """diagram(points, n), a diagram of the first n points, of the seeds
-    in (0,1)^2 mirrored across the walls, which bounds every cell by
-    them, at the smallest certified reach from the given one up.
-
-    diagram also returns a mask of the seeds with unbounded cells and
-    r_max, the largest distance from a seed to a vertex of its cell.
-    With reach < 1 only the seeds within reach of a wall are mirrored
-    across it. A left-out image lies at least reach from every seed, so
-    when every cell is bounded and 2 r_max < reach it lies on the far
-    side of each cell's bisectors, and the cells are the full mirror's.
-    Otherwise the reach doubles, up to mirroring every seed.
-    """
-    while True:
-        result, bad, r_max = diagram(_mirrored_points(seeds, reach), len(seeds))
-        if reach >= 1.0 or (not bad.any() and 2.0 * r_max < reach):
-            break
-        reach *= 2.0
-    if bad.any():
-        raise MeshError(
-            f"seed {np.argmax(bad)} has an unbounded Voronoi region despite wall mirroring"
-        )
-    return result
-
-
-def _voronoi_loops(points, n):
-    """Voronoi cells of the first n points (seeds, see _certified):
-    their vertices stacked cell by cell, each cell sorted by angle about
-    its point, and the vertex counts."""
-    vor = Voronoi(points)
-    regions = [vor.regions[r] for r in vor.point_region[:n]]
-    counts = np.array([len(r) for r in regions])
-    region_ids = np.fromiter(itertools.chain.from_iterable(regions), dtype=int, count=counts.sum())
-    owner = np.repeat(np.arange(n), counts)
-    bad = counts < 3
-    bad[owner[region_ids < 0]] = True
-    verts = vor.vertices[region_ids]
-    d = verts - points[owner]
-    angles = np.arctan2(d[:, 1], d[:, 0])
-    return (verts[np.lexsort((angles, owner))], counts), bad, np.hypot(d[:, 0], d[:, 1]).max()
 
 
 def _cross(a, b):
@@ -382,18 +341,17 @@ def _dot(a, b):
     return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
 
 
-def _kite_moments(points, n):
-    """Energy of the Voronoi cells of the first n points (seeds, see
-    _certified) about their points, summed cell by cell, and the cell
-    centroids, from the Delaunay triangulation.
+def _corners(points, n):
+    """The corners of the Delaunay triangles of points at the first n
+    points, the seeds, in triangle order: each corner's seed i, its
+    triangle's circumcenter o, and the offsets u and v from the seed to
+    the midpoints of the triangle's edges at it (counter-clockwise) and
+    w to o.
 
-    The circumcenter O of a counter-clockwise triangle (i, j, k) is a
-    Voronoi vertex, and point i's share of the triangle is the kite
-    (p_i, m_ij, O, m_ki) through the edge midpoints m: two signed
-    triangles, one negative where O lies past an obtuse corner. The kites
-    at a point tile its cell, so its moments are bincounts over corners.
-    A hull point's cell is unbounded, and r_max is the largest
-    circumradius of a triangle at one of the n points.
+    The circumcenters of the triangles at a seed are the vertices of its
+    Voronoi cell. A seed on the hull of the triangulation, or in no
+    triangle, has an unbounded cell (the mask bad), and r_max is the
+    largest circumradius of a triangle at a seed.
     """
     tri = Delaunay(points)
     s = tri.simplices  # counter-clockwise in 2-D, as scipy documents
@@ -403,23 +361,66 @@ def _kite_moments(points, n):
     d = 2.0 * _cross(b, c)
     o = a + np.column_stack([c[:, 1] * bb - b[:, 1] * cc, b[:, 0] * cc - c[:, 0] * bb]) / d[:, None]
 
-    t, r = np.nonzero(s < n)  # every corner at one of the n points, by triangle
+    t, r = np.nonzero(s < n)
     i = s[t, r]
     p = points[i]
     u = 0.5 * (points[s[t, (r + 1) % 3]] - p)
     v = 0.5 * (points[s[t, (r + 2) % 3]] - p)
-    w = o[t] - p
-    a1, a2 = 0.5 * _cross(u, w), 0.5 * _cross(w, v)
-    first = (a1[:, None] * (u + w) + a2[:, None] * (w + v)) / 3.0
-    second = (a1 * (_dot(u, u) + _dot(u, w) + _dot(w, w))
-              + a2 * (_dot(w, w) + _dot(w, v) + _dot(v, v))) / 6.0
-    area, fx, fy, energy = (np.bincount(i, x, minlength=n)
-                            for x in (a1 + a2, first[:, 0], first[:, 1], second))
+    o = o[t]
+    w = o - p
     bad = np.bincount(i, minlength=n) == 0
     hull = tri.convex_hull.ravel()
     bad[hull[hull < n]] = True
-    centroids = points[:n] + np.column_stack([fx, fy]) / area[:, None]
-    return (sum(energy.tolist()), centroids), bad, np.hypot(w[:, 0], w[:, 1]).max()
+    return (i, o, u, v, w), bad, np.hypot(w[:, 0], w[:, 1]).max()
+
+
+def _certified(seeds, reach=1.0):
+    """The corners (see _corners) of the seeds in (0,1)^2 mirrored across
+    the walls, which bounds every cell by them, at the smallest certified
+    reach from the given one up.
+
+    With reach < 1 only the seeds within reach of a wall are mirrored
+    across it. A left-out image of a seed off the wall lies at least
+    reach from every seed, so when every cell is bounded and
+    2 r_max < reach it lies on the far side of each cell's bisectors,
+    and the cells are the full mirror's. Otherwise the reach doubles, up
+    to mirroring every seed.
+    """
+    while True:
+        corners, bad, r_max = _corners(_mirrored_points(seeds, reach), len(seeds))
+        if reach >= 1.0 or (not bad.any() and 2.0 * r_max < reach):
+            break
+        reach *= 2.0
+    if bad.any():
+        raise MeshError(
+            f"seed {np.argmax(bad)} has an unbounded Voronoi region despite wall mirroring"
+        )
+    return corners
+
+
+def _lloyd_step(seeds, reach=1.0):
+    """The centroids of the seeds' Voronoi cells.
+
+    A corner's share of its seed's cell is the kite (p, m_ij, O, m_ki)
+    through the edge midpoints m: two signed triangles, one negative where
+    O lies past an obtuse corner. The kites at a seed tile its cell, so
+    the cell's area and first moment are bincounts over the corners.
+    """
+    i, _, u, v, w = _certified(seeds, reach)
+    a1, a2 = 0.5 * _cross(u, w), 0.5 * _cross(w, v)
+    first = (a1[:, None] * (u + w) + a2[:, None] * (w + v)) / 3.0
+    area, fx, fy = (np.bincount(i, x, minlength=len(seeds))
+                    for x in (a1 + a2, first[:, 0], first[:, 1]))
+    return seeds + np.column_stack([fx, fy]) / area[:, None]
+
+
+def _voronoi_cells(seeds, reach=1.0):
+    """The seeds' Voronoi cells: the circumcenters of each seed's
+    triangles stacked seed by seed, sorted by angle about the seed, and
+    the vertex counts."""
+    i, o, _, _, w = _certified(seeds, reach)
+    order = np.lexsort((np.arctan2(w[:, 1], w[:, 0]), i))
+    return o[order], np.bincount(i, minlength=len(seeds))
 
 
 def _cut_to_square(verts, counts):
@@ -453,43 +454,16 @@ def generate_voronoi(n_seeds, lloyd_iters=0, rng_seed=0):
 
     lloyd_iters = 0 gives the raw random ("rand") family; lloyd_iters > 0
     relaxes the seeds toward cell centroids ("voro" family). Deterministic
-    for a fixed rng_seed. Duplicate seeds are jittered deterministically
-    and the event is recorded in mesh.meta.
+    for a fixed rng_seed.
     """
     if n_seeds < 2:
         raise MeshError("need at least 2 seeds")
-    rng = np.random.default_rng(rng_seed)
-    seeds = rng.random((n_seeds, 2))
-    jittered = 0
-    tree = cKDTree(seeds)
-    while len(tree.query_pairs(1e-9)) > 0:
-        pairs = tree.query_pairs(1e-9, output_type="ndarray")
-        dup = np.unique(pairs[:, 1])
-        seeds[dup] += (rng.random((len(dup), 2)) - 0.5) * 1e-6
-        seeds = np.clip(seeds, 1e-6, 1.0 - 1e-6)
-        jittered += len(dup)
-        tree = cKDTree(seeds)
-    if jittered:
-        log.warning("jittered %d duplicate Voronoi seeds", jittered)
-
-    energies = []
+    seeds = np.random.default_rng(rng_seed).random((n_seeds, 2))
     reach = 1.0  # the raw seeds are mirrored in full
     for _ in range(lloyd_iters):
-        energy, seeds = _certified(_kite_moments, seeds, reach)
-        energies.append(energy)
+        seeds = _lloyd_step(seeds, reach)
         reach = 4.0 / np.sqrt(n_seeds)
-    energies.append(_certified(_kite_moments, seeds, reach)[0])
-
-    meta = {
-        "family": "voro" if lloyd_iters > 0 else "rand",
-        "n_seeds": n_seeds,
-        "lloyd_iters": lloyd_iters,
-        "rng_seed": rng_seed,
-        "jittered_seeds": jittered,
-        "lloyd_energy": energies,
-    }
-    loops = _certified(_voronoi_loops, seeds, reach)
-    return PolyMesh(*_merge_cell_polygons(*_cut_to_square(*loops)), meta)
+    return PolyMesh(*_merge_cell_polygons(*_cut_to_square(*_voronoi_cells(seeds, reach))))
 
 
 def _hexa_seeds(nx):
@@ -523,18 +497,17 @@ def generate_hexa(level, distortion=0.15):
         raise MeshError("level must be >= 1")
     seeds, pitch = _hexa_seeds(8 * 2 ** (level - 1))
     verts, cells = _merge_cell_polygons(
-        *_cut_to_square(*_certified(_voronoi_loops, seeds, 4.0 / np.sqrt(len(seeds))))
+        *_cut_to_square(*_voronoi_cells(seeds, 4.0 / np.sqrt(len(seeds))))
     )
-    meta = {"family": "hexa", "level": level, "distortion": distortion}
     if distortion <= 0.0:
-        return PolyMesh(verts, cells, meta)
+        return PolyMesh(verts, cells)
 
     interior = np.all((verts > 1e-12) & (verts < 1.0 - 1e-12), axis=1)
     amp = distortion * pitch
     x, y = verts[interior, 0], verts[interior, 1]
     verts[interior, 0] += amp * np.sin(3.0 * np.pi * x) * np.sin(2.0 * np.pi * y + 0.7)
     verts[interior, 1] += amp * np.sin(2.0 * np.pi * x + 1.3) * np.sin(3.0 * np.pi * y)
-    mesh = PolyMesh(verts, cells, meta)
+    mesh = PolyMesh(verts, cells)
     audit = audit_mesh(mesh)
     if not audit.passed:
         raise MeshError(f"cell {np.argmin(audit.cell_passed)} fails the shape audit")

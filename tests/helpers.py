@@ -8,9 +8,11 @@ steps through a classical Runge-Kutta formulation, local norms through
 a P1 finite element solve of the space-defining PDE on a fine
 triangulation, and the batched local spaces through the per-cell loops
 they replaced (LoopVemElement, LoopFluxElement), mesh generation
-through one seed or polygon at a time (lloyd_voronoi_loop with its
-per-seed kites, loop_generate_hexa, LoopPolyMesh and the per-cell
-Sutherland-Hodgman clip and merge), the
+through one seed or polygon at a time (lloyd_voronoi_loop and
+loop_generate_hexa with their per-seed Delaunay corners, kites and
+cells, LoopPolyMesh and the per-cell Sutherland-Hodgman clip and
+merge; loop_voronoi_cells takes qhull's Voronoi regions instead, and
+the Lloyd energy is computed here only), the
 closed-form shape audit through one HiGHS linear program per cell
 (lp_audit), the Kronecker slab matrix through its per-block assembly
 (block_slab_matrix), and the pinned Darcy gauge through the
@@ -939,9 +941,9 @@ def _second_moment(verts, point):
 def lloyd_voronoi_loop(n_seeds, lloyd_iters, rng_seed):
     """generate_voronoi one seed and one cell at a time: the Lloyd
     relaxation with the per-seed kites below, its steps after the first
-    on the reduced mirror, then the per-cell clip, merge and topology;
-    for seeds that need no duplicate jitter. Returns (LoopPolyMesh,
-    Lloyd energies)."""
+    on the reduced mirror, the cells from the per-seed corners, then the
+    per-cell clip, merge and topology. Returns (LoopPolyMesh, Lloyd
+    energies of the raw seeds and after every step)."""
     seeds = np.random.default_rng(rng_seed).random((n_seeds, 2))
     energies = []
     reach = 1.0
@@ -950,24 +952,16 @@ def lloyd_voronoi_loop(n_seeds, lloyd_iters, rng_seed):
         energies.append(energy)
         reach = 4.0 / np.sqrt(n_seeds)
     energies.append(loop_kite_moments(seeds, reach)[0])
-    meta = {
-        "family": "voro" if lloyd_iters > 0 else "rand",
-        "n_seeds": n_seeds,
-        "lloyd_iters": lloyd_iters,
-        "rng_seed": rng_seed,
-        "jittered_seeds": 0,
-        "lloyd_energy": energies,
-    }
-    cells = loop_voronoi_cells(seeds, reach)
-    return loop_merge_cell_polygons(loop_clipped_cells(cells), meta=meta), energies
+    cells = loop_delaunay_cells(seeds, reach)
+    return loop_merge_cell_polygons(loop_clipped_cells(cells)), energies
 
 
-def _seed_kites(points, n):
-    """Per seed, one of the first n points: the second moment of its
-    Voronoi cell about it and the cell centroid, summing the kites of the
-    Delaunay triangles at it one at a time in triangle order; None for a
-    seed on the hull or in no triangle. Also the largest circumradius of
-    a triangle at a bounded seed."""
+def _seed_corners(points, n):
+    """Per seed, one of the first n points: the corners of the Delaunay
+    triangles at it, one at a time in triangle order, each as (j, k,
+    circumcenter) with j and k the triangle's next vertices
+    counter-clockwise; None for a seed on the hull or in no triangle.
+    Also the largest circumradius of a triangle at a bounded seed."""
     tri = Delaunay(points)
     hull = set(tri.convex_hull.ravel().tolist())
     at = [[] for _ in range(n)]
@@ -985,14 +979,46 @@ def _seed_kites(points, n):
         for r, i in enumerate(t):
             if i < n:
                 at[i].append((t[(r + 1) % 3], t[(r + 2) % 3], center))
-    moments, r_max = [], 0.0
-    for i, corners in enumerate(at):
-        if i in hull or not corners:
-            moments.append(None)
+    corners, r_max = [], 0.0
+    for i, seed_corners in enumerate(at):
+        if i in hull or not seed_corners:
+            corners.append(None)
             continue
         px, py = points[i].tolist()
+        for _, _, (ox, oy) in seed_corners:
+            r_max = max(r_max, float(np.hypot(ox - px, oy - py)))
+        corners.append(seed_corners)
+    return corners, r_max
+
+
+def loop_certified(seeds, reach=1.0):
+    """The qhull input (geometry's mirrored points, _mirrored_points) and
+    the per-seed corners on it (_seed_corners). A reduced triangulation
+    is taken only when no seed is on its hull and every circumradius at
+    a seed is below reach / 2; otherwise the reach doubles, up to 1."""
+    while True:
+        points = _mirrored_points(seeds, reach)
+        corners, r_max = _seed_corners(points, len(seeds))
+        bounded = all(c is not None for c in corners)
+        if reach >= 1.0 or (bounded and 2.0 * r_max < reach):
+            break
+        reach *= 2.0
+    if not bounded:
+        raise MeshError("unbounded Voronoi region despite wall mirroring")
+    return points, corners
+
+
+def loop_kite_moments(seeds, reach=1.0):
+    """The Lloyd energy (the cells' second moments about their seeds,
+    summed seed by seed) and the cell centroids, one seed at a time from
+    the kites (seed, edge midpoint, circumcenter, edge midpoint) of the
+    certified Delaunay corners at it (loop_certified)."""
+    points, corners = loop_certified(seeds, reach)
+    energy, centroids = 0.0, []
+    for i, seed_corners in enumerate(corners):
+        px, py = points[i].tolist()
         area = mx = my = second = 0.0
-        for j, k, (ox, oy) in corners:
+        for j, k, (ox, oy) in seed_corners:
             (jx, jy), (kx, ky) = points[j].tolist(), points[k].tolist()
             ux, uy = 0.5 * (jx - px), 0.5 * (jy - py)
             vx, vy = 0.5 * (kx - px), 0.5 * (ky - py)
@@ -1004,28 +1030,22 @@ def _seed_kites(points, n):
             uu, uw, ww = ux * ux + uy * uy, ux * wx + uy * wy, wx * wx + wy * wy
             wv, vv = wx * vx + wy * vy, vx * vx + vy * vy
             second += (a1 * (uu + uw + ww) + a2 * (ww + wv + vv)) / 6.0
-            r_max = max(r_max, float(np.hypot(wx, wy)))
-        moments.append((second, (px + mx / area, py + my / area)))
-    return moments, r_max
+        energy += second
+        centroids.append((px + mx / area, py + my / area))
+    return energy, np.array(centroids)
 
 
-def loop_kite_moments(seeds, reach=1.0):
-    """The Lloyd energy (the cells' second moments about their seeds,
-    summed seed by seed) and the cell centroids, one seed at a time from
-    the kites (seed, edge midpoint, circumcenter, edge midpoint) of the
-    Delaunay triangles at it, on geometry's mirrored points
-    (_mirrored_points). A reduced triangulation is taken only when no
-    seed is on its hull and every circumradius at a seed is below
-    reach / 2; otherwise the reach doubles, up to 1."""
-    while True:
-        moments, r_max = _seed_kites(_mirrored_points(seeds, reach), len(seeds))
-        bounded = all(m is not None for m in moments)
-        if reach >= 1.0 or (bounded and 2.0 * r_max < reach):
-            break
-        reach *= 2.0
-    if not bounded:
-        raise MeshError("unbounded Voronoi region despite wall mirroring")
-    return sum(m[0] for m in moments), np.array([m[1] for m in moments])
+def loop_delaunay_cells(seeds, reach=1.0):
+    """Voronoi cells of seeds in (0,1)^2, one seed at a time: the
+    circumcenters of the certified Delaunay corners at it
+    (loop_certified), sorted by angle about it, ties in triangle order."""
+    points, corners = loop_certified(seeds, reach)
+    cells = []
+    for i, seed_corners in enumerate(corners):
+        centers = np.array([center for _, _, center in seed_corners])
+        w = centers - points[i]
+        cells.append(centers[np.argsort(np.arctan2(w[:, 1], w[:, 0]), kind="stable")])
+    return cells
 
 
 # -- per-cell mesh generation: the oracle of geometry's stacked path --------
@@ -1124,7 +1144,7 @@ def loop_clipped_cells(cells):
     return clipped
 
 
-def loop_merge_cell_polygons(polys, tol=1e-9, meta=None):
+def loop_merge_cell_polygons(polys, tol=1e-9):
     """LoopPolyMesh of per-cell loops, shared points merged by union-find
     with the smaller root winning."""
     stacked = np.vstack(polys)
@@ -1157,7 +1177,7 @@ def loop_merge_cell_polygons(polys, tol=1e-9, meta=None):
         if len(loop) < 3:
             raise MeshError("cell degenerated to fewer than 3 vertices during merge")
         cells.append(loop)
-    return LoopPolyMesh(stacked[unique_roots], cells, meta=meta)
+    return LoopPolyMesh(stacked[unique_roots], cells)
 
 
 class LoopPolyMesh(PolyMesh):
@@ -1207,9 +1227,8 @@ def loop_generate_hexa(level, distortion=0.15):
     """generate_hexa through the per-cell clip, merge, topology and LP
     audit."""
     seeds, pitch = _hexa_seeds(8 * 2 ** (level - 1))
-    cells = loop_clipped_cells(loop_voronoi_cells(seeds, reach=4.0 / np.sqrt(len(seeds))))
     base = loop_merge_cell_polygons(
-        cells, meta={"family": "hexa", "level": level, "distortion": distortion}
+        loop_clipped_cells(loop_delaunay_cells(seeds, reach=4.0 / np.sqrt(len(seeds))))
     )
     if distortion <= 0.0:
         return base
@@ -1222,7 +1241,7 @@ def loop_generate_hexa(level, distortion=0.15):
     x, y = verts[interior, 0], verts[interior, 1]
     moved[interior, 0] += amp * np.sin(3.0 * np.pi * x) * np.sin(2.0 * np.pi * y + 0.7)
     moved[interior, 1] += amp * np.sin(2.0 * np.pi * x + 1.3) * np.sin(3.0 * np.pi * y)
-    mesh = LoopPolyMesh(moved, base.cells, meta=base.meta)
+    mesh = LoopPolyMesh(moved, base.cells)
     passed = lp_audit(mesh)[1]
     if not passed.all():
         raise MeshError(f"cell {np.argmin(passed)} fails the shape audit")

@@ -85,6 +85,7 @@ class TestConfig:
             {"out_dir": 3},
             {"kind": "convergence", "problem": "wells:vert"},
             {"kind": "custom", "problem": "wells:homo"},
+            {"kind": "drobust", "levels": [1, 3], "steps_per_level": [3, 12]},
         ],
     )
     def test_validation(self, bad):
@@ -158,6 +159,30 @@ class TestCliDispatch:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"kind": "kconv"}))
         assert cli.main(["convergence", "--config", str(path)]) == 2
+
+    def test_preset_of_another_kind_exit_2(self, tmp_path):
+        # custom has no exemption: it runs a custom preset or none
+        assert cli.main(["custom", "--preset", "kconv-quad", "--out", str(tmp_path)]) == 2
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "levels, steps, expected",
+        [([2], [5], (2, 5)), ([4], [1], (4, 1)), ([1, 2], [1, 4], (2, 4)),
+         ([3, 2, 1], [9, 7, 8], (2, 7)), (None, None, (2, 6))],
+    )
+    def test_drobust_sweeps_a_listed_level_with_its_steps(self, levels, steps, expected):
+        # a multi-level config sweeps at level 2, with level 2's steps;
+        # the defaults (levels 1-4, steps 3, 6, 12, 24) keep 6 steps
+        given = {} if levels is None else {"levels": levels, "steps_per_level": steps}
+        cfg = ExperimentConfig.from_dict({"kind": "drobust", "d_values": [1.0, 1e-3], **given})
+        assert {(s.level, s.steps) for s in cli.manufactured_solves(cfg)} == {expected}
+
+    def test_drobust_presets_sweep_level_2_with_6_steps(self):
+        for name in list_presets():
+            cfg = load_preset(name)
+            if cfg.kind == "drobust":
+                solves = cli.manufactured_solves(cfg)
+                assert [(s.level, s.steps) for s in solves] == [(2, 6)] * len(cfg.d_values)
 
     def test_custom_run_writes_outputs_and_is_deterministic(self, tmp_path):
         cfg = {

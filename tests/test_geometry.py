@@ -14,7 +14,13 @@ from vemtransport.geometry import (
     generate_voronoi,
 )
 
-from helpers import cell_polygon, lp_audit, polygon_mesh, random_convex_polygon
+from helpers import (
+    cell_polygon,
+    lloyd_voronoi_loop,
+    lp_audit,
+    polygon_mesh,
+    random_convex_polygon,
+)
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -81,10 +87,11 @@ class TestVoronoiGenerator:
         assert np.count_nonzero(m.edge_cells[:, 1] >= 0) == 1
 
     def test_lloyd_energy_non_increasing(self):
-        # the Lloyd steps run on the reduced mirror (reach 4 / sqrt(n) < 1)
+        # the energy (Du, Faber & Gunzburger, SIAM Review 41, 1999) of the
+        # per-seed oracle, whose steps give generate_voronoi's seeds bit for
+        # bit; the steps run on the reduced mirror (reach 4 / sqrt(n) < 1)
         for n_seeds, rng_seed in [(64, 7), (256, 2024), (256, 801)]:
-            m = generate_voronoi(n_seeds, lloyd_iters=100, rng_seed=rng_seed)
-            e = m.meta["lloyd_energy"]
+            _, e = lloyd_voronoi_loop(n_seeds, 100, rng_seed)
             assert len(e) == 101
             assert all(e[i + 1] <= e[i] * (1.0 + 1e-12) for i in range(len(e) - 1))
 

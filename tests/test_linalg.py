@@ -3,12 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from vemtransport.element import monomials
-from vemtransport.linalg import (
-    Factorization,
-    NumericBreakdownError,
-    StructuralSingularityError,
-    solve,
-)
+from vemtransport.linalg import Factorization, LinalgError, solve
 from vemtransport.quadrature import polygon_rule
 
 from helpers import VemElement, export_matrix_market
@@ -31,13 +26,29 @@ class TestSolve:
 
     def test_zero_matrix_is_structural_singularity(self):
         A = sp.csr_matrix((1, 1))
-        with pytest.raises(StructuralSingularityError):
+        with pytest.raises(LinalgError, match="exactly singular"):
             solve(A, np.array([1.0]))
 
-    def test_numeric_breakdown_distinct(self):
+    @pytest.mark.parametrize(
+        "A",
+        [
+            sp.csr_matrix((3, 3)),
+            sp.csr_matrix(np.array([[1.0, 2.0], [0.0, 0.0]])),
+            sp.csr_matrix(np.array([[1.0, 0.0], [2.0, 0.0]])),
+            # a row whose only stored entries are explicit zeros
+            sp.csr_matrix((np.array([1.0, 0.0, 0.0]), (np.array([0, 1, 1]), np.array([0, 0, 1]))),
+                          shape=(2, 2)),
+        ],
+        ids=["empty-3x3", "empty-row", "empty-column", "explicit-zero-row"],
+    )
+    def test_structural_singularity_raises(self, A):
+        with pytest.raises(LinalgError, match="exactly singular"):
+            Factorization(A)
+
+    def test_numeric_breakdown_raises(self):
         # structurally fine but numerically singular
         A = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
-        with pytest.raises(NumericBreakdownError):
+        with pytest.raises(LinalgError):
             solve(A, np.array([1.0, 2.0]))
 
     def test_factorization_reuse(self):

@@ -4,14 +4,15 @@ relaxation and mesh generation built on them.
 A stacked call must give, loop for loop, the bits of the call on that
 loop alone, and the single-loop call the bits of the one-polygon
 formulas in helpers.py (_area, _centroid, _diameter). The generators
-must give the bits of the per-seed kite loop and the per-cell
+must give the bits of the per-seed Delaunay-corner loop (kites for the
+Lloyd steps, sorted circumcenters for the cells) and the per-cell
 Sutherland-Hodgman clip, merge and topology in helpers.py, though they
-take the Lloyd moments from stacked Delaunay kites and cut a cell to the
-square by dropping vertices, and their errors must name the seed, cell
-or edge at fault. The kites must give the polygon moments of the cells
-to roundoff. The Lloyd steps' qhull input mirrors only the seeds near a
-wall; its certified cells and moments must be the full mirror's to
-roundoff.
+stack the corners and cut a cell to the square by dropping vertices,
+and their errors must name the seed, cell or edge at fault. Their cells
+must be the ones of qhull's Voronoi diagram cell by cell to roundoff,
+and the kites must give the polygon moments of the cells to roundoff.
+The qhull input mirrors only the seeds near a wall; its certified cells
+and centroids must be the full mirror's to roundoff.
 """
 
 import warnings
@@ -28,10 +29,10 @@ from vemtransport.geometry import (
     _certified,
     _cut_to_square,
     _hexa_seeds,
-    _kite_moments,
+    _lloyd_step,
     _merge_cell_polygons,
     _mirrored_points,
-    _voronoi_loops,
+    _voronoi_cells,
     generate_family,
     generate_hexa,
     generate_quad,
@@ -51,6 +52,7 @@ from helpers import (
     loop_clipped_cells,
     loop_generate_hexa,
     loop_kite_moments,
+    loop_merge_cell_polygons,
     loop_voronoi_cells,
     random_convex_polygon,
 )
@@ -159,18 +161,18 @@ def test_mesh_geometry_matches_per_cell_formulas():
 
 def test_lloyd_relaxation_matches_per_cell_loop():
     mesh = generate_voronoi(64, lloyd_iters=100, rng_seed=7)
-    ref, energies = lloyd_voronoi_loop(64, 100, 7)
-    assert mesh.meta["jittered_seeds"] == 0
+    ref, _ = lloyd_voronoi_loop(64, 100, 7)
     assert_same(mesh.vertices, ref.vertices)
     assert len(mesh.cells) == len(ref.cells)
     for a, b in zip(mesh.cells, ref.cells):
         assert_same(a, b)
-    assert mesh.meta["lloyd_energy"] == energies
 
 
-def assert_same_mesh(mesh, ref):
-    for name in ("vertices", "edges", "edge_cells", "_edge_signs", "boundary_edges",
-                 "boundary_signs"):
+def assert_same_mesh(mesh, ref, tol=0.0):
+    """Equal topology, and vertices equal, or within tol."""
+    assert mesh.vertices.shape == ref.vertices.shape
+    assert np.abs(mesh.vertices - ref.vertices).max() <= tol
+    for name in ("edges", "edge_cells", "_edge_signs", "boundary_edges", "boundary_signs"):
         assert_same(getattr(mesh, name), getattr(ref, name))
     loops = [cell_edges(mesh, c) for c in range(mesh.num_cells)]
     assert len(mesh.cells) == len(ref.cells) == len(loops) == len(ref.cell_edges)
@@ -178,13 +180,12 @@ def assert_same_mesh(mesh, ref):
         assert_same(a, b)
     for a, b in zip(loops, ref.cell_edges):
         assert_same(a, np.array(b))
-    assert mesh.meta == ref.meta
 
 
 @pytest.mark.parametrize("level", [1, 2, 3])
 def test_quad_topology_matches_edge_dictionary(level):
     mesh = generate_quad(FAMILY_LEVEL_SIZES["quad"][level - 1])
-    assert_same_mesh(mesh, LoopPolyMesh(mesh.vertices, mesh.cells, meta=mesh.meta))
+    assert_same_mesh(mesh, LoopPolyMesh(mesh.vertices, mesh.cells))
 
 
 @pytest.mark.parametrize(
@@ -193,7 +194,6 @@ def test_quad_topology_matches_edge_dictionary(level):
 def test_hexa_matches_per_cell_generation(level, distortion):
     mesh = generate_hexa(level, distortion)
     assert_same_mesh(mesh, loop_generate_hexa(level, distortion))
-    assert mesh.meta["distortion"] == distortion
 
 
 def test_hexa_distortion_that_breaks_a_cell_raises():
@@ -218,7 +218,6 @@ def test_hexa_cell_that_fails_the_audit_raises(monkeypatch):
 )
 def test_voronoi_matches_per_cell_generation(family, level, seed):
     mesh = generate_family(family, level, rng_seed=seed)
-    assert mesh.meta["jittered_seeds"] == 0
     n_seeds = FAMILY_LEVEL_SIZES[family][level - 1]
     ref, _ = lloyd_voronoi_loop(n_seeds, 100 if family == "voro" else 0, seed)
     assert_same_mesh(mesh, ref)
@@ -237,15 +236,18 @@ def record_reaches(monkeypatch):
 
 
 def assert_same_cells(loops, expected):
-    """Equal vertex counts, and angle-sorted vertices equal within 1e-14."""
-    assert_same(loops[1], expected[1])
-    assert np.abs(loops[0] - expected[0]).max() <= 1e-14
-
-
-def assert_same_moments(moments, expected):
-    """Energies equal within 1e-14 relative, centroids within 1e-14."""
-    assert abs(moments[0] - expected[0]) <= 1e-14 * expected[0]
-    assert np.abs(moments[1] - expected[1]).max() <= 1e-14
+    """The same cells once cut to the square and merged: equal loops, and
+    vertices equal within 1e-14. A seed and its neighbour near a wall are
+    co-circular with their images, and the triangulations may split that
+    Voronoi vertex at different seeds into two, which the merge joins."""
+    (verts, cells), (ref_verts, ref_cells) = (
+        _merge_cell_polygons(*_cut_to_square(*x)) for x in (loops, expected)
+    )
+    assert len(cells) == len(ref_cells)
+    for a, b in zip(cells, ref_cells):
+        assert_same(a, b)
+    assert verts.shape == ref_verts.shape
+    assert np.abs(verts - ref_verts).max() <= 1e-14
 
 
 @pytest.mark.parametrize("rng_seed", [0, 1, 2])
@@ -255,17 +257,17 @@ def test_reduced_mirror_gives_the_full_mirror_cells(monkeypatch, n, rng_seed):
     reaches = record_reaches(monkeypatch)
     seeds = np.random.default_rng(rng_seed).random((n, 2))
     for step in range(4):  # the raw seeds, then after 1, 2 and 3 Lloyd steps
-        full = _certified(_voronoi_loops, seeds)
-        moments = _certified(_kite_moments, seeds, 1.0)
+        full = _voronoi_cells(seeds)
+        centroids = _lloyd_step(seeds, 1.0)
         reaches.clear()
-        assert_same_cells(_certified(_voronoi_loops, seeds, reach), full)
+        assert_same_cells(_voronoi_cells(seeds, reach), full)
         assert reaches[0] == reach
         reaches.clear()
-        assert_same_moments(_certified(_kite_moments, seeds, reach), moments)
+        assert np.abs(_lloyd_step(seeds, reach) - centroids).max() <= 1e-14
         assert reaches[0] == reach
         if step:  # relaxed cells are certified at the first reach
             assert reaches == [reach]
-        seeds = moments[1]
+        seeds = centroids
 
 
 @pytest.mark.parametrize("level", [1, 2, 3, 4])
@@ -274,9 +276,9 @@ def test_hexa_lattice_on_the_reduced_mirror_gives_the_full_mirror_cells(monkeypa
     seeds, _ = _hexa_seeds(8 * 2 ** (level - 1))
     reach = 4.0 / np.sqrt(len(seeds))
     reaches = record_reaches(monkeypatch)
-    loops = _certified(_voronoi_loops, seeds, reach)
+    loops = _voronoi_cells(seeds, reach)
     assert reaches == [reach]
-    assert_same_cells(loops, _certified(_voronoi_loops, seeds))
+    assert_same_cells(loops, _voronoi_cells(seeds))
 
 
 @pytest.mark.parametrize(
@@ -290,33 +292,55 @@ def test_clustered_seeds_widen_the_reach(monkeypatch, far):
     rng = np.random.default_rng(5)
     seeds = np.vstack([0.3 * rng.random((1024 - len(far), 2)), far])
     reaches = record_reaches(monkeypatch)
-    loops = _certified(_voronoi_loops, seeds, 0.125)
+    loops = _voronoi_cells(seeds, 0.125)
     assert reaches[0] == 0.125 and len(reaches) > 1
     assert reaches == sorted(reaches)
     widened = reaches.copy()
     reaches.clear()
-    moments = _certified(_kite_moments, seeds, 0.125)
-    assert reaches == widened  # the kites are certified as the cells are
-    assert_same_cells(loops, _certified(_voronoi_loops, seeds))
-    assert_same_moments(moments, _certified(_kite_moments, seeds, 1.0))
+    centroids = _lloyd_step(seeds, 0.125)
+    assert reaches == widened  # the Lloyd step is certified as the cells are
+    assert_same_cells(loops, _voronoi_cells(seeds))
+    assert np.abs(centroids - _lloyd_step(seeds, 1.0)).max() <= 1e-14
 
 
 @pytest.mark.parametrize("lloyd_iters", [0, 10])
-def test_one_delaunay_per_lloyd_step_and_one_voronoi_per_mesh(monkeypatch, lloyd_iters):
+def test_one_delaunay_per_lloyd_step_and_one_per_mesh(monkeypatch, lloyd_iters):
+    assert not hasattr(geometry, "Voronoi")
     calls = []
-    for name in ("Delaunay", "Voronoi"):
-        def counted(points, qhull=getattr(geometry, name), name=name):
-            calls.append(name)
-            return qhull(points)
 
-        monkeypatch.setattr(geometry, name, counted)
+    def counted(points, qhull=geometry.Delaunay):
+        calls.append(len(points))
+        return qhull(points)
+
+    monkeypatch.setattr(geometry, "Delaunay", counted)
     reaches = record_reaches(monkeypatch)
     generate_voronoi(256, lloyd_iters=lloyd_iters, rng_seed=2024)
-    assert calls == ["Delaunay"] * (lloyd_iters + 1) + ["Voronoi"]
+    assert len(calls) == lloyd_iters + 1
     # the raw seeds are mirrored in full, the relaxed ones at 4 / sqrt(256),
-    # and the final cells at the reach of the final energy
-    steps = [1.0] + [0.25] * lloyd_iters
-    assert reaches == steps + steps[-1:]
+    # and the final cells at the reach of the last step
+    assert reaches == [1.0] + [0.25] * lloyd_iters
+
+
+@pytest.mark.parametrize(
+    "family, level, seed",
+    [("voro", 1, 2024), ("voro", 2, 1), ("rand", 2, 0), ("hexa", 1, None), ("hexa", 3, None)],
+)
+def test_cells_are_qhulls_voronoi_cells_to_roundoff(family, level, seed):
+    # the circumcenters of the triangles at a seed are its Voronoi vertices:
+    # qhull's Voronoi diagram of the same seeds, cell by cell and clipped,
+    # gives the same mesh with vertices within 1e-14
+    if family == "hexa":
+        mesh = generate_hexa(level, distortion=0.0)
+        seeds, _ = _hexa_seeds(8 * 2 ** (level - 1))
+        reach = 4.0 / np.sqrt(len(seeds))
+    else:
+        mesh = generate_family(family, level, rng_seed=seed)
+        n = FAMILY_LEVEL_SIZES[family][level - 1]
+        seeds, reach = np.random.default_rng(seed).random((n, 2)), 1.0
+        for _ in range(100 if family == "voro" else 0):
+            seeds, reach = _lloyd_step(seeds, reach), 4.0 / np.sqrt(n)
+    ref = loop_merge_cell_polygons(loop_clipped_cells(loop_voronoi_cells(seeds, reach)))
+    assert_same_mesh(mesh, ref, tol=1e-14)
 
 
 @pytest.mark.parametrize("n, rng_seed", [(64, 0), (256, 1), (1024, 2)])
@@ -334,17 +358,21 @@ def test_kites_give_the_polygon_moments(n, rng_seed):
 
 
 def test_default_mirror_takes_every_seed():
-    # the hexa lattice has seeds on x = 0 and x = 1: at full reach (<=)
-    # they are mirrored too, so the qhull input is the one of all four walls
+    # the hexa lattice has seeds on x = 0 and x = 1, each its own image
+    # across its wall: at full reach every other image is taken, so the
+    # qhull input is the one of all four walls without coincident points
     seeds, _ = _hexa_seeds(8)
-    assert np.any(seeds[:, 0] == 0.0) and np.any(seeds[:, 0] == 1.0)
+    left, right = seeds[:, 0] == 0.0, seeds[:, 0] == 1.0
+    assert left.any() and right.any()
     mirrors = [
-        seeds * np.array([-1.0, 1.0]),
-        seeds * np.array([-1.0, 1.0]) + np.array([2.0, 0.0]),
+        seeds[~left] * np.array([-1.0, 1.0]),
+        seeds[~right] * np.array([-1.0, 1.0]) + np.array([2.0, 0.0]),
         seeds * np.array([1.0, -1.0]),
         seeds * np.array([1.0, -1.0]) + np.array([0.0, 2.0]),
     ]
-    assert_same(_mirrored_points(seeds), np.vstack([seeds] + mirrors))
+    points = _mirrored_points(seeds)
+    assert_same(points, np.vstack([seeds] + mirrors))
+    assert len(np.unique(points, axis=0)) == len(points)
 
 
 def test_near_repeated_vertices_merge_to_one():
@@ -359,10 +387,10 @@ def test_near_repeated_vertices_merge_to_one():
 
 
 def test_wall_seed_hexagon_is_cut_as_the_clip_does():
-    # a lattice seed on x = 0 mirrors onto itself, so its hexagon reaches
+    # a lattice seed on x = 0 is its own image, so its hexagon reaches
     # past the wall and the cut drops the vertices on the far side
     seeds, _ = _hexa_seeds(8)
-    verts, counts = _certified(_voronoi_loops, seeds)
+    verts, counts = _voronoi_cells(seeds)
     i = np.flatnonzero(seeds[:, 0] == 0.0)[0]
     start = counts[:i].sum()
     hexagon = verts[start : start + counts[i]]
@@ -388,12 +416,28 @@ def test_cut_to_fewer_than_three_vertices_names_the_seed():
 
 
 def test_unbounded_region_names_the_seed():
-    # a seed outside the square keeps an unbounded region after mirroring,
-    # in the cells and in the kites
+    # a seed outside the square keeps an unbounded region after mirroring
     seeds = np.array([[0.5, 0.5], [0.25, 0.25], [0.5, 3.0]])
-    for diagram in (_voronoi_loops, _kite_moments):
-        with pytest.raises(MeshError, match="^seed 2 has an unbounded Voronoi region"):
-            _certified(diagram, seeds)
+    with pytest.raises(MeshError, match="^seed 2 has an unbounded Voronoi region"):
+        _certified(seeds)
+
+
+def test_coincident_seeds_name_a_seed():
+    # qhull drops one of two coincident seeds from the triangulation, so
+    # it lies in no triangle, and its cell counts as unbounded
+    seeds = np.random.default_rng(3).random((64, 2))
+    seeds[40] = seeds[12]
+    for reach in (1.0, 0.5):
+        with pytest.raises(MeshError, match="^seed (12|40) has an unbounded Voronoi region"):
+            _certified(seeds, reach)
+
+
+def test_seeds_1e10_apart_give_a_mesh():
+    seeds = np.random.default_rng(3).random((64, 2))
+    seeds[40] = seeds[12] + [1e-10, 0.0]
+    mesh = PolyMesh(*_merge_cell_polygons(*_cut_to_square(*_voronoi_cells(seeds))))
+    assert mesh.num_cells == 64
+    assert abs(mesh.cell_areas.sum() - 1.0) < 1e-12
 
 
 def test_merge_degeneration_names_the_cell():
