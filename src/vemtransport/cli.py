@@ -1,8 +1,8 @@
 """Configuration-driven experiment runner.
 
 Subcommands reproduce the shipped studies: space-time convergence over
-mesh/time refinement pairs, degree escalation on the coarsest pair,
-robustness over the diffusion sweep, and the five-well injection
+mesh/time refinement pairs, degree escalation and robustness over the
+diffusion sweep, each at one level, and the five-well injection
 example. All of them run through `run`. Exit codes: 0 success, 2
 configuration error, 3 solver failure.
 """
@@ -12,6 +12,7 @@ import json
 import logging
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -22,7 +23,7 @@ from .geometry import MeshError, generate_family, generate_hexa
 from .linalg import LinalgError
 from .meshio import write_polymesh, write_vtk, write_vtk_series
 from .postproc import error_norms, minmax_csv, minmax_trace, observed_rate, rate_table
-from .problems import ManufacturedProblem, get_problem
+from .problems import ManufacturedProblem, WellsProblem
 from .timestepping import TimeSteppingError, advance
 from .transport import TransportProblem, TransportSystem
 
@@ -107,19 +108,15 @@ class Solve(NamedTuple):
 
 
 def manufactured_solves(config):
-    """The solves of a convergence, kconv, drobust or custom study, in order."""
+    """The solves of a convergence, kconv or drobust study, in order;
+    kconv and drobust sweep at their one level."""
     c = config
     if c.kind == "convergence":
         return [Solve(f"level_{lv}", lv, n, c.k, c.q, c.D) for lv, n in zip(c.levels, c.steps_per_level)]
+    (lv,), (n,) = c.levels, c.steps_per_level
     if c.kind == "kconv":
-        lv, n = c.levels[0], c.steps_per_level[0]
         return [Solve(f"k_{k}", lv, n, k, k, c.D) for k in c.k_range]
-    if c.kind == "drobust":
-        # a multi-level config sweeps at level 2, which it lists
-        lv = c.levels[0] if len(c.levels) == 1 else 2
-        n = c.steps_per_level[c.levels.index(lv)]
-        return [Solve(f"D_{D:.3e}", lv, n, c.k, c.q, D) for D in c.d_values]
-    return [Solve(f"level_{c.levels[0]}", c.levels[0], c.steps_per_level[0], c.k, c.q, c.D)]
+    return [Solve(f"D_{D:.3e}", lv, n, c.k, c.q, D) for D in c.d_values]
 
 
 def _sweep_csv(head, keys, reports):
@@ -147,17 +144,11 @@ def write_drobust(out, solves, reports):
     return {"err_max_over_min": max(errs) / min(errs)}
 
 
-def write_custom(out, solves, reports):
-    _write_text(out / "errors.csv", rate_table(reports)[1])
-    return {}
-
-
 #: kind -> writer of the rows that finished; returns summary numbers for the manifest
 WRITERS = {
     "convergence": write_convergence,
     "kconv": write_kconv,
     "drobust": write_drobust,
-    "custom": write_custom,
 }
 
 
@@ -199,7 +190,7 @@ def run_wells(config, out, timings):
     """Five-well injection example: impermeable box, central source,
     corner sinks; writes the vertex min/max ledger and VTK snapshots at
     t = 1, 2, 4. Returns (summary, failure)."""
-    wells = get_problem(config.problem)
+    wells = WellsProblem(config.problem.removeprefix("wells:"))
     level = config.wells_level
     mesh, failure = _timed(
         timings, f"geometry.generate.level_{level}", generate_hexa, level, distortion=0.0
@@ -283,18 +274,14 @@ def run(config):
 def _build_config(args, kind):
     if args.preset:
         config = load_preset(args.preset)
-        if config.kind != kind:
-            raise ConfigError(
-                f"preset {args.preset!r} is a {config.kind!r} preset, not {kind!r}"
-            )
     elif args.config:
         config = ExperimentConfig.from_json(args.config)
-        if config.kind != kind:
-            raise ConfigError(f"config kind {config.kind!r} does not match {kind!r}")
     else:
         config = ExperimentConfig(kind=kind)
+    if config.kind != kind:
+        raise ConfigError(f"{args.preset or args.config!r} is a {config.kind!r} config, not {kind!r}")
     if args.out is not None:
-        config = ExperimentConfig.from_dict({**config.to_dict(), "out_dir": args.out})
+        config = replace(config, out_dir=args.out)
     return config
 
 
@@ -312,8 +299,9 @@ def main(argv=None):
     sub = parser.add_subparsers(dest="command")
     for kind in KINDS:
         p = sub.add_parser(kind, help=f"run a {kind} experiment")
-        p.add_argument("--config", help="path to a JSON config")
-        p.add_argument("--preset", help="name of a shipped preset")
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--config", help="path to a JSON config")
+        source.add_argument("--preset", help="name of a shipped preset")
         p.add_argument("--out", help="output directory override")
     args = parser.parse_args(argv)
     logging.basicConfig(level=args.log_level, format="%(levelname)s %(message)s")

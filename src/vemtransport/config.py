@@ -1,7 +1,8 @@
 """Declarative experiment configuration.
 
-A config is a flat JSON document; unknown keys are rejected. Presets for
-the shipped studies live in the package's presets/ directory and can be
+A config is a flat JSON document holding `kind`, `out_dir` and the fields
+its kind reads (`FIELDS`); any other key is rejected. Presets for the
+shipped studies live in the package's presets/ directory and can be
 loaded by name.
 """
 
@@ -10,14 +11,26 @@ import json
 from dataclasses import asdict, dataclass, field, fields
 from importlib import resources
 
+from .problems import WellsProblem
+
 
 class ConfigError(ValueError):
     pass
 
 
-KINDS = ("convergence", "kconv", "drobust", "wells", "custom")
+#: fields every manufactured study reads: the meshes, time steps and flow
+MANUFACTURED = ("mesh_family", "levels", "steps_per_level", "velocity_backend", "rng_seed")
+#: kind -> the fields its run reads; a config holds kind, out_dir and these
+FIELDS = {
+    "convergence": (*MANUFACTURED, "k", "q", "D"),
+    "kconv": (*MANUFACTURED, "k_range", "D"),
+    "drobust": (*MANUFACTURED, "k", "q", "d_values"),
+    "wells": ("mesh_family", "problem", "k", "q", "D", "wells_level"),
+}
+KINDS = tuple(FIELDS)
 FAMILIES = ("quad", "hexa", "voro", "rand")
 BACKENDS = ("darcy", "analytic")
+PROBLEMS = tuple(f"wells:{variant}" for variant in WellsProblem.VARIANTS)
 DEFAULT_STEPS = [3, 6, 12, 24]
 DEFAULT_D_VALUES = [1e0, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7]
 
@@ -34,13 +47,13 @@ class ExperimentConfig:
     """One experiment run: meshes, degrees, coefficients, data, outputs."""
 
     kind: str = "convergence"
-    mesh_family: str = "quad"
-    levels: list[int] = field(default_factory=lambda: [1, 2, 3, 4])
+    mesh_family: str = None
+    levels: list[int] = None
     k: int = 1
     q: int = None
     D: float = 1.0
     velocity_backend: str = "darcy"
-    problem: str = "manufactured"
+    problem: str = "wells:homo"
     steps_per_level: list[int] = None
     k_range: list[int] = field(default_factory=lambda: [1, 2, 3, 4])
     d_values: list[float] = field(default_factory=lambda: list(DEFAULT_D_VALUES))
@@ -51,14 +64,16 @@ class ExperimentConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            # a None default (q, steps_per_level) is derived below
+            # a None default is derived below
             if not (_has_type(value, f.type) or (value is None and f.default is None)):
                 kind = f.type.__name__ if isinstance(f.type, type) else f.type
                 raise ConfigError(f"{f.name} must be of type {kind}, got {value!r}")
         if self.kind not in KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
-        if self.mesh_family not in FAMILIES:
-            raise ConfigError(f"unknown mesh family {self.mesh_family!r}")
+        if self.mesh_family is None:
+            self.mesh_family = "hexa" if self.kind == "wells" else "quad"
+        if self.mesh_family not in (("hexa",) if self.kind == "wells" else FAMILIES):
+            raise ConfigError(f"a {self.kind} study has no mesh family {self.mesh_family!r}")
         if self.velocity_backend not in BACKENDS:
             raise ConfigError(f"unknown velocity backend {self.velocity_backend!r}")
         if self.k < 1:
@@ -69,16 +84,18 @@ class ExperimentConfig:
             raise ConfigError("q must lie in 0..10")
         if not 0.0 < self.D < float("inf"):
             raise ConfigError("D must be a positive finite number")
+        if self.levels is None:
+            self.levels = {"kconv": [1], "drobust": [2]}.get(self.kind, [1, 2, 3, 4])
         if not self.levels or any(lv < 1 or lv > 4 for lv in self.levels):
             raise ConfigError("levels must be a non-empty list of levels in 1..4")
+        if self.kind in ("kconv", "drobust") and len(self.levels) != 1:
+            raise ConfigError(f"a {self.kind} study sweeps at one level, so levels must list one")
         if self.steps_per_level is None:
             self.steps_per_level = [DEFAULT_STEPS[lv - 1] for lv in self.levels]
         if len(self.steps_per_level) != len(self.levels):
             raise ConfigError("steps_per_level must align with levels")
         if any(n < 1 for n in self.steps_per_level):
             raise ConfigError("steps_per_level entries must be >= 1")
-        if self.kind == "drobust" and len(self.levels) > 1 and 2 not in self.levels:
-            raise ConfigError("a multi-level drobust config sweeps at level 2, so levels must list 2")
         if not self.d_values or any(not (0.0 < d < float("inf")) for d in self.d_values):
             raise ConfigError("d_values must be a non-empty list of positive finite numbers")
         # kconv runs q = k, and the Radau rules stop at q = 10
@@ -88,24 +105,29 @@ class ExperimentConfig:
             raise ConfigError("wells_level must be >= 1")
         if self.rng_seed < 0:
             raise ConfigError("rng_seed must be >= 0")
-        if self.problem != "manufactured" and not self.problem.startswith("wells:"):
-            raise ConfigError(f"unknown problem {self.problem!r}")
-        if self.kind != "wells" and self.problem != "manufactured":
-            raise ConfigError(
-                f"a {self.kind} study runs the manufactured problem, not {self.problem!r}"
-            )
-        if self.kind == "wells" and not self.problem.startswith("wells:"):
-            self.problem = "wells:homo"
+        # a repeat runs one solve twice; a D's %.3e string is its label and drobust.csv key
+        for name, keys in [("levels", self.levels), ("k_range", self.k_range),
+                           ("d_values", [f"{d:.3e}" for d in self.d_values])]:
+            if len(set(keys)) != len(keys):
+                raise ConfigError(f"{name} must not repeat, got {keys}")
+        if self.problem not in PROBLEMS:
+            raise ConfigError(f"unknown problem {self.problem!r}; available: {list(PROBLEMS)}")
 
     def to_dict(self):
-        return asdict(self)
+        """kind, out_dir and the fields the kind reads."""
+        data = asdict(self)
+        return {name: data[name] for name in ("kind", "out_dir", *FIELDS[self.kind])}
 
     @classmethod
     def from_dict(cls, data):
-        known = set(cls.__dataclass_fields__)
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        if not isinstance(data, dict):
+            raise ConfigError(f"a config is a JSON object, got {data!r}")
+        kind = data.get("kind", cls.kind)
+        if kind not in KINDS:
+            raise ConfigError(f"unknown experiment kind {kind!r}")
+        unread = set(data) - {"kind", "out_dir", *FIELDS[kind]}
+        if unread:
+            raise ConfigError(f"keys a {kind} config does not read: {sorted(unread)}")
         return cls(**data)
 
     @classmethod

@@ -160,15 +160,3 @@ class WellsProblem:
     def c0(self, p):
         return np.zeros(len(p))
 
-
-def get_problem(name, **kwargs):
-    """Instantiate a named built-in data set.
-
-    Names: "manufactured" (kwargs: D) or "wells:<variant>" with variant
-    homo, vert, or diag.
-    """
-    if name == "manufactured":
-        return ManufacturedProblem(**kwargs)
-    if name.startswith("wells:"):
-        return WellsProblem(variant=name.split(":", 1)[1])
-    raise KeyError(f"unknown problem {name!r}")

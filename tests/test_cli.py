@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from vemtransport import cli
-from vemtransport.config import ConfigError, ExperimentConfig, list_presets, load_preset
+from vemtransport.config import (
+    FIELDS, KINDS, ConfigError, ExperimentConfig, list_presets, load_preset,
+)
 from vemtransport.darcy import DarcyError
 from vemtransport.geometry import MeshError
 from vemtransport.timestepping import TimeSteppingError
@@ -54,8 +56,8 @@ class TestConfig:
             {"D": float("inf")},
             {"levels": [0]},
             {"velocity_backend": "teleport"},
-            {"problem": "mystery"},
-            {"d_values": [1.0, -2.0]},
+            {"kind": "wells", "problem": "mystery"},
+            {"kind": "drobust", "d_values": [1.0, -2.0]},
             {"solver_method": "cholesky"},
             {"levels": [5]},
             {"kind": "kconv", "levels": []},
@@ -81,22 +83,82 @@ class TestConfig:
             {"kind": "drobust", "d_values": [True]},
             {"solver_tol": "1e-10"},
             {"solver_tol": True},
-            {"problem": 3},
+            {"kind": "wells", "problem": 3},
             {"out_dir": 3},
             {"kind": "convergence", "problem": "wells:vert"},
-            {"kind": "custom", "problem": "wells:homo"},
+            {"kind": "custom"},
             {"kind": "drobust", "levels": [1, 3], "steps_per_level": [3, 12]},
+            {"kind": "drobust", "levels": [1, 2], "steps_per_level": [1, 4]},
+            {"kind": "drobust", "levels": [3, 2, 1], "steps_per_level": [9, 7, 8]},
+            {"kind": "kconv", "levels": [1, 2], "steps_per_level": [3, 6]},
+            {"kind": "wells", "mesh_family": "voro"},
+            {"kind": "wells", "problem": "manufactured"},
+            {"kind": ["wells"]},
+            [1, 2],
         ],
     )
     def test_validation(self, bad):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(bad)
 
+    @pytest.mark.parametrize(
+        "key, values",
+        [("levels", [1, 1]), ("levels", [2, 1, 2]), ("k_range", [2, 2]),
+         ("d_values", [1e-3, 1e-3]), ("d_values", [1e-3, 1.0000001e-3])],
+    )
+    def test_repeated_entries_rejected(self, key, values):
+        # a repeat runs one solve twice under one label; two D that print
+        # alike at %.3e share a label and a drobust.csv key
+        kind = {"levels": "convergence", "k_range": "kconv", "d_values": "drobust"}[key]
+        with pytest.raises(ConfigError, match="repeat"):
+            ExperimentConfig.from_dict({"kind": kind, key: values})
+
+    def test_each_kind_reads_exactly_its_fields(self):
+        sweep = ["mesh_family", "levels", "steps_per_level", "velocity_backend", "rng_seed"]
+        reads = {
+            "convergence": sweep + ["k", "q", "D"],
+            "kconv": sweep + ["k_range", "D"],
+            "drobust": sweep + ["k", "q", "d_values"],
+            "wells": ["mesh_family", "problem", "k", "q", "D", "wells_level"],
+        }
+        assert sum(map(len, reads.values())) == 29
+        for kind, names in reads.items():
+            cfg = ExperimentConfig(kind=kind)
+            data = cfg.to_dict()
+            assert sorted(data) == sorted(["kind", "out_dir", *names])
+            assert ExperimentConfig.from_dict(data) == cfg
+
+    @pytest.mark.parametrize(
+        "kind, key, value",
+        [
+            ("convergence", "k_range", [1]), ("convergence", "d_values", [1.0]),
+            ("convergence", "problem", "wells:homo"), ("convergence", "wells_level", 1),
+            ("kconv", "k", 1), ("kconv", "q", 1), ("kconv", "d_values", [1.0]),
+            ("kconv", "problem", "wells:homo"), ("kconv", "wells_level", 1),
+            ("drobust", "D", 1.0), ("drobust", "k_range", [1]),
+            ("drobust", "problem", "wells:homo"), ("drobust", "wells_level", 1),
+            ("wells", "levels", [1]), ("wells", "steps_per_level", [1]),
+            ("wells", "k_range", [1]), ("wells", "d_values", [1.0]),
+            ("wells", "velocity_backend", "darcy"), ("wells", "rng_seed", 1),
+        ],
+    )
+    def test_a_field_the_kind_does_not_read_is_rejected(self, kind, key, value):
+        with pytest.raises(ConfigError, match="does not read"):
+            ExperimentConfig.from_dict({"kind": kind, key: value})
+
+    def test_kind_dependent_defaults(self):
+        assert ExperimentConfig(kind="convergence").levels == [1, 2, 3, 4]
+        assert ExperimentConfig(kind="kconv").levels == [1]
+        drobust = ExperimentConfig(kind="drobust")
+        assert (drobust.levels, drobust.steps_per_level) == ([2], [6])
+        wells = ExperimentConfig(kind="wells")
+        assert (wells.mesh_family, wells.problem) == ("hexa", "wells:homo")
+
     def test_hash_is_canonical_and_stable(self):
-        a = ExperimentConfig.from_dict({"kind": "kconv", "k": 2})
-        b = ExperimentConfig.from_dict({"k": 2, "kind": "kconv"})
+        a = ExperimentConfig.from_dict({"kind": "kconv", "D": 2.0})
+        b = ExperimentConfig.from_dict({"D": 2.0, "kind": "kconv"})
         assert a.config_hash() == b.config_hash()
-        c = ExperimentConfig.from_dict({"kind": "kconv", "k": 3})
+        c = ExperimentConfig.from_dict({"kind": "kconv", "D": 3.0})
         assert a.config_hash() != c.config_hash()
 
     def test_json_round_trip(self, tmp_path):
@@ -127,8 +189,31 @@ class TestConfig:
     def test_readme_table_lists_the_config_fields(self):
         text = (ROOT / "README.md").read_text(encoding="utf-8")
         table = text.split("### Configuration schema")[1].split("\n#")[0]
-        rows = re.findall(r"^\| `(\w+)`", table, flags=re.MULTILINE)
+        rows = dict(re.findall(r"^\| `(\w+)` *\|[^|]*\|([^|]*)\|", table, flags=re.MULTILINE))
         assert sorted(rows) == sorted(ExperimentConfig.__dataclass_fields__)
+        # the "read by" column names the kinds whose run reads the field
+        for name, column in rows.items():
+            readers = set(re.findall(r"`(\w+)`", column)) if column.strip() != "all" else set(KINDS)
+            assert readers == {kind for kind in KINDS if name in ("kind", "out_dir", *FIELDS[kind])}, name
+
+
+def test_benchmark_configs_validate_with_their_kind():
+    # every config the benchmark passes to the CLI must validate, or every
+    # study of its workload exits 2; read in a fresh interpreter that
+    # writes no bytecode next to the benchmark scripts
+    script = (
+        "import json, sys; sys.path[:0] = [sys.argv[1]]\n"
+        "import selfcheck, workloads\n"
+        "configs = [(command, workloads.config_for(name, seed, 'out'))\n"
+        "           for name, (command, _, _) in workloads.WORKLOADS.items() for seed in (2024, 1)]\n"
+        "print(json.dumps(configs + list(selfcheck.SMALL.items())))\n"
+    )
+    done = subprocess.run([sys.executable, "-B", "-c", script, str(ROOT / "perfbench")],
+                          capture_output=True, text=True, check=True, timeout=120)
+    configs = json.loads(done.stdout)
+    assert len(configs) == 2 * 4 + 2
+    for command, data in configs:
+        assert ExperimentConfig.from_dict(data).kind == command
 
 
 def test_import_leaves_scipy_optimize_unloaded():
@@ -161,18 +246,31 @@ class TestCliDispatch:
         assert cli.main(["convergence", "--config", str(path)]) == 2
 
     def test_preset_of_another_kind_exit_2(self, tmp_path):
-        # custom has no exemption: it runs a custom preset or none
-        assert cli.main(["custom", "--preset", "kconv-quad", "--out", str(tmp_path)]) == 2
+        assert cli.main(["convergence", "--preset", "kconv-quad", "--out", str(tmp_path)]) == 2
+        assert not any(tmp_path.iterdir())
+
+    def test_preset_with_config_exit_2(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "run", lambda config: pytest.fail("a study ran"))
+        argv = ["kconv", "--preset", "kconv-quad", "--config", "/nonexistent.json",
+                "--out", str(tmp_path)]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert not any(tmp_path.iterdir())
+
+    def test_custom_kind_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["custom", "--out", str(tmp_path)])
+        assert exc.value.code == 2
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
         "levels, steps, expected",
-        [([2], [5], (2, 5)), ([4], [1], (4, 1)), ([1, 2], [1, 4], (2, 4)),
-         ([3, 2, 1], [9, 7, 8], (2, 7)), (None, None, (2, 6))],
+        [([2], [5], (2, 5)), ([4], [1], (4, 1)), ([1], [4], (1, 4)),
+         ([3], [7], (3, 7)), (None, None, (2, 6))],
     )
     def test_drobust_sweeps_a_listed_level_with_its_steps(self, levels, steps, expected):
-        # a multi-level config sweeps at level 2, with level 2's steps;
-        # the defaults (levels 1-4, steps 3, 6, 12, 24) keep 6 steps
+        # a drobust config lists one level; the default is level 2 with 6 steps
         given = {} if levels is None else {"levels": levels, "steps_per_level": steps}
         cfg = ExperimentConfig.from_dict({"kind": "drobust", "d_values": [1.0, 1e-3], **given})
         assert {(s.level, s.steps) for s in cli.manufactured_solves(cfg)} == {expected}
@@ -184,9 +282,9 @@ class TestCliDispatch:
                 solves = cli.manufactured_solves(cfg)
                 assert [(s.level, s.steps) for s in solves] == [(2, 6)] * len(cfg.d_values)
 
-    def test_custom_run_writes_outputs_and_is_deterministic(self, tmp_path):
+    def test_run_writes_outputs_and_is_deterministic(self, tmp_path):
         cfg = {
-            "kind": "custom",
+            "kind": "convergence",
             "mesh_family": "quad",
             "levels": [1],
             "steps_per_level": [2],
@@ -197,21 +295,21 @@ class TestCliDispatch:
         }
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
-        assert cli.main(["custom", "--config", str(path)]) == 0
-        csv1 = (tmp_path / "run1" / "errors.csv").read_bytes()
+        assert cli.main(["convergence", "--config", str(path)]) == 0
+        csv1 = (tmp_path / "run1" / "convergence.csv").read_bytes()
         manifest = json.loads((tmp_path / "run1" / "manifest.json").read_text())
         assert manifest["config_hash"]
         assert manifest["version"]
 
         cfg["out_dir"] = str(tmp_path / "run2")
         path.write_text(json.dumps(cfg))
-        assert cli.main(["custom", "--config", str(path)]) == 0
-        csv2 = (tmp_path / "run2" / "errors.csv").read_bytes()
+        assert cli.main(["convergence", "--config", str(path)]) == 0
+        csv2 = (tmp_path / "run2" / "convergence.csv").read_bytes()
         assert csv1 == csv2  # byte-identical reruns
 
     def test_out_override(self, tmp_path):
         cfg = {
-            "kind": "custom",
+            "kind": "convergence",
             "mesh_family": "quad",
             "levels": [1],
             "steps_per_level": [1],
@@ -222,13 +320,13 @@ class TestCliDispatch:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         out = tmp_path / "overridden"
-        assert cli.main(["custom", "--config", str(path), "--out", str(out)]) == 0
+        assert cli.main(["convergence", "--config", str(path), "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["config"]["out_dir"] == str(out)
+        assert manifest["config"] == ExperimentConfig.from_dict({**cfg, "out_dir": str(out)}).to_dict()
         assert manifest["failure"] is None
         timings = sorted(manifest["timings_seconds"])
         assert timings == ["geometry.generate.level_1", "level_1", "total"]
-        assert (out / "errors.csv").is_file()
+        assert (out / "convergence.csv").is_file()
 
     def test_manifest_records_every_darcy_solve(self, tmp_path):
         cfg = ExperimentConfig.from_dict({
@@ -246,7 +344,7 @@ class TestCliDispatch:
 
     def test_analytic_velocity_records_no_darcy_solve(self, tmp_path):
         cfg = ExperimentConfig.from_dict({
-            "kind": "custom", "mesh_family": "quad", "levels": [1], "steps_per_level": [1],
+            "kind": "convergence", "mesh_family": "quad", "levels": [1], "steps_per_level": [1],
             "k": 1, "velocity_backend": "analytic", "out_dir": str(tmp_path),
         })
         assert cli.run(cfg) == 0
@@ -255,7 +353,7 @@ class TestCliDispatch:
     def test_log_level_warning_hides_the_per_level_lines(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({
-            "kind": "custom", "mesh_family": "quad", "levels": [1], "steps_per_level": [1],
+            "kind": "convergence", "mesh_family": "quad", "levels": [1], "steps_per_level": [1],
             "k": 1, "velocity_backend": "analytic", "out_dir": str(tmp_path / "out"),
         }))
         env = dict(os.environ)
@@ -263,7 +361,7 @@ class TestCliDispatch:
         logs = {}
         for level in ["INFO", "WARNING"]:
             argv = [sys.executable, "-m", "vemtransport.cli", "--log-level", level,
-                    "custom", "--config", str(path)]
+                    "convergence", "--config", str(path)]
             done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
             assert done.returncode == 0, done.stderr
             logs[level] = done.stderr
@@ -274,7 +372,7 @@ class TestCliDispatch:
         # a program that configured logging first makes basicConfig a no-op
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({
-            "kind": "custom", "mesh_family": "quad", "levels": [1], "steps_per_level": [1],
+            "kind": "convergence", "mesh_family": "quad", "levels": [1], "steps_per_level": [1],
             "k": 1, "velocity_backend": "analytic", "out_dir": str(tmp_path / "out"),
         }))
         stream = io.StringIO()
@@ -284,7 +382,7 @@ class TestCliDispatch:
         package.setLevel(logging.NOTSET)
         root.addHandler(handler)
         try:
-            assert cli.main(["--log-level", "DEBUG", "custom", "--config", str(path)]) == 0
+            assert cli.main(["--log-level", "DEBUG", "convergence", "--config", str(path)]) == 0
         finally:
             root.removeHandler(handler)
             package.setLevel(saved)
@@ -292,18 +390,18 @@ class TestCliDispatch:
 
     def test_unknown_log_level_exit_2(self):
         with pytest.raises(SystemExit) as exc:
-            cli.main(["--log-level", "LOUD", "custom"])
+            cli.main(["--log-level", "LOUD", "convergence"])
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("key, value", [("threads", 1), ("t_final", 1.0), ("n_steps", 4)])
     def test_removed_config_keys_exit_2(self, tmp_path, key, value):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"kind": "custom", key: value, "out_dir": str(tmp_path)}))
-        assert cli.main(["custom", "--config", str(path)]) == 2
+        path.write_text(json.dumps({"kind": "convergence", key: value, "out_dir": str(tmp_path)}))
+        assert cli.main(["convergence", "--config", str(path)]) == 2
 
     def test_threads_flag_exit_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
-            cli.main(["custom", "--out", str(tmp_path), "--threads", "2"])
+            cli.main(["convergence", "--out", str(tmp_path), "--threads", "2"])
         assert exc.value.code == 2
 
     def test_solver_failure_exit_3_with_partial_table(self, tmp_path, monkeypatch):
@@ -343,7 +441,6 @@ class TestCliDispatch:
                 "mesh_family": "quad",
                 "levels": [1],
                 "steps_per_level": [1],
-                "k": 1,
                 "velocity_backend": "analytic",
                 "out_dir": str(tmp_path),
                 **sweep,
@@ -424,6 +521,17 @@ class TestWells:
         ))
         assert cli.main(["wells", "--config", str(path)]) == 3
         assert seen == [0.25]
+
+    def test_unknown_problem_exit_2_names_the_variants(self, tmp_path, caplog):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(
+            {"kind": "wells", "problem": "wells:bogus", "out_dir": str(tmp_path / "out")}
+        ))
+        with caplog.at_level(logging.ERROR, logger="vemtransport"):
+            assert cli.main(["wells", "--config", str(path)]) == 2
+        for name in ["wells:homo", "wells:vert", "wells:diag"]:
+            assert name in caplog.text
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("level, k", [(1, 1), (2, 1), (1, 2)])
     def test_runs_at_coarse_levels(self, tmp_path, level, k):

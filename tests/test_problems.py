@@ -3,7 +3,7 @@ import pytest
 
 from vemtransport.darcy import _flux_groups, source_mean
 from vemtransport.geometry import generate_hexa
-from vemtransport.problems import ManufacturedProblem, WellsProblem, get_problem
+from vemtransport.problems import ManufacturedProblem, WellsProblem
 
 
 class TestManufacturedData:
@@ -163,7 +163,7 @@ class TestWellsData:
 
 
 def test_registry():
-    assert isinstance(get_problem("manufactured", D=0.5), ManufacturedProblem)
-    assert get_problem("wells:diag").variant == "diag"
-    with pytest.raises(KeyError):
-        get_problem("unobtainium")
+    # the wells configs name these variants; no other one builds
+    assert [WellsProblem(v).variant for v in ("homo", "vert", "diag")] == list(WellsProblem.VARIANTS)
+    with pytest.raises(ValueError):
+        WellsProblem("unobtainium")

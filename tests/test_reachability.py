@@ -36,7 +36,7 @@ STUDIES = [
      "k": 2, "velocity_backend": "analytic"},
     {"kind": "convergence", "mesh_family": "voro", "levels": [1], "steps_per_level": [1],
      "k": 1},
-    {"kind": "custom", "mesh_family": "rand", "levels": [1], "steps_per_level": [1], "k": 1,
+    {"kind": "convergence", "mesh_family": "rand", "levels": [1], "steps_per_level": [1], "k": 1,
      "velocity_backend": "analytic"},
     {"kind": "kconv", "mesh_family": "quad", "levels": [1], "steps_per_level": [1],
      "k_range": [1, 2]},

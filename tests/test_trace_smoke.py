@@ -29,7 +29,7 @@ from tracer import Tracer
 tracer = Tracer()
 tracer.install()
 from vemtransport import cli
-code = cli.main(["custom", "--config", sys.argv[3]])
+code = cli.main(["convergence", "--config", sys.argv[3]])
 spans = collections.Counter(span[0] for span in tracer.spans)
 print(json.dumps({"code": code, "missing": tracer.missing, "spans": spans,
                   "sizes": [fields for _, fields in tracer.sizes]}))
@@ -40,7 +40,7 @@ print(json.dumps({"code": code, "missing": tracer.missing, "spans": spans,
 def test_traced_study_loses_no_span_or_size_record(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
-        "kind": "custom", "mesh_family": "quad", "levels": [1], "steps_per_level": [3],
+        "kind": "convergence", "mesh_family": "quad", "levels": [1], "steps_per_level": [3],
         "k": 1, "q": 1, "velocity_backend": "analytic", "out_dir": str(tmp_path / "out"),
     }))
     done = subprocess.run(
