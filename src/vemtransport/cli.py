@@ -18,11 +18,11 @@ from typing import NamedTuple
 
 from . import __version__
 from .config import KINDS, ConfigError, ExperimentConfig, list_presets, load_preset
-from .darcy import DarcyError, DarcyProblem, analytic_velocity, solve_darcy_mixed, source_mean
+from .darcy import DarcyError, DarcyProblem, analytic_velocity, solve_darcy_mixed
 from .geometry import MeshError, generate_family, generate_hexa
 from .linalg import LinalgError
 from .meshio import write_polymesh, write_vtk, write_vtk_series
-from .postproc import error_norms, minmax_csv, minmax_trace, observed_rate, rate_table
+from .postproc import csv_text, error_norms, minmax_csv, minmax_trace, observed_rate, rate_table
 from .problems import ManufacturedProblem, WellsProblem
 from .timestepping import TimeSteppingError, advance
 from .transport import TransportProblem, TransportSystem
@@ -120,10 +120,10 @@ def manufactured_solves(config):
 
 
 def _sweep_csv(head, keys, reports):
-    lines = [f"{head},err,h1_final,l2_final"]
-    for key, rep in zip(keys, reports):
-        lines.append(f"{key},{rep.indicator:.12e},{rep.h1_final:.12e},{rep.l2_final:.12e}")
-    return "\n".join(lines) + "\n"
+    return csv_text([head, "err", "h1_final", "l2_final"], [
+        [f"{key}"] + [f"{v:.12e}" for v in (rep.indicator, rep.h1_final, rep.l2_final)]
+        for key, rep in zip(keys, reports)
+    ])
 
 
 def write_convergence(out, solves, reports):
@@ -200,20 +200,18 @@ def run_wells(config, out, timings):
     write_polymesh(mesh, out / "mesh.txt")
     write_vtk(mesh, out / "mesh.vtk")
 
-    # pure-Neumann flow: correct the source to zero mean for solvability,
-    # the mean taken on the rule of the Darcy load
-    mean = source_mean(mesh, wells.darcy_f, config.k)
-    log.warning("pure-Neumann flow: removed mean %.6e from the source for solvability", mean)
-    summary = {"f_mean_removed": mean}
+    # pure-Neumann flow: the solver removes the source mean for solvability
     dprob = DarcyProblem(
-        K_perm=wells.K_perm, mu=wells.mu, f=lambda p: wells.darcy_f(p) - mean, g_N=wells.g_N,
+        K_perm=wells.K_perm, mu=wells.mu, f=wells.darcy_f, g_N=wells.g_N,
         dirichlet_edges=frozenset(),
     )
     flow, failure = _timed(timings, "darcy", solve_darcy_mixed, mesh, dprob, config.k)
     if failure:
-        return summary, failure
+        return {}, failure
     velocity, pressure = flow
-    summary["darcy_solve"] = solve_record(velocity.solve_report)
+    mean = velocity.f_mean_removed
+    log.warning("pure-Neumann flow: removed mean %.6e from the source for solvability", mean)
+    summary = {"f_mean_removed": mean, "darcy_solve": solve_record(velocity.solve_report)}
     # at a centroid only the constant scaled monomial is nonzero
     write_vtk(
         mesh, out / "darcy.vtk",

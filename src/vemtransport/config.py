@@ -8,7 +8,7 @@ loaded by name.
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from importlib import resources
 
 from .problems import WellsProblem
@@ -70,6 +70,13 @@ class ExperimentConfig:
                 raise ConfigError(f"{f.name} must be of type {kind}, got {value!r}")
         if self.kind not in KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
+        read = FIELDS[self.kind]
+        for f in fields(self):
+            default = f.default_factory() if f.default is MISSING else f.default
+            if f.name not in ("kind", "out_dir", *read) and getattr(self, f.name) != default:
+                raise ConfigError(f"a {self.kind} study does not read {f.name}; "
+                                  f"leave it at its default {default!r}")
+        # the None defaults of the fields the kind reads are derived here
         if self.mesh_family is None:
             self.mesh_family = "hexa" if self.kind == "wells" else "quad"
         if self.mesh_family not in (("hexa",) if self.kind == "wells" else FAMILIES):
@@ -78,24 +85,26 @@ class ExperimentConfig:
             raise ConfigError(f"unknown velocity backend {self.velocity_backend!r}")
         if self.k < 1:
             raise ConfigError("k must be >= 1")
-        if self.q is None:
-            self.q = self.k
-        if not 0 <= self.q <= 10:
-            raise ConfigError("q must lie in 0..10")
+        if "q" in read:
+            self.q = self.k if self.q is None else self.q
+            if not 0 <= self.q <= 10:
+                raise ConfigError("q must lie in 0..10")
         if not 0.0 < self.D < float("inf"):
             raise ConfigError("D must be a positive finite number")
-        if self.levels is None:
-            self.levels = {"kconv": [1], "drobust": [2]}.get(self.kind, [1, 2, 3, 4])
-        if not self.levels or any(lv < 1 or lv > 4 for lv in self.levels):
-            raise ConfigError("levels must be a non-empty list of levels in 1..4")
-        if self.kind in ("kconv", "drobust") and len(self.levels) != 1:
-            raise ConfigError(f"a {self.kind} study sweeps at one level, so levels must list one")
-        if self.steps_per_level is None:
-            self.steps_per_level = [DEFAULT_STEPS[lv - 1] for lv in self.levels]
-        if len(self.steps_per_level) != len(self.levels):
-            raise ConfigError("steps_per_level must align with levels")
-        if any(n < 1 for n in self.steps_per_level):
-            raise ConfigError("steps_per_level entries must be >= 1")
+        if "levels" in read:
+            if self.levels is None:
+                self.levels = {"kconv": [1], "drobust": [2]}.get(self.kind, [1, 2, 3, 4])
+            if not self.levels or any(lv < 1 or lv > 4 for lv in self.levels):
+                raise ConfigError("levels must be a non-empty list of levels in 1..4")
+            if self.kind in ("kconv", "drobust") and len(self.levels) != 1:
+                raise ConfigError(f"a {self.kind} study sweeps at one level, "
+                                  "so levels must list one")
+            if self.steps_per_level is None:
+                self.steps_per_level = [DEFAULT_STEPS[lv - 1] for lv in self.levels]
+            if len(self.steps_per_level) != len(self.levels):
+                raise ConfigError("steps_per_level must align with levels")
+            if any(n < 1 for n in self.steps_per_level):
+                raise ConfigError("steps_per_level entries must be >= 1")
         if not self.d_values or any(not (0.0 < d < float("inf")) for d in self.d_values):
             raise ConfigError("d_values must be a non-empty list of positive finite numbers")
         # kconv runs q = k, and the Radau rules stop at q = 10
@@ -106,7 +115,7 @@ class ExperimentConfig:
         if self.rng_seed < 0:
             raise ConfigError("rng_seed must be >= 0")
         # a repeat runs one solve twice; a D's %.3e string is its label and drobust.csv key
-        for name, keys in [("levels", self.levels), ("k_range", self.k_range),
+        for name, keys in [("levels", self.levels or []), ("k_range", self.k_range),
                            ("d_values", [f"{d:.3e}" for d in self.d_values])]:
             if len(set(keys)) != len(keys):
                 raise ConfigError(f"{name} must not repeat, got {keys}")

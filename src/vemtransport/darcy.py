@@ -69,17 +69,19 @@ class DiscreteVelocity:
     element divergences, (num_cells, n_poly), in the per-cell scaled
     monomial bases (centered at the cell centroid, scaled by the cell
     diameter). solve_report is the SolveReport of the saddle solve that
-    gave a Darcy velocity.
+    gave a Darcy velocity, and f_mean_removed the mean its pure-Neumann
+    load lost (see solve_darcy_mixed; 0.0 for a flow with Dirichlet edges).
     """
 
     def __init__(self, mesh, k, edge_flux_coeffs, cell_velocity, cell_divergence=None,
-                 solve_report=None):
+                 solve_report=None, f_mean_removed=0.0):
         self.mesh = mesh
         self.k = k
         self.edge_flux_coeffs = edge_flux_coeffs
         self.cell_velocity = cell_velocity
         self.cell_divergence = cell_divergence
         self.solve_report = solve_report
+        self.f_mean_removed = f_mean_removed
 
     def boundary_flux_values(self, params):
         """Outward u . n at canonical params along every boundary edge,
@@ -116,8 +118,8 @@ def analytic_velocity(u_callback, mesh, k):
 class _FluxGroup:
     """Local mixed-VEM operators of a cell group, stacked over its cells.
 
-    rule is the group's source rule (points, weights; see _source_rules)
-    and f_values the flow source at its points; of these only the source
+    rule is the group's degree-2(k+1) rule (points, weights) and
+    f_values the flow source at its points; of these only the source
     moments f_moments are kept. udofs and pdofs are the global velocity
     and pressure dofs of every cell, in the local order.
     """
@@ -190,25 +192,11 @@ class _FluxGroup:
         self.pdofs = n_u + cg.cells[:, None] * nk + np.arange(nk)
 
 
-def _source_rules(mesh, k):
-    """The degree-2(k+1) rules of every cell group on which the flow
-    source is integrated, and their stacked points (see stack_rules)."""
-    return stack_rules(mesh.cell_groups, 2 * (k + 1))
-
-
-def source_mean(mesh, f, k):
-    """Domain mean of the flow source f, integrated on the rules of the
-    degree-k Darcy load; f is called once, on the stacked points."""
-    rules, points = _source_rules(mesh, k)
-    weights = np.concatenate([w.ravel() for _, w in rules])
-    return float(weights @ f(points)) / float(mesh.cell_areas.sum())
-
-
 def _flux_groups(mesh, k, f):
     """Flux groups of all cells; f is evaluated once, on the stacked
     quadrature points of every cell. The rules and their monomial values
     are locals here, so they are freed before the saddle solve."""
-    rules, points = _source_rules(mesh, k)
+    rules, points = stack_rules(mesh.cell_groups, 2 * (k + 1))
     f_vals = split_stacked(f(points), [w.shape for _, w in rules])
     return [
         _FluxGroup(mesh, cg, k, rule, fv)
@@ -233,10 +221,12 @@ def solve_darcy_mixed(mesh, problem, k):
 
     Pressure Dirichlet data enters naturally via boundary terms. One sparse
     LU solve follows the elimination of the Neumann flux dofs and, on a
-    pure-Neumann flow, of cell 0's constant pressure dof, pinned to 0. Such
-    data must satisfy integral(f) = integral(g_N) to a relative 1e-10; the
-    load is shifted by -lam * int_K m_alpha, lam = mismatch / |Omega|, as a
-    multiplier for the mean would, and the pressure to zero mean afterwards.
+    pure-Neumann flow, of cell 0's constant pressure dof, pinned to 0. There
+    the load is shifted by -lam * int_K m_alpha, lam = (integral(f) -
+    integral(g_N)) / |Omega|, as a multiplier for the pressure mean would,
+    so data with any mismatch solve as if lam were taken off f; lam is
+    recorded as the velocity's f_mean_removed, and the pressure is shifted
+    to zero mean afterwards.
     """
     if k < 0:
         raise DarcyError("degree must be >= 0")
@@ -283,16 +273,10 @@ def solve_darcy_mixed(mesh, problem, k):
         idx = (neumann[:, None] * (k + 1) + np.arange(k + 1)).ravel()
         values = (sign[~on_dirichlet, None] * moments / er.length[:, None]).ravel()
 
+    lam = 0.0
     if pure_neumann:
         total_f = sum(float(g.f_moments[:, 0].sum()) for g in groups)
         total_gn = float(np.sum(er.weights * gvals))
-        mismatch = abs(total_f - total_gn)
-        scale = max(1.0, abs(total_f), abs(total_gn))
-        if mismatch > 1e-10 * scale:
-            raise DarcyError(
-                "pure-Neumann compatibility violated: "
-                f"integral(f) = {total_f:.6e} vs integral(g_N) = {total_gn:.6e}"
-            )
         volume = sum(float(g.int_m[:, 0].sum()) for g in groups)
         lam = (total_f - total_gn) / volume
         for g in groups:
@@ -323,6 +307,6 @@ def solve_darcy_mixed(mesh, problem, k):
     if pure_neumann:
         x[n_u::nk] -= sum(float(np.sum(g.int_m * x[g.pdofs])) for g in groups) / volume
 
-    velocity = DiscreteVelocity(mesh, k, flux, vel_coeffs, div_coeffs, solve_report=report)
+    velocity = DiscreteVelocity(mesh, k, flux, vel_coeffs, div_coeffs, report, lam)
     return velocity, x[n_u:].reshape(mesh.num_cells, nk)
 

@@ -8,8 +8,6 @@ polygon quadrature points. Time integrals over a slab use a Gauss rule
 with q+2 points, which avoids sampling only the collocation nodes.
 """
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,6 +120,11 @@ def minmax_trace(march, n_vertex_dofs):
 _ERROR_COLUMNS = ["l2_final", "l2h1", "err", "h1_final"]
 
 
+def csv_text(header, rows):
+    """CSV text of a header and rows of formatted cells."""
+    return "".join(",".join(cells) + "\n" for cells in [header, *rows])
+
+
 def rate_table(reports):
     """Observed-rate table for a refinement sequence.
 
@@ -131,36 +134,17 @@ def rate_table(reports):
     """
     if not reports:
         raise ValueError("need at least one report")
-    with_rates = len(reports) >= 2
     header = ["level", "h", "dt"] + _ERROR_COLUMNS
-    if with_rates:
+    rows = [[str(rep.level)] + [f"{v:.12e}" for v in rep.row()[1:]] for rep in reports]
+    if len(reports) >= 2:
         header += [f"rate_{c}" for c in _ERROR_COLUMNS]
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    text_rows = ["  ".join(f"{h:>12s}" for h in header)]
-    prev = None
-    for rep in reports:
-        row = rep.row()
-        cells = [f"{row[0]}", f"{row[1]:.12e}", f"{row[2]:.12e}"]
-        cells += [f"{v:.12e}" for v in row[3:]]
-        if with_rates:
-            if prev is None:
-                cells += [""] * len(_ERROR_COLUMNS)
-            else:
-                ratio = np.log(prev.h / rep.h)
-                for a, b in zip(
-                    (prev.l2_final, prev.l2h1, prev.indicator, prev.h1_final),
-                    (rep.l2_final, rep.l2h1, rep.indicator, rep.h1_final),
-                ):
-                    if a > 0 and b > 0 and ratio != 0:
-                        cells.append(f"{np.log(a / b) / ratio:.3f}")
-                    else:
-                        cells.append("")
-        writer.writerow(cells)
-        text_rows.append("  ".join(f"{c:>12s}" for c in cells))
-        prev = rep
-    return "\n".join(text_rows), out.getvalue()
+        rows[0] += [""] * len(_ERROR_COLUMNS)
+        for row, prev, rep in zip(rows[1:], reports, reports[1:]):
+            ratio = np.log(prev.h / rep.h)
+            row += [f"{np.log(a / b) / ratio:.3f}" if a > 0 and b > 0 and ratio != 0 else ""
+                    for a, b in zip(prev.row()[3:], rep.row()[3:])]
+    text = "\n".join("  ".join(f"{c:>12s}" for c in cells) for cells in [header, *rows])
+    return text, csv_text(header, rows)
 
 
 def observed_rate(reports):
@@ -175,9 +159,5 @@ def observed_rate(reports):
 
 def minmax_csv(rows):
     """CSV dump of (time, min, max) rows."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["time", "min_vertex", "max_vertex"])
-    for t, lo, hi in rows:
-        writer.writerow([f"{t:.12e}", f"{lo:.12e}", f"{hi:.12e}"])
-    return out.getvalue()
+    return csv_text(["time", "min_vertex", "max_vertex"],
+                    [[f"{v:.12e}" for v in row] for row in rows])

@@ -104,9 +104,8 @@ class WellsProblem:
 
     Gaussian bell sources/sinks of width parameter sigma = 100; variants
     differ in the corner sink strengths. The boundary is impermeable
-    (g_N = 0 everywhere), so the flow problem is pure Neumann and the
-    source must be corrected to zero mean for solvability; the caller
-    removes darcy.source_mean from darcy_f for the flow solve.
+    (g_N = 0 everywhere), so the flow problem is pure Neumann: the flow
+    solve takes darcy_f as it is and removes its mean for solvability.
     """
 
     VARIANTS = {

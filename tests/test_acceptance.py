@@ -13,12 +13,7 @@ import pytest
 import scipy.sparse as sp
 
 from vemtransport.cli import run_manufactured_level
-from vemtransport.darcy import (
-    DarcyProblem,
-    analytic_velocity,
-    solve_darcy_mixed,
-    source_mean,
-)
+from vemtransport.darcy import DarcyProblem, analytic_velocity, solve_darcy_mixed
 from vemtransport.geometry import generate_family, generate_hexa
 from vemtransport.postproc import minmax_trace, observed_rate
 from vemtransport.config import load_preset
@@ -226,10 +221,7 @@ def test_criterion_10_wells_example():
         tree = cKDTree(mesh.vertices)
         for variant in ("homo", "vert", "diag"):
             wells = WellsProblem(variant)
-            mean = source_mean(mesh, wells.darcy_f, 1)
-            dprob = DarcyProblem(
-                f=lambda p: wells.darcy_f(p) - mean, g_N=wells.g_N, dirichlet_edges=frozenset()
-            )
+            dprob = DarcyProblem(f=wells.darcy_f, g_N=wells.g_N, dirichlet_edges=frozenset())
             vel, _ = solve_darcy_mixed(mesh, dprob, 1)
             tprob = TransportProblem(
                 D=load_preset(f"wells-{variant}").D, velocity=vel, f=wells.f,

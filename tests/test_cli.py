@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -145,6 +146,22 @@ class TestConfig:
     def test_a_field_the_kind_does_not_read_is_rejected(self, kind, key, value):
         with pytest.raises(ConfigError, match="does not read"):
             ExperimentConfig.from_dict({"kind": kind, key: value})
+
+    @pytest.mark.parametrize(
+        "kind, key, value",
+        [("kconv", "k", 3), ("kconv", "q", 2), ("drobust", "D", 0.5),
+         ("convergence", "wells_level", 1), ("wells", "levels", [1])],
+    )
+    def test_a_direct_config_holds_unread_fields_at_their_defaults(self, kind, key, value):
+        with pytest.raises(ConfigError, match=f"does not read {key}"):
+            ExperimentConfig(kind=kind, **{key: value})
+
+    def test_an_out_override_keeps_every_config_valid(self):
+        # the CLI's --out rebuilds a config with dataclasses.replace
+        configs = [ExperimentConfig(kind=kind) for kind in KINDS]
+        for cfg in configs + [load_preset(name) for name in list_presets()]:
+            moved = replace(cfg, out_dir="elsewhere")
+            assert moved.to_dict() == {**cfg.to_dict(), "out_dir": "elsewhere"}
 
     def test_kind_dependent_defaults(self):
         assert ExperimentConfig(kind="convergence").levels == [1, 2, 3, 4]
@@ -535,8 +552,8 @@ class TestWells:
 
     @pytest.mark.parametrize("level, k", [(1, 1), (2, 1), (1, 2)])
     def test_runs_at_coarse_levels(self, tmp_path, level, k):
-        # the source mean is removed on the rule of the Darcy load, so the
-        # pure-Neumann compatibility check holds at every level and degree
+        # the pure-Neumann flow solves at every level and degree, with the
+        # source mean it removed recorded
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(
             {"kind": "wells", "wells_level": level, "k": k, "out_dir": str(tmp_path)}
@@ -545,6 +562,7 @@ class TestWells:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["failure"] is None
         assert 0.0 <= manifest["darcy_solve"]["residual"] <= 1e-10
+        assert manifest["f_mean_removed"] != 0.0
 
     def test_preset_run_matches_reference(self, tmp_path):
         assert cli.main(["wells", "--preset", "wells-homo", "--out", str(tmp_path)]) == 0
