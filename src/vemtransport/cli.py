@@ -183,6 +183,8 @@ def run_manufactured(config, out, timings):
     summary = WRITERS[config.kind](out, solves, reports) if reports else {}
     if darcy_solves:
         summary["darcy_solves"] = darcy_solves
+    if reports:
+        summary["slab_residuals"] = {s.label: r.slab_residual for s, r in zip(solves, reports)}
     return summary, failure
 
 
@@ -245,7 +247,8 @@ def run_wells(config, out, timings):
     if not positivity_ok:
         log.warning("positivity check failed: min=%.3e max=%.3e", global_min, global_max)
     summary.update(
-        vertex_min=global_min, vertex_max=global_max, positivity_ok=bool(positivity_ok)
+        vertex_min=global_min, vertex_max=global_max, positivity_ok=bool(positivity_ok),
+        slab_residual=march.residual,
     )
     return summary, None
 

@@ -1,9 +1,9 @@
 """Declarative experiment configuration.
 
 A config is a flat JSON document holding `kind`, `out_dir` and the fields
-its kind reads (`FIELDS`); any other key is rejected. Presets for the
-shipped studies live in the package's presets/ directory and can be
-loaded by name.
+its kind reads (`FIELDS`; `rng_seed` only on the Voronoi families); any
+other key is rejected. Presets for the shipped studies live in the
+package's presets/ directory and can be loaded by name.
 """
 
 import hashlib
@@ -33,6 +33,12 @@ BACKENDS = ("darcy", "analytic")
 PROBLEMS = tuple(f"wells:{variant}" for variant in WellsProblem.VARIANTS)
 DEFAULT_STEPS = [3, 6, 12, 24]
 DEFAULT_D_VALUES = [1e0, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7]
+
+
+def reads(kind, family):
+    """The fields a study of this kind reads on this mesh family:
+    rng_seed draws only the Voronoi families."""
+    return tuple(f for f in FIELDS[kind] if f != "rng_seed" or family in ("voro", "rand"))
 
 
 def _has_type(value, typ):
@@ -70,15 +76,15 @@ class ExperimentConfig:
                 raise ConfigError(f"{f.name} must be of type {kind}, got {value!r}")
         if self.kind not in KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
-        read = FIELDS[self.kind]
-        for f in fields(self):
-            default = f.default_factory() if f.default is MISSING else f.default
-            if f.name not in ("kind", "out_dir", *read) and getattr(self, f.name) != default:
-                raise ConfigError(f"a {self.kind} study does not read {f.name}; "
-                                  f"leave it at its default {default!r}")
         # the None defaults of the fields the kind reads are derived here
         if self.mesh_family is None:
             self.mesh_family = "hexa" if self.kind == "wells" else "quad"
+        read = reads(self.kind, self.mesh_family)
+        for f in fields(self):
+            default = f.default_factory() if f.default is MISSING else f.default
+            if f.name not in ("kind", "out_dir", *read) and getattr(self, f.name) != default:
+                raise ConfigError(f"a {self.kind} study on {self.mesh_family} meshes does not "
+                                  f"read {f.name}; leave it at its default {default!r}")
         if self.mesh_family not in (("hexa",) if self.kind == "wells" else FAMILIES):
             raise ConfigError(f"a {self.kind} study has no mesh family {self.mesh_family!r}")
         if self.velocity_backend not in BACKENDS:
@@ -123,9 +129,9 @@ class ExperimentConfig:
             raise ConfigError(f"unknown problem {self.problem!r}; available: {list(PROBLEMS)}")
 
     def to_dict(self):
-        """kind, out_dir and the fields the kind reads."""
+        """kind, out_dir and the fields the study reads."""
         data = asdict(self)
-        return {name: data[name] for name in ("kind", "out_dir", *FIELDS[self.kind])}
+        return {name: data[name] for name in ("kind", "out_dir", *reads(self.kind, self.mesh_family))}
 
     @classmethod
     def from_dict(cls, data):
@@ -135,9 +141,13 @@ class ExperimentConfig:
         if kind not in KINDS:
             raise ConfigError(f"unknown experiment kind {kind!r}")
         unread = set(data) - {"kind", "out_dir", *FIELDS[kind]}
+        if not unread:
+            config = cls(**data)
+            # rng_seed at its default on a quad or hexa config
+            unread = set(data) - set(config.to_dict())
         if unread:
             raise ConfigError(f"keys a {kind} config does not read: {sorted(unread)}")
-        return cls(**data)
+        return config
 
     @classmethod
     def from_json(cls, path):

@@ -357,10 +357,16 @@ class VemSpace:
         parts = split_stacked(np.ravel(coef), [(len(t), t.shape[2]) for t in tables])
         return np.concatenate([np.einsum("cpm,cm->cp", t, c).ravel() for t, c in zip(tables, parts)])
 
-    def load(self, values):
-        """Global vector of the integrals of values (given at data_points)
-        against Pi0 of every basis function."""
-        return self.pi0_operator.T @ self.cell_moments(values).ravel()
+    def load_operator(self, weights):
+        """Sparse map (CSR) from values at data_points to the global load:
+        the integrals of weights * values against Pi0 of every basis
+        function. Points of zero weight get no entries."""
+        groups = self.groups
+        parts = split_stacked(self.data_weights * weights, [g.data_weights.shape for g in groups])
+        blocks = [(g.data_phi * w[..., None]) @ g.pi0_coef for g, w in zip(groups, parts)]
+        load = self.cell_operator(blocks).T.tocsr()
+        load.eliminate_zeros()
+        return load
 
     def interpolate(self, g):
         """Global dof vector interpolating a callback g(points) -> values.

@@ -20,11 +20,15 @@ class SolveReport:
 
 
 class Factorization:
-    """Reusable sparse LU factorization."""
+    """Reusable sparse LU factorization: COLAMD with partial pivoting, or
+    with symmetric=True, for a matrix whose symmetric part is positive
+    definite, the minimum-degree ordering of A + A^T and no pivoting."""
 
-    def __init__(self, A):
+    def __init__(self, A, *, symmetric=False):
+        options = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True}) if symmetric else {}
         try:
-            self._lu = splu(A.tocsc())
+            self._lu = splu(A.tocsc(), **options)
         except RuntimeError as exc:
             raise LinalgError(f"sparse LU failed: {exc}") from exc
 

@@ -27,6 +27,7 @@ class ErrorReport:
     l2h1: float
     indicator: float
     h1_final: float
+    slab_residual: float  # largest relative residual of the march's slab solves
 
     def row(self):
         return [self.level, self.h, self.dt, self.l2_final, self.l2h1, self.indicator, self.h1_final]
@@ -81,7 +82,7 @@ def error_norms(march, system, c_exact, grad_exact, level=0):
     time-integrated squared H1 norm (L2 part plus seminorm part).
     """
     ev = ErrorEvaluator(system)
-    ends, times, values = march
+    ends, times, values = march.ends, march.times, march.values
     taus = np.diff(ends)
     ref_nodes = (times - ends[:-1, None]) / taus[:, None]
     l2h1_sq = 0.0
@@ -100,6 +101,7 @@ def error_norms(march, system, c_exact, grad_exact, level=0):
         l2h1=np.sqrt(l2h1_sq),
         indicator=np.sqrt(l2f + l2h1_sq),
         h1_final=np.sqrt(h1f),
+        slab_residual=march.residual,
     )
 
 

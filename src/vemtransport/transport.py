@@ -71,7 +71,8 @@ class TransportSystem:
     rules of all cells (injection; the stationary source once per
     system) and a Gauss rule of degree 2k+4 on all boundary edges
     (inflow and boundary form). Each global matrix is one COO -> CSR
-    build from the stacked local blocks of the space's cell groups.
+    build from the stacked local blocks of the space's cell groups, and
+    each load one sparse product with the data values.
     """
 
     def __init__(self, mesh, k, problem):
@@ -90,9 +91,16 @@ class TransportSystem:
         self._bd_dofs = self.space.trace_dofs(bd)
         self._bd_trace = lagrange_values(uniform_edge_params(k), er.params)
         un = problem.velocity.boundary_flux_values(er.params)
-        # per-point weights of the boundary form and of the inflow functional
+        # per-point weights of the boundary form; the loads are linear in
+        # the data values, one sparse map each
         self._bd_abs_flux = er.weights * np.abs(un)
-        self._bd_inflow = er.weights * -np.minimum(un, 0.0)
+        self._load = self.space.load_operator(np.maximum(self._f0, 0.0))
+        inflow = (er.weights * -np.minimum(un, 0.0))[..., None] * self._bd_trace
+        points = np.arange(un.size).reshape(un.shape)
+        rows, cols = np.broadcast_arrays(self._bd_dofs[:, None, :], points[..., None])
+        self._inflow = sp.csr_matrix((inflow.ravel(), (rows.ravel(), cols.ravel())),
+                                     shape=(self.space.n_dofs, un.size))
+        self._inflow.eliminate_zeros()
         self._mass = None
         self._parts = None
         self._a0 = None
@@ -140,13 +148,10 @@ class TransportSystem:
 
     def rhs(self, t):
         """Source and inflow functionals (F_plus, G_inflow) at time t."""
-        space, problem = self.space, self.problem
-        c_tilde = np.asarray(problem.c_tilde(t, space.data_points), dtype=float)
-        F = space.load(np.maximum(self._f0, 0.0) * c_tilde)
+        problem = self.problem
+        c_tilde = np.asarray(problem.c_tilde(t, self.space.data_points), dtype=float)
         ci = np.asarray(problem.c_inflow(t, self._bd_points, self._bd_normals), dtype=float)
-        moments = (self._bd_inflow * ci.reshape(self._bd_inflow.shape)) @ self._bd_trace
-        G = np.bincount(self._bd_dofs.ravel(), moments.ravel(), minlength=space.n_dofs)
-        return F, G
+        return self._load @ c_tilde, self._inflow @ ci
 
     def initial_condition(self):
         """Dof vector interpolating the initial concentration."""

@@ -124,10 +124,25 @@ class TestConfig:
         }
         assert sum(map(len, reads.values())) == 29
         for kind, names in reads.items():
-            cfg = ExperimentConfig(kind=kind)
+            # rng_seed draws the Voronoi meshes only
+            cfg = ExperimentConfig(kind=kind, mesh_family="hexa" if kind == "wells" else "voro")
             data = cfg.to_dict()
             assert sorted(data) == sorted(["kind", "out_dir", *names])
             assert ExperimentConfig.from_dict(data) == cfg
+
+    @pytest.mark.parametrize("kind", ["convergence", "kconv", "drobust"])
+    @pytest.mark.parametrize("family", ["quad", "hexa", None])
+    def test_quad_and_hexa_studies_take_no_seed(self, kind, family):
+        data = {"kind": kind, **({"mesh_family": family} if family else {})}
+        cfg = ExperimentConfig.from_dict(data)
+        assert "rng_seed" not in cfg.to_dict()
+        for seed in (2024, 7):
+            with pytest.raises(ConfigError, match="does not read.*rng_seed"):
+                ExperimentConfig.from_dict({**data, "rng_seed": seed})
+        with pytest.raises(ConfigError, match="does not read rng_seed"):
+            ExperimentConfig(kind=kind, mesh_family=family, rng_seed=7)
+        seeded = ExperimentConfig.from_dict({"kind": kind, "mesh_family": "rand", "rng_seed": 7})
+        assert seeded.to_dict()["rng_seed"] == 7
 
     @pytest.mark.parametrize(
         "kind, key, value",
@@ -359,6 +374,17 @@ class TestCliDispatch:
             assert 0.0 <= record["residual"] <= 1e-10
             assert record["seconds"] >= 0.0
 
+    def test_manifest_records_every_slab_residual(self, tmp_path):
+        # the evidence that the pivot-free slab LU stayed accurate
+        cfg = ExperimentConfig.from_dict({
+            "kind": "kconv", "k_range": [1, 2], "velocity_backend": "analytic",
+            "out_dir": str(tmp_path),
+        })
+        assert cli.run(cfg) == 0
+        residuals = json.loads((tmp_path / "manifest.json").read_text())["slab_residuals"]
+        assert sorted(residuals) == ["k_1", "k_2"]
+        assert all(0.0 < r <= 1e-12 for r in residuals.values())
+
     def test_analytic_velocity_records_no_darcy_solve(self, tmp_path):
         cfg = ExperimentConfig.from_dict({
             "kind": "convergence", "mesh_family": "quad", "levels": [1], "steps_per_level": [1],
@@ -563,6 +589,7 @@ class TestWells:
         assert manifest["failure"] is None
         assert 0.0 <= manifest["darcy_solve"]["residual"] <= 1e-10
         assert manifest["f_mean_removed"] != 0.0
+        assert 0.0 < manifest["slab_residual"] <= 1e-12
 
     def test_preset_run_matches_reference(self, tmp_path):
         assert cli.main(["wells", "--preset", "wells-homo", "--out", str(tmp_path)]) == 0

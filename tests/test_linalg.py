@@ -51,6 +51,16 @@ class TestSolve:
         with pytest.raises(LinalgError):
             solve(A, np.array([1.0, 2.0]))
 
+    def test_symmetric_mode_solves_a_positive_definite_symmetric_part(self):
+        # unsymmetric, with (A + A^T)/2 = 4 I: no pivoting is needed
+        rng = np.random.default_rng(1)
+        skew = rng.standard_normal((6, 6))
+        dense = 4.0 * np.eye(6) + 3.0 * (skew - skew.T)
+        A = sp.csr_matrix(dense)
+        b = rng.standard_normal(6)
+        x = Factorization(A, symmetric=True).solve(b)
+        assert np.allclose(x, np.linalg.solve(dense, b), rtol=1e-12, atol=0.0)
+
     def test_factorization_reuse(self):
         A = sp.csr_matrix(np.diag([1.0, 2.0, 4.0]))
         fact = Factorization(A)

@@ -131,7 +131,8 @@ class TestMinMax:
 class TestRateTable:
     def _report(self, level, h, err):
         return ErrorReport(
-            level=level, h=h, dt=h, l2_final=err, l2h1=err, indicator=err, h1_final=err
+            level=level, h=h, dt=h, l2_final=err, l2h1=err, indicator=err, h1_final=err,
+            slab_residual=0.0,
         )
 
     def test_halving_gives_rate_one(self):

@@ -3,8 +3,10 @@ import pytest
 import scipy.sparse as sp
 
 from vemtransport import timestepping
-from vemtransport.darcy import analytic_velocity
-from vemtransport.geometry import generate_quad, generate_voronoi
+from vemtransport.darcy import DarcyProblem, analytic_velocity, solve_darcy_mixed
+from vemtransport.geometry import generate_family, generate_hexa, generate_quad, generate_voronoi
+from vemtransport.linalg import Factorization
+from vemtransport.problems import ManufacturedProblem, WellsProblem
 from vemtransport.quadrature import gauss_interval, gauss_radau, lagrange_values
 from vemtransport.timestepping import (
     TimeSteppingError,
@@ -288,3 +290,53 @@ def test_lagrange_derivative_matrix():
     # derivative of sum of basis = 0; derivative of the interpolant of t = 1
     assert np.max(np.abs(D.sum(axis=0))) < 1e-13
     assert np.allclose(nodes @ D, np.ones(3), atol=1e-13)
+
+
+def manufactured_darcy_system(mesh, k, D):
+    """A manufactured-problem system on its Darcy flow, and the slab width
+    of a 3-step march."""
+    data = ManufacturedProblem(D=D)
+    dprob = DarcyProblem(K_perm=data.K_perm, mu=data.mu, f=data.darcy_f, g_D=data.darcy_g_D,
+                         dirichlet_edges=frozenset(int(e) for e in mesh.boundary_edges))
+    vel, _ = solve_darcy_mixed(mesh, dprob, k)
+    prob = TransportProblem(D=D, velocity=vel, f=data.f, c_tilde=data.c_tilde,
+                            c_inflow=data.c_inflow, c0=data.c0)
+    return TransportSystem(mesh, k, prob), data.t_final / 3
+
+
+def wells_system():
+    """The five-well problem on hexa level 1 with D = 1e-3, and its step."""
+    wells = WellsProblem("homo")
+    mesh = generate_hexa(1, distortion=0.0)
+    vel, _ = solve_darcy_mixed(
+        mesh, DarcyProblem(f=wells.darcy_f, g_N=wells.g_N, dirichlet_edges=frozenset()), 1
+    )
+    prob = TransportProblem(D=1e-3, velocity=vel, f=wells.f, c_tilde=wells.c_tilde,
+                            c_inflow=wells.c_inflow, c0=wells.c0)
+    return TransportSystem(mesh, 1, prob), wells.dt
+
+
+PREMISE_SYSTEMS = {
+    **{f"quad-L1-k{k}-D{D:g}": (lambda k=k, D=D: manufactured_darcy_system(
+        generate_family("quad", 1), k, D), k) for k in (1, 2) for D in (1.0, 1e-7)},
+    "voro-16-k2": (lambda: manufactured_darcy_system(
+        generate_voronoi(16, 20, rng_seed=4), 2, 1.0), 2),
+    "wells-hexa-L1": (wells_system, 1),
+}
+
+
+@pytest.mark.parametrize("name", PREMISE_SYSTEMS)
+def test_slab_factors_without_pivoting(name):
+    # the premise of the pivot-free slab LU: the symmetric part of the slab
+    # matrix is positive definite, so elimination needs no row exchanges
+    build, q = PREMISE_SYSTEMS[name]
+    system, tau = build()
+    S = slab_matrix(system.mass(), system.advection_operator(), gauss_radau(q), tau)
+    dense = S.toarray()
+    assert np.linalg.eigvalsh(0.5 * (dense + dense.T))[0] > 0.0
+    fact = Factorization(S, symmetric=True)
+    # every diagonal pivot was taken: no row was exchanged
+    assert np.array_equal(fact._lu.perm_r, fact._lu.perm_c)
+    b = np.random.default_rng(5).standard_normal(S.shape[0])
+    x = fact.solve(b)
+    assert np.linalg.norm(S @ x - b) <= 1e-12 * np.linalg.norm(b)
