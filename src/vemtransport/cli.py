@@ -62,7 +62,8 @@ def run_manufactured_level(mesh, steps, k, q, D, backend, level=0):
 
 def solve_record(report):
     """Manifest entry of a SolveReport."""
-    return {"residual": report.residual, "seconds": round(report.seconds, 3)}
+    return {"residual": report.residual, "seconds": round(report.seconds, 3),
+            "unknowns": report.unknowns, "nnz": report.nnz, "lu_nnz": report.lu_nnz}
 
 
 def _write_text(path, text):

@@ -12,23 +12,26 @@ class LinalgError(RuntimeError):
 
 
 class SolveReport:
-    """Outcome of one linear solve."""
+    """Outcome of one linear solve: the relative residual, the seconds,
+    the matrix's unknowns and stored entries, and the L+U entries."""
 
-    def __init__(self, residual, seconds):
+    def __init__(self, residual, seconds, unknowns, nnz, lu_nnz):
         self.residual = residual
         self.seconds = seconds
+        self.unknowns = unknowns
+        self.nnz = nnz
+        self.lu_nnz = lu_nnz
 
 
 class Factorization:
-    """Reusable sparse LU factorization: COLAMD with partial pivoting, or
-    with symmetric=True, for a matrix whose symmetric part is positive
-    definite, the minimum-degree ordering of A + A^T and no pivoting."""
+    """Reusable sparse LU factorization in SuperLU's symmetric mode, for a
+    matrix whose symmetric part is positive definite: the minimum-degree
+    ordering of A + A^T on rows and columns alike, and no pivoting."""
 
-    def __init__(self, A, *, symmetric=False):
-        options = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                       options={"SymmetricMode": True}) if symmetric else {}
+    def __init__(self, A):
         try:
-            self._lu = splu(A.tocsc(), **options)
+            self._lu = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                            options={"SymmetricMode": True})
         except RuntimeError as exc:
             raise LinalgError(f"sparse LU failed: {exc}") from exc
 
@@ -40,17 +43,16 @@ class Factorization:
 
 
 def solve(A, b, tol=1e-10):
-    """Solve A x = b by sparse LU, returning (x, SolveReport).
-
-    The relative residual |A x - b| / |b| must reach tol.
-    """
+    """Solve A x = b by sparse LU, returning (x, SolveReport); the
+    relative residual |A x - b| / |b| must reach tol."""
     b = np.asarray(b, dtype=float)
     t0 = time.perf_counter()
-    x = Factorization(A).solve(b)
+    fact = Factorization(A)
+    x = fact.solve(b)
     res = np.linalg.norm(A @ x - b)
     scale = np.linalg.norm(b)
     if scale > 0:
         res /= scale
     if res > tol:
         raise LinalgError(f"direct solve residual {res:.2e} exceeds {tol:.2e}")
-    return x, SolveReport(res, time.perf_counter() - t0)
+    return x, SolveReport(res, time.perf_counter() - t0, A.shape[0], A.nnz, fact._lu.nnz)

@@ -90,7 +90,7 @@ def advance(system, t_final, n_steps, q):
     n, worst = 0, 0.0
     try:
         matrix = slab_matrix(M, system.advection_operator(), radau, ends[1] - ends[0])
-        fact = Factorization(matrix, symmetric=True)
+        fact = Factorization(matrix)
         for n in range(n_steps):
             t0, t1 = ends[n], ends[n + 1]
             times[n], _ = map_radau(radau, t0, t1)

@@ -15,8 +15,9 @@ merge; loop_voronoi_cells takes qhull's Voronoi regions instead, and
 the Lloyd energy is computed here only), the
 closed-form shape audit through one HiGHS linear program per cell
 (lp_audit), the Kronecker slab matrix through its per-block assembly
-(block_slab_matrix), and the pinned Darcy gauge through the
-Lagrange-multiplier saddle system (multiplier_darcy_solve). The
+(block_slab_matrix), the hybridized Darcy solve through the monolithic
+saddle system (saddle_darcy_solve), and the pinned Darcy gauge through
+the Lagrange-multiplier saddle system (multiplier_darcy_solve). The
 one-cell views of the batched package types (VemElement, cell_polygon,
 cell_edges) and the L2 distances of elementwise polynomials
 (velocity_l2_error, pressure_l2_error) serve the tests only, as do the
@@ -1332,20 +1333,28 @@ def block_slab_matrix(M, a0_blocks, radau, tau):
     return sp.bmat(blocks, format="csr")
 
 
-def multiplier_darcy_solve(mesh, problem, k):
-    """Pure-Neumann mixed flow solve with the pressure mean fixed by one
-    Lagrange-multiplier row and column: the reference for the pinned,
-    load-shifted gauge of solve_darcy_mixed. The Neumann flux dofs are
-    eliminated, the rest solved by SuperLU with two steps of iterative
-    refinement: with the dense multiplier row the plain LU solution's
-    divergence coefficients carry up to 2.5e-12 relative rounding noise
-    on hexa meshes at k = 2. Returns the edge flux coefficients, the cell
-    velocity and divergence coefficients, and the zero-mean pressure
-    coefficients."""
+def _saddle_dofs(mesh, cg, k):
+    """Global velocity dofs (edge dofs, then internal) and pressure dofs of
+    a cell group's cells in the monolithic saddle system, in the local
+    order of its flux group."""
+    nc, nk = len(cg.cells), n_poly(k)
+    n_e = mesh.num_edges * (k + 1)
+    edge_dofs = (cg.edges[:, :, None] * (k + 1) + np.arange(k + 1)).reshape(nc, -1)
+    internal = n_e + cg.cells[:, None] * (nk - 1) + np.arange(nk - 1)
+    n_u = n_e + mesh.num_cells * (nk - 1)
+    return np.hstack([edge_dofs, internal]), n_u + cg.cells[:, None] * nk + np.arange(nk)
+
+
+def _saddle_system(mesh, problem, k, gauge):
+    """The monolithic saddle system [coef A, B^T; B, 0] over all flux and
+    pressure dofs, with one more row and column for a pressure-mean
+    multiplier if gauge. Returns (flux groups, their (udofs, pdofs), CSR
+    matrix, load with the source moments on the pressure rows, n_u)."""
     nk = n_poly(k)
     n_u = mesh.num_edges * (k + 1) + mesh.num_cells * (nk - 1)
-    n_sys = n_u + mesh.num_cells * nk + 1
+    n_sys = n_u + mesh.num_cells * nk + int(gauge)
     groups = _flux_groups(mesh, k, problem.f)
+    numbering = [_saddle_dofs(mesh, cg, k) for cg in mesh.cell_groups]
     rows, cols, vals = [], [], []
 
     def add(r, c, block):
@@ -1354,24 +1363,27 @@ def multiplier_darcy_solve(mesh, problem, k):
         vals.append(block.ravel())
 
     rhs = np.zeros(n_sys)
-    for g in groups:
-        add(g.udofs, g.udofs, problem.mu / problem.K_perm * g.A_unit)
-        add(g.pdofs, g.udofs, g.DIVR)
-        add(g.udofs, g.pdofs, np.swapaxes(g.DIVR, 1, 2))
-        gauge = np.full((len(g.pdofs), 1), n_sys - 1)
-        add(gauge, g.pdofs, g.int_m[:, None, :])
-        add(g.pdofs, gauge, g.int_m[:, :, None])
-        rhs[g.pdofs] = g.f_moments
+    for g, (udofs, pdofs) in zip(groups, numbering):
+        add(udofs, udofs, problem.mu / problem.K_perm * g.A_unit)
+        add(pdofs, udofs, g.DIVR)
+        add(udofs, pdofs, np.swapaxes(g.DIVR, 1, 2))
+        if gauge:
+            mean_row = np.full((len(pdofs), 1), n_sys - 1)
+            add(mean_row, pdofs, g.int_m[:, None, :])
+            add(pdofs, mean_row, g.int_m[:, :, None])
+        rhs[pdofs] = g.f_moments
     A = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n_sys, n_sys)
     ).tocsr()
+    return groups, numbering, A, rhs, n_u
 
-    bd = np.asarray(mesh.boundary_edges)
-    moments, er, _ = _boundary_moments(mesh, bd, problem.g_N, k)
-    idx = (bd[:, None] * (k + 1) + np.arange(k + 1)).ravel()
-    values = (mesh.boundary_signs[:, None] * moments / er.length[:, None]).ravel()
-    keep = np.setdiff1d(np.arange(n_sys), idx)
-    x = np.zeros(n_sys)
+
+def _eliminated_solve(A, rhs, idx, values):
+    """Solution of A x = rhs with x[idx] = values: the other unknowns by
+    SuperLU (COLAMD, partial pivoting) and two steps of iterative
+    refinement."""
+    keep = np.setdiff1d(np.arange(A.shape[0]), idx)
+    x = np.zeros(A.shape[0])
     x[idx] = values
     A_red, b = A[keep][:, keep].tocsc(), (rhs - A[:, idx] @ values)[keep]
     lu = splu(A_red)
@@ -1379,15 +1391,84 @@ def multiplier_darcy_solve(mesh, problem, k):
     for _ in range(2):
         y += lu.solve(b - A_red @ y)
     x[keep] = y
+    return x
 
+
+def _saddle_fields(mesh, k, groups, numbering, x, n_u):
+    """Edge flux coefficients, cell velocity and divergence coefficients and
+    pressure coefficients of a saddle solution x."""
+    nk = n_poly(k)
     jw = 2.0 * np.arange(k + 1) + 1.0
     flux = x[: mesh.num_edges * (k + 1)].reshape(mesh.num_edges, k + 1) * jw
     vel = np.zeros((mesh.num_cells, 2, nk))
     div = np.zeros((mesh.num_cells, nk))
-    for g, cg in zip(groups, mesh.cell_groups):
-        vel[cg.cells] = (g.vel @ x[g.udofs][:, None, :, None])[..., 0]
-        div[cg.cells] = (g.div_map @ x[g.udofs][:, :, None])[..., 0]
-    return flux, vel, div, x[n_u:-1].reshape(mesh.num_cells, nk)
+    for g, cg, (udofs, _) in zip(groups, mesh.cell_groups, numbering):
+        vel[cg.cells] = (g.vel @ x[udofs][:, None, :, None])[..., 0]
+        div[cg.cells] = (g.div_map @ x[udofs][:, :, None])[..., 0]
+    return flux, vel, div, x[n_u:n_u + mesh.num_cells * nk].reshape(mesh.num_cells, nk)
+
+
+def saddle_darcy_solve(mesh, problem, k):
+    """The mixed flow system solved as one monolithic saddle system: the
+    reference for the hybridized solve_darcy_mixed. Dirichlet data enters
+    the velocity rows, the Neumann flux dofs are eliminated, and a
+    pure-Neumann flow pins cell 0's constant pressure dof, shifts the
+    pressure rows by -lam * int_K m_alpha and restores the zero pressure
+    mean afterwards. The refinement steps of the solve matter: without
+    them the rounding of the saddle LU alone moves the cell velocity by up
+    to 1e-10 relative on rand meshes at k = 3, six times the distance of
+    the refined solution to the hybridized one. Returns the edge flux
+    coefficients, the cell velocity and divergence coefficients, the
+    pressure coefficients and lam."""
+    dirichlet = frozenset(int(e) for e in problem.dirichlet_edges)
+    groups, numbering, A, rhs, n_u = _saddle_system(mesh, problem, k, gauge=False)
+    jw = 2.0 * np.arange(k + 1) + 1.0
+    bd = np.asarray(mesh.boundary_edges, dtype=int)
+    on_dirichlet = np.isin(bd, list(dirichlet))
+    sign = mesh.boundary_signs
+    if on_dirichlet.any():
+        moments, _, _ = _boundary_moments(mesh, bd[on_dirichlet], problem.g_D, k)
+        idx = bd[on_dirichlet, None] * (k + 1) + np.arange(k + 1)
+        rhs[idx] += sign[on_dirichlet, None] * jw * moments
+    idx, values = np.zeros(0, dtype=int), np.zeros(0)
+    if not on_dirichlet.all():
+        neumann = bd[~on_dirichlet]
+        moments, er, gvals = _boundary_moments(mesh, neumann, problem.g_N, k)
+        idx = (neumann[:, None] * (k + 1) + np.arange(k + 1)).ravel()
+        values = (sign[~on_dirichlet, None] * moments / er.length[:, None]).ravel()
+    lam = 0.0
+    if not dirichlet:
+        total_f = sum(float(g.f_moments[:, 0].sum()) for g in groups)
+        volume = sum(float(g.int_m[:, 0].sum()) for g in groups)
+        lam = (total_f - float(np.sum(er.weights * gvals))) / volume
+        for g, (_, pdofs) in zip(groups, numbering):
+            rhs[pdofs] -= lam * g.int_m
+        idx, values = np.append(idx, n_u), np.append(values, 0.0)
+    x = _eliminated_solve(A, rhs, idx, values)
+    flux, vel, div, pres = _saddle_fields(mesh, k, groups, numbering, x, n_u)
+    if not dirichlet:
+        pres[:, 0] -= sum(float(np.sum(g.int_m * pres[cg.cells]))
+                          for g, cg in zip(groups, mesh.cell_groups)) / volume
+    return flux, vel, div, pres, lam
+
+
+def multiplier_darcy_solve(mesh, problem, k):
+    """Pure-Neumann mixed flow solve with the pressure mean fixed by one
+    Lagrange-multiplier row and column: the reference for the pinned,
+    load-shifted gauge of solve_darcy_mixed. The Neumann flux dofs are
+    eliminated, the rest solved with two steps of iterative refinement:
+    with the dense multiplier row the plain LU solution's
+    divergence coefficients carry up to 2.5e-12 relative rounding noise
+    on hexa meshes at k = 2. Returns the edge flux coefficients, the cell
+    velocity and divergence coefficients, and the zero-mean pressure
+    coefficients."""
+    groups, numbering, A, rhs, n_u = _saddle_system(mesh, problem, k, gauge=True)
+    bd = np.asarray(mesh.boundary_edges)
+    moments, er, _ = _boundary_moments(mesh, bd, problem.g_N, k)
+    idx = (bd[:, None] * (k + 1) + np.arange(k + 1)).ravel()
+    values = (mesh.boundary_signs[:, None] * moments / er.length[:, None]).ravel()
+    x = _eliminated_solve(A, rhs, idx, values)
+    return _saddle_fields(mesh, k, groups, numbering, x, n_u)
 
 
 class WeightedInterpolant:

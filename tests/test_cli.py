@@ -16,7 +16,7 @@ from vemtransport.config import (
     FIELDS, KINDS, ConfigError, ExperimentConfig, list_presets, load_preset,
 )
 from vemtransport.darcy import DarcyError
-from vemtransport.geometry import MeshError
+from vemtransport.geometry import MeshError, generate_family
 from vemtransport.timestepping import TimeSteppingError
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -370,9 +370,15 @@ class TestCliDispatch:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         solves = manifest["darcy_solves"]
         assert sorted(solves) == ["level_1", "level_2"]
-        for record in solves.values():
+        for level in (1, 2):
+            record = solves[f"level_{level}"]
             assert 0.0 <= record["residual"] <= 1e-10
             assert record["seconds"] >= 0.0
+            # the condensed system: one multiplier per interior edge dof
+            mesh = generate_family("quad", level)
+            interior = mesh.num_edges - len(mesh.boundary_edges)
+            assert record["unknowns"] == 2 * interior
+            assert 0 < record["nnz"] <= record["lu_nnz"]
 
     def test_manifest_records_every_slab_residual(self, tmp_path):
         # the evidence that the pivot-free slab LU stayed accurate

@@ -9,7 +9,7 @@ from vemtransport.darcy import (
     analytic_velocity,
     solve_darcy_mixed,
 )
-from vemtransport.element import n_poly
+from vemtransport.element import gram, monomials, n_poly
 from vemtransport.geometry import generate_hexa, generate_quad, generate_voronoi
 from vemtransport.linalg import solve as linalg_solve
 from vemtransport.quadrature import edge_rule
@@ -20,6 +20,7 @@ from helpers import (
     group_values,
     multiplier_darcy_solve,
     pressure_l2_error,
+    saddle_darcy_solve,
     velocity_l2_error,
 )
 
@@ -46,6 +47,46 @@ def exp_pressure(p):
 
 def exp_divergence(p):
     return np.exp(p[:, 0]) + np.exp(p[:, 1])
+
+
+def exp_outward_flux(p):
+    """u . n of exp_field on the walls of the unit square."""
+    normals = np.column_stack([
+        np.isclose(p[:, 0], 1.0, atol=1e-9).astype(float) - np.isclose(p[:, 0], 0.0, atol=1e-9),
+        np.isclose(p[:, 1], 1.0, atol=1e-9).astype(float) - np.isclose(p[:, 1], 0.0, atol=1e-9),
+    ])
+    return np.sum(exp_field(p) * normals, axis=1)
+
+
+def x_walls(mesh):
+    """The boundary edges on the walls x = 0 and x = 1."""
+    mids = mesh.vertices[mesh.edges[mesh.boundary_edges]].mean(axis=1)
+    on_wall = (mids[:, 0] < 1e-12) | (mids[:, 0] > 1.0 - 1e-12)
+    return frozenset(int(e) for e in mesh.boundary_edges[on_wall])
+
+
+#: flow data on the unit square with exact pressure exp(x) + exp(y): pressure
+#: data on every wall, on the x-walls only, or flux data on every wall
+DATA = {
+    "dirichlet": lambda mesh: DarcyProblem(
+        f=exp_divergence, g_D=exp_pressure, dirichlet_edges=all_dirichlet(mesh)),
+    "mixed": lambda mesh: DarcyProblem(
+        f=exp_divergence, g_D=exp_pressure, g_N=exp_outward_flux, dirichlet_edges=x_walls(mesh)),
+    "neumann": lambda mesh: DarcyProblem(
+        f=exp_divergence, g_N=exp_outward_flux, dirichlet_edges=frozenset()),
+}
+
+
+def spy_systems(monkeypatch):
+    """Matrices that reach darcy.solve, collected while the solve runs."""
+    systems = []
+
+    def spy(A, b, **kwargs):
+        systems.append(A)
+        return linalg_solve(A, b, **kwargs)
+
+    monkeypatch.setattr(darcy, "solve", spy)
+    return systems
 
 
 MESHES = {
@@ -181,25 +222,19 @@ class TestNeumannAndCompatibility:
             assert abs(vel.f_mean_removed - mismatch / mesh.cell_areas.sum()) <= 1e-14
 
     def test_saddle_system_has_no_dense_row(self, monkeypatch):
-        # pinning a pressure dof keeps every row within one edge's stencil:
-        # the flux and pressure dofs of the two cells that share it
+        # the condensed system couples a multiplier dof only to the
+        # multipliers of the cells that share its edge: their 2 nv - 1
+        # edges; pinning one multiplier adds no row or column
         mesh = generate_hexa(2)
         k = 1
-        systems = []
-
-        def spy(A, b, **kwargs):
-            systems.append(A)
-            return linalg_solve(A, b, **kwargs)
-
-        monkeypatch.setattr(darcy, "solve", spy)
+        systems = spy_systems(monkeypatch)
         prob = DarcyProblem(
             f=lambda p: p[:, 0] - 0.5, g_N=lambda p: np.zeros(len(p)), dirichlet_edges=frozenset()
         )
         solve_darcy_mixed(mesh, prob, k)
         nv = max(cg.verts.shape[1] for cg in mesh.cell_groups)
-        n_loc = nv * (k + 1) + n_poly(k) - 1
         (A,) = systems
-        assert np.diff(A.tocsr().indptr).max() <= 2 * (n_loc + n_poly(k))
+        assert np.diff(A.tocsr().indptr).max() <= (2 * nv - 1) * (k + 1)
 
     def test_mixed_boundary_types(self):
         # exact solution p = y: flux through y-walls, pressure on x-walls
@@ -225,6 +260,41 @@ class TestNeumannAndCompatibility:
         )
         assert uerr < 1e-9
         assert pressure_l2_error(pres, 1, lambda p: p[:, 1], mesh) < 1e-9
+
+
+class TestHybridization:
+    @pytest.mark.parametrize("family", list(MESHES))
+    @pytest.mark.parametrize("data", list(DATA))
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_matches_the_saddle_system(self, family, data, k):
+        # the condensed solve gives the monolithic saddle solution, and
+        # every cell's divergence balances its (shifted) source moments
+        mesh = MESHES[family]()
+        prob = DATA[data](mesh)
+        vel, _ = solve_darcy_mixed(mesh, prob, k)
+        flux, u, _, _, lam = saddle_darcy_solve(mesh, prob, k)
+        for name, got, ref in (("flux", vel.edge_flux_coeffs, flux),
+                               ("velocity", vel.cell_velocity, u)):
+            assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref)), name
+        assert abs(vel.f_mean_removed - lam) <= 1e-14
+        for g, cg in zip(darcy._flux_groups(mesh, k, prob.f), mesh.cell_groups):
+            points, w = cg.rule(2 * (k + 1))
+            phi = monomials(points, cg.centroid, cg.diameter, k)
+            balance = (gram(phi, w, phi) @ vel.cell_divergence[cg.cells, :, None])[..., 0]
+            source = g.f_moments - lam * g.int_m
+            assert np.max(np.abs(balance - source)) <= 1e-12 * np.max(np.abs(source))
+
+    @pytest.mark.parametrize("data", list(DATA))
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_condensed_system_is_symmetric_positive_definite(self, monkeypatch, data, k):
+        # the premise of the pivot-free symmetric-mode LU on the multipliers
+        mesh = generate_voronoi(9, lloyd_iters=10, rng_seed=2)
+        systems = spy_systems(monkeypatch)
+        solve_darcy_mixed(mesh, DATA[data](mesh), k)
+        (A,) = systems
+        dense = A.toarray()
+        assert np.max(np.abs(dense - dense.T)) <= 1e-13 * np.max(np.abs(dense))
+        assert np.linalg.eigvalsh(dense)[0] > 0.0
 
 
 class TestAnalyticVelocity:

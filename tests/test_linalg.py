@@ -18,6 +18,8 @@ class TestSolve:
         x, report = solve(A, b)
         assert np.allclose(x, b)
         assert report.residual <= 1e-10
+        assert (report.unknowns, report.nnz) == (4, 4)
+        assert report.lu_nnz >= 4
 
     def test_spd_two_by_two(self):
         A = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
@@ -58,7 +60,7 @@ class TestSolve:
         dense = 4.0 * np.eye(6) + 3.0 * (skew - skew.T)
         A = sp.csr_matrix(dense)
         b = rng.standard_normal(6)
-        x = Factorization(A, symmetric=True).solve(b)
+        x = Factorization(A).solve(b)
         assert np.allclose(x, np.linalg.solve(dense, b), rtol=1e-12, atol=0.0)
 
     def test_factorization_reuse(self):

@@ -334,7 +334,7 @@ def test_slab_factors_without_pivoting(name):
     S = slab_matrix(system.mass(), system.advection_operator(), gauss_radau(q), tau)
     dense = S.toarray()
     assert np.linalg.eigvalsh(0.5 * (dense + dense.T))[0] > 0.0
-    fact = Factorization(S, symmetric=True)
+    fact = Factorization(S)
     # every diagonal pivot was taken: no row was exchanged
     assert np.array_equal(fact._lu.perm_r, fact._lu.perm_c)
     b = np.random.default_rng(5).standard_normal(S.shape[0])
