@@ -209,11 +209,15 @@ class ElementGroup:
         self.pin_dof = D @ self.pin_coef
 
         # L2 projector: stored moments up to k-2, higher moments from the
-        # H1 projection (enhancement convention)
+        # H1 projection (enhancement convention). It is solved as a
+        # correction of pin_coef: C - H pin_coef vanishes from row nm on, so
+        # the solve with H (condition number above 1e8 on sliver cells at
+        # k = 3) does not undo the rounding of the product H pin_coef
+        Hpin = H @ self.pin_coef
         C = np.zeros((nc, npol, ndof))
         C[:, :nm, nv * k :] = area[:, None, None] * np.eye(nm)
-        C[:, nm:, :] = (H @ self.pin_coef)[:, nm:, :]
-        self.pi0_coef = np.linalg.solve(H, C)
+        C[:, nm:, :] = Hpin[:, nm:, :]
+        self.pi0_coef = self.pin_coef + np.linalg.solve(H, C - Hpin)
         self.pi0_dof = D @ self.pi0_coef
 
         # componentwise L2 projection of the gradient at degree k, (2, nc, npol, ndof)

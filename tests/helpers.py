@@ -438,7 +438,7 @@ class LoopVemElement:
             C[: self.n_moments, nv * k :] = self.area * np.eye(self.n_moments)
         high = self.H @ self.pin_coef
         C[self.n_moments :, :] = high[self.n_moments :, :]
-        self.pi0_coef = np.linalg.solve(self.H, C)
+        self.pi0_coef = self.pin_coef + np.linalg.solve(self.H, C - high)
         self.pi0_dof = D @ self.pi0_coef
 
         # componentwise L2 projection of the gradient at degree k

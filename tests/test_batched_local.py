@@ -10,7 +10,7 @@ largest entry.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vemtransport.darcy import _flux_groups
 from vemtransport.element import VemSpace, n_poly
@@ -101,6 +101,7 @@ def test_mesh_families_form_the_expected_groups():
 
 @settings(max_examples=8, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3))
+@example(seed=407974150, k=3)  # a sliver hexagon, cond(H) = 3e8
 def test_random_mixed_batches_match_loop(seed, k):
     rng = np.random.default_rng(seed)
     polygons = [random_convex_polygon(rng, n_min=3, n_max=7) + 2.0 * i for i in range(6)]
