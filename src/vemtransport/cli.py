@@ -5,11 +5,19 @@ mesh/time refinement pairs, degree escalation and robustness over the
 diffusion sweep, each at one level, and the five-well injection
 example. All of them run through `run`. Exit codes: 0 success, 2
 configuration error, 3 solver failure.
+
+The independent solves of a convergence, kconv or drobust study run in
+lanes, one per CPU the process may use: lane 0 in this process, every
+other lane in a forked child that pickles its results back down a pipe.
 """
 
 import argparse
 import json
 import logging
+import os
+import pickle
+import resource
+import signal
 import sys
 import time
 from dataclasses import replace
@@ -19,9 +27,10 @@ from typing import NamedTuple
 from . import __version__
 from .config import KINDS, ConfigError, ExperimentConfig, list_presets, load_preset
 from .darcy import DarcyError, DarcyProblem, analytic_velocity, solve_darcy_mixed
+from .element import n_poly
 from .geometry import MeshError, generate_family, generate_hexa
 from .linalg import LinalgError
-from .meshio import write_polymesh, write_vtk, write_vtk_series
+from .meshio import vtk_polydata, write_polymesh, write_vtk, write_vtk_series
 from .postproc import csv_text, error_norms, minmax_csv, minmax_trace, observed_rate, rate_table
 from .problems import ManufacturedProblem, WellsProblem
 from .timestepping import TimeSteppingError, advance
@@ -91,7 +100,6 @@ def _timed(timings, label, fn, *args, **kwargs):
     try:
         result = fn(*args, **kwargs)
     except SOLVER_ERRORS as exc:
-        log.error("%s failed: %s", label, exc)
         return None, {"solve": label, "error": str(exc)}
     timings[label] = time.perf_counter() - t0
     return result, None
@@ -153,39 +161,165 @@ WRITERS = {
 }
 
 
-def run_manufactured(config, out, timings):
-    """Run the study's solves in order up to the first solver failure,
-    then write the rows that finished; returns (summary, failure)."""
-    meshes = {}
-    solves, reports = [], []
-    darcy_solves = {}
-    failure = None
-    for solve in manufactured_solves(config):
+class SolveResult(NamedTuple):
+    """What one solve of a lane hands back: its ErrorReport and Darcy
+    SolveReport (None where absent), its failure record or None, and
+    the timings it recorded."""
+
+    report: object
+    darcy: object
+    failure: dict | None
+    timings: dict
+
+
+def _generate(config, level, timings):
+    return _timed(
+        timings, f"geometry.generate.level_{level}", generate_family,
+        config.mesh_family, level, rng_seed=config.rng_seed,
+    )
+
+
+def lane_results(config, solves, meshes):
+    """Run one lane's solves in order, generating the meshes not given in
+    `meshes`; yields one SolveResult per solve, up to and including the
+    first failure. Every lane, this process's included, runs here."""
+    for solve in solves:
+        timings = {}
         if solve.level not in meshes:
-            meshes[solve.level], failure = _timed(
-                timings, f"geometry.generate.level_{solve.level}", generate_family,
-                config.mesh_family, solve.level, rng_seed=config.rng_seed,
-            )
+            meshes[solve.level], failure = _generate(config, solve.level, timings)
             if failure:
-                break
+                yield SolveResult(None, None, failure, timings)
+                return
         result, failure = _timed(
             timings, solve.label, run_manufactured_level,
             meshes[solve.level], solve.steps, solve.k, solve.q, solve.D,
             config.velocity_backend, level=solve.level,
         )
+        yield SolveResult(*(result or (None, None)), failure, timings)
+        if failure:
+            return
+
+
+def lane_count():
+    """The CPUs this process may run on, one lane of solves each."""
+    return len(os.sched_getaffinity(0))
+
+
+def split_lanes(solves, n_lanes):
+    """The solves dealt longest first to the least loaded of n_lanes lanes,
+    by the a-priori cost steps * 4**level * n_poly(k)**2; each lane keeps
+    study order. The costliest lane comes last, so lane 0, which runs in
+    this process, is the cheapest: an out-of-memory kill then takes a
+    child, and this process still writes the manifest."""
+    cost = [s.steps * 4**s.level * n_poly(s.k) ** 2 for s in solves]
+    loads, lanes = [0] * n_lanes, [[] for _ in range(n_lanes)]
+    for i in sorted(range(len(solves)), key=lambda i: -cost[i]):
+        j = loads.index(min(loads))
+        lanes[j].append(i)
+        loads[j] += cost[i]
+    return [[solves[i] for i in sorted(lane)] for lane in reversed(lanes)]
+
+
+def _fork_lane(config, solves, meshes):
+    """Fork a child that runs the solves and pickles each SolveResult down
+    a pipe, then exits; returns its pid and the pipe's read end."""
+    read_fd, write_fd = os.pipe()
+    sys.stdout.flush()  # or the child's log output repeats what is buffered
+    sys.stderr.flush()
+    pid = os.fork()
+    if pid:
+        os.close(write_fd)
+        return pid, os.fdopen(read_fd, "rb")
+    os.close(read_fd)
+    code = 1
+    try:
+        with os.fdopen(write_fd, "wb") as pipe:
+            for result in lane_results(config, solves, meshes):
+                pickle.dump(result, pipe)
+                pipe.flush()
+        code = 0
+    except Exception:  # the parent records the lane's next solve as failed
+        log.exception("the lane of %s crashed", solves[0].label)
+    finally:
+        os._exit(code)
+
+
+def _child_results(pid, pipe, solves):
+    """The SolveResults of a child's lane and its peak RSS in MB, after
+    reaping it. A child that ended without a result for every solve up
+    to its lane's first failure gets a failure record for the next one."""
+    results = []
+    with pipe:
+        while True:
+            try:
+                results.append(pickle.load(pipe))
+            except (EOFError, pickle.UnpicklingError):
+                break
+    _, status, usage = os.wait4(pid, 0)
+    if len(results) < len(solves) and not (results and results[-1].failure):
+        code = os.waitstatus_to_exitcode(status)
+        how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+        error = f"lane process {pid} {how} before the solve ended"
+        results.append(SolveResult(None, None, {"solve": solves[len(results)].label, "error": error}, {}))
+    return results, usage.ru_maxrss / 1024.0
+
+
+def run_lanes(config, lanes, meshes):
+    """Run lanes[0] here and every other lane in a forked child; returns the
+    SolveResults by solve label and the manifest's lanes record. Every
+    child is reaped before this returns, whatever happens."""
+    children = {}
+    try:
+        for solves in lanes[1:]:
+            pid, pipe = _fork_lane(config, solves, meshes)
+            children[pid] = (pipe, solves)
+        results = dict(zip([s.label for s in lanes[0]], lane_results(config, lanes[0], meshes)))
+        rss = [resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0]
+        for pid, (pipe, solves) in list(children.items()):
+            lane, peak = _child_results(pid, pipe, solves)
+            del children[pid]
+            results.update(zip([s.label for s in solves], lane))
+            rss.append(peak)
+    finally:
+        for pid, (pipe, _) in children.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.wait4(pid, 0)
+    record = [{"solves": [s.label for s in solves], "peak_rss_mb": round(mb, 1)}
+              for solves, mb in zip(lanes, rss)]
+    return results, record
+
+
+def run_manufactured(config, out, timings):
+    """Run the study's solves in lanes, then write the rows in study order
+    up to the first solver failure; returns (summary, failure). A sweep's
+    one mesh is generated here, before the lanes fork."""
+    solves = manufactured_solves(config)
+    meshes, failure, summary = {}, None, {}
+    if config.kind != "convergence":
+        (level,) = config.levels
+        meshes[level], failure = _generate(config, level, timings)
+    if failure:
+        return summary, failure
+    lanes = split_lanes(solves, min(lane_count(), len(solves)))
+    results, summary["lanes"] = run_lanes(config, lanes, meshes)
+    finished, reports, darcy_solves = [], [], {}
+    for solve in solves:
+        result = results[solve.label]
+        timings.update(result.timings)
+        failure = result.failure
         if failure:
             break
-        rep, darcy = result
-        if darcy is not None:
-            darcy_solves[solve.label] = solve_record(darcy)
-        solves.append(solve)
-        reports.append(rep)
-        log.info("%s: h=%.4g err=%.6e", solve.label, rep.h, rep.indicator)
-    summary = WRITERS[config.kind](out, solves, reports) if reports else {}
+        if result.darcy is not None:
+            darcy_solves[solve.label] = solve_record(result.darcy)
+        finished.append(solve)
+        reports.append(result.report)
+        log.info("%s: h=%.4g err=%.6e", solve.label, result.report.h, result.report.indicator)
+    if reports:
+        summary.update(WRITERS[config.kind](out, finished, reports))
+        summary["slab_residuals"] = {s.label: r.slab_residual for s, r in zip(finished, reports)}
     if darcy_solves:
         summary["darcy_solves"] = darcy_solves
-    if reports:
-        summary["slab_residuals"] = {s.label: r.slab_residual for s, r in zip(solves, reports)}
     return summary, failure
 
 
@@ -201,7 +335,8 @@ def run_wells(config, out, timings):
     if failure:
         return {}, failure
     write_polymesh(mesh, out / "mesh.txt")
-    write_vtk(mesh, out / "mesh.vtk")
+    polydata = vtk_polydata(mesh)
+    write_vtk(mesh, out / "mesh.vtk", polydata=polydata)
 
     # pure-Neumann flow: the solver removes the source mean for solvability
     dprob = DarcyProblem(
@@ -219,7 +354,7 @@ def run_wells(config, out, timings):
     write_vtk(
         mesh, out / "darcy.vtk",
         cell_data={"velocity": velocity.cell_velocity[..., 0], "pressure": pressure[:, 0]},
-        title="flow field",
+        title="flow field", polydata=polydata,
     )
 
     tprob = TransportProblem(
@@ -240,7 +375,7 @@ def run_wells(config, out, timings):
     # the wells grid is fixed (t_final 10, dt 0.1): slab n ends at (n + 1) dt
     times = [1.0, 2.0, 4.0]
     snaps = [march.values[round(t / wells.dt) - 1, -1, :nv] for t in times]
-    write_vtk_series(mesh, str(out), "concentration", times, snaps)
+    write_vtk_series(mesh, str(out), "concentration", times, snaps, polydata=polydata)
 
     global_min = min(r[1] for r in rows)
     global_max = max(r[2] for r in rows)
@@ -268,6 +403,8 @@ def run(config):
     t_all = time.perf_counter()
     study = run_wells if config.kind == "wells" else run_manufactured
     summary, failure = study(config, out, timings)
+    if failure:
+        log.error("%s failed: %s", failure["solve"], failure["error"])
     timings["total"] = time.perf_counter() - t_all
     write_manifest(out, config, timings, {**summary, "failure": failure})
     return 3 if failure else 0

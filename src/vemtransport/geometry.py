@@ -377,7 +377,7 @@ def _corners(points, n):
 def _certified(seeds, reach=1.0):
     """The corners (see _corners) of the seeds in (0,1)^2 mirrored across
     the walls, which bounds every cell by them, at the smallest certified
-    reach from the given one up.
+    reach from the given one up, and their r_max.
 
     With reach < 1 only the seeds within reach of a wall are mirrored
     across it. A left-out image of a seed off the wall lies at least
@@ -395,30 +395,31 @@ def _certified(seeds, reach=1.0):
         raise MeshError(
             f"seed {np.argmax(bad)} has an unbounded Voronoi region despite wall mirroring"
         )
-    return corners
+    return corners, r_max
 
 
 def _lloyd_step(seeds, reach=1.0):
-    """The centroids of the seeds' Voronoi cells.
+    """The centroids of the seeds' Voronoi cells, and the r_max of their
+    certified triangulation (see _certified).
 
     A corner's share of its seed's cell is the kite (p, m_ij, O, m_ki)
     through the edge midpoints m: two signed triangles, one negative where
     O lies past an obtuse corner. The kites at a seed tile its cell, so
     the cell's area and first moment are bincounts over the corners.
     """
-    i, _, u, v, w = _certified(seeds, reach)
+    (i, _, u, v, w), r_max = _certified(seeds, reach)
     a1, a2 = 0.5 * _cross(u, w), 0.5 * _cross(w, v)
     first = (a1[:, None] * (u + w) + a2[:, None] * (w + v)) / 3.0
     area, fx, fy = (np.bincount(i, x, minlength=len(seeds))
                     for x in (a1 + a2, first[:, 0], first[:, 1]))
-    return seeds + np.column_stack([fx, fy]) / area[:, None]
+    return seeds + np.column_stack([fx, fy]) / area[:, None], r_max
 
 
 def _voronoi_cells(seeds, reach=1.0):
     """The seeds' Voronoi cells: the circumcenters of each seed's
     triangles stacked seed by seed, sorted by angle about the seed, and
     the vertex counts."""
-    i, o, _, _, w = _certified(seeds, reach)
+    (i, o, _, _, w), _ = _certified(seeds, reach)
     order = np.lexsort((np.arctan2(w[:, 1], w[:, 0]), i))
     return o[order], np.bincount(i, minlength=len(seeds))
 
@@ -449,6 +450,12 @@ def _cut_to_square(verts, counts):
     return verts, kept
 
 
+#: the first reach tried for a Lloyd step's qhull input, in units of the
+#: previous step's r_max: a step moves the seeds little, so the certificate
+#: 2 r_max < reach mostly holds at once, and a failed one doubles the reach
+REACH_PER_RADIUS = 2.2
+
+
 def generate_voronoi(n_seeds, lloyd_iters=0, rng_seed=0):
     """Voronoi tessellation of (0,1)^2 from random seed points.
 
@@ -461,8 +468,8 @@ def generate_voronoi(n_seeds, lloyd_iters=0, rng_seed=0):
     seeds = np.random.default_rng(rng_seed).random((n_seeds, 2))
     reach = 1.0  # the raw seeds are mirrored in full
     for _ in range(lloyd_iters):
-        seeds = _lloyd_step(seeds, reach)
-        reach = 4.0 / np.sqrt(n_seeds)
+        seeds, r_max = _lloyd_step(seeds, reach)
+        reach = REACH_PER_RADIUS * r_max
     return PolyMesh(*_merge_cell_polygons(*_cut_to_square(*_voronoi_cells(seeds, reach))))
 
 

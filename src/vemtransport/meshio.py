@@ -38,20 +38,25 @@ def write_polymesh(mesh, path):
 
 def _vector_lines(values):
     """One "x y 0.0" line per row of an (n, 2) array."""
-    return "".join(f"{x:.16e} {y:.16e} 0.0\n" for x, y in values.tolist())
+    values = np.asarray(values, dtype=float)
+    return ("%.16e %.16e 0.0\n" * len(values)) % tuple(values.ravel().tolist())
 
 
-def write_vtk(mesh, path, point_data=None, cell_data=None, title="vemtransport"):
-    """Write the mesh and optional scalar fields as VTK legacy POLYDATA."""
+def vtk_polydata(mesh):
+    """The POINTS and POLYGONS sections of the mesh's VTK files, which all
+    the files of one mesh share: format them once and pass them to each
+    write_vtk call as `polydata`."""
+    size = sum(len(c) + 1 for c in mesh.cells)
+    return (f"POINTS {mesh.num_vertices} double\n{_vector_lines(mesh.vertices)}"
+            f"POLYGONS {mesh.num_cells} {size}\n{_cell_lines(mesh)}")
+
+
+def write_vtk(mesh, path, point_data=None, cell_data=None, title="vemtransport", polydata=None):
+    """Write the mesh and optional scalar fields as VTK legacy POLYDATA;
+    polydata is vtk_polydata(mesh), formatted here when not given."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# vtk DataFile Version 3.0\n")
-        fh.write(title[:250] + "\n")
-        fh.write("ASCII\nDATASET POLYDATA\n")
-        fh.write(f"POINTS {mesh.num_vertices} double\n")
-        fh.write(_vector_lines(mesh.vertices))
-        size = sum(len(c) + 1 for c in mesh.cells)
-        fh.write(f"POLYGONS {mesh.num_cells} {size}\n")
-        fh.write(_cell_lines(mesh))
+        fh.write(f"# vtk DataFile Version 3.0\n{title[:250]}\nASCII\nDATASET POLYDATA\n")
+        fh.write(vtk_polydata(mesh) if polydata is None else polydata)
         if point_data:
             fh.write(f"POINT_DATA {mesh.num_vertices}\n")
             for name, values in point_data.items():
@@ -72,18 +77,22 @@ def _write_scalars(fh, name, values, expected):
     if len(values) != expected:
         raise ValueError(f"field {name!r} has {len(values)} values, expected {expected}")
     fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-    fh.write("".join(f"{v:.16e}\n" for v in values.tolist()))
+    fh.write(("%.16e\n" * len(values)) % tuple(values.tolist()))
 
 
-def write_vtk_series(mesh, out_dir, prefix, times, fields):
+def write_vtk_series(mesh, out_dir, prefix, times, fields, polydata=None):
     """Write one VTK file per time plus a JSON index of the series.
 
-    `fields` is a list of vertex-value arrays aligned with `times`.
+    `fields` is a list of vertex-value arrays aligned with `times`;
+    polydata is as for write_vtk.
     """
+    if polydata is None:
+        polydata = vtk_polydata(mesh)
     entries = []
     for i, (t, values) in enumerate(zip(times, fields)):
         name = f"{prefix}_{i:04d}.vtk"
-        write_vtk(mesh, f"{out_dir}/{name}", point_data={"c": values}, title=f"t={t}")
+        write_vtk(mesh, f"{out_dir}/{name}", point_data={"c": values}, title=f"t={t}",
+                  polydata=polydata)
         entries.append({"time": float(t), "file": name})
     index_path = f"{out_dir}/{prefix}_series.json"
     with open(index_path, "w", encoding="utf-8") as fh:

@@ -44,6 +44,7 @@ from vemtransport.element import (
     uniform_edge_params,
 )
 from vemtransport.geometry import (
+    REACH_PER_RADIUS,
     CellGroup,
     MeshError,
     PolyMesh,
@@ -941,17 +942,18 @@ def _second_moment(verts, point):
 
 def lloyd_voronoi_loop(n_seeds, lloyd_iters, rng_seed):
     """generate_voronoi one seed and one cell at a time: the Lloyd
-    relaxation with the per-seed kites below, its steps after the first
-    on the reduced mirror, the cells from the per-seed corners, then the
+    relaxation with the per-seed kites below, each step after the first
+    on the reduced mirror whose reach starts at REACH_PER_RADIUS times the
+    previous step's r_max, the cells from the per-seed corners, then the
     per-cell clip, merge and topology. Returns (LoopPolyMesh, Lloyd
     energies of the raw seeds and after every step)."""
     seeds = np.random.default_rng(rng_seed).random((n_seeds, 2))
     energies = []
     reach = 1.0
     for _ in range(lloyd_iters):
-        energy, seeds = loop_kite_moments(seeds, reach)
+        energy, seeds, r_max = loop_kite_moments(seeds, reach)
         energies.append(energy)
-        reach = 4.0 / np.sqrt(n_seeds)
+        reach = REACH_PER_RADIUS * r_max
     energies.append(loop_kite_moments(seeds, reach)[0])
     cells = loop_delaunay_cells(seeds, reach)
     return loop_merge_cell_polygons(loop_clipped_cells(cells)), energies
@@ -993,10 +995,11 @@ def _seed_corners(points, n):
 
 
 def loop_certified(seeds, reach=1.0):
-    """The qhull input (geometry's mirrored points, _mirrored_points) and
-    the per-seed corners on it (_seed_corners). A reduced triangulation
-    is taken only when no seed is on its hull and every circumradius at
-    a seed is below reach / 2; otherwise the reach doubles, up to 1."""
+    """The qhull input (geometry's mirrored points, _mirrored_points), the
+    per-seed corners on it and their largest circumradius (_seed_corners).
+    A reduced triangulation is taken only when no seed is on its hull and
+    every circumradius at a seed is below reach / 2; otherwise the reach
+    doubles, up to 1."""
     while True:
         points = _mirrored_points(seeds, reach)
         corners, r_max = _seed_corners(points, len(seeds))
@@ -1006,15 +1009,15 @@ def loop_certified(seeds, reach=1.0):
         reach *= 2.0
     if not bounded:
         raise MeshError("unbounded Voronoi region despite wall mirroring")
-    return points, corners
+    return points, corners, r_max
 
 
 def loop_kite_moments(seeds, reach=1.0):
     """The Lloyd energy (the cells' second moments about their seeds,
-    summed seed by seed) and the cell centroids, one seed at a time from
-    the kites (seed, edge midpoint, circumcenter, edge midpoint) of the
-    certified Delaunay corners at it (loop_certified)."""
-    points, corners = loop_certified(seeds, reach)
+    summed seed by seed), the cell centroids and the largest circumradius,
+    one seed at a time from the kites (seed, edge midpoint, circumcenter,
+    edge midpoint) of the certified Delaunay corners at it (loop_certified)."""
+    points, corners, r_max = loop_certified(seeds, reach)
     energy, centroids = 0.0, []
     for i, seed_corners in enumerate(corners):
         px, py = points[i].tolist()
@@ -1033,14 +1036,14 @@ def loop_kite_moments(seeds, reach=1.0):
             second += (a1 * (uu + uw + ww) + a2 * (ww + wv + vv)) / 6.0
         energy += second
         centroids.append((px + mx / area, py + my / area))
-    return energy, np.array(centroids)
+    return energy, np.array(centroids), r_max
 
 
 def loop_delaunay_cells(seeds, reach=1.0):
     """Voronoi cells of seeds in (0,1)^2, one seed at a time: the
     circumcenters of the certified Delaunay corners at it
     (loop_certified), sorted by angle about it, ties in triangle order."""
-    points, corners = loop_certified(seeds, reach)
+    points, corners, _ = loop_certified(seeds, reach)
     cells = []
     for i, seed_corners in enumerate(corners):
         centers = np.array([center for _, _, center in seed_corners])

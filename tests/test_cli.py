@@ -3,8 +3,10 @@ import json
 import logging
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -23,16 +25,16 @@ ROOT = Path(__file__).resolve().parents[1]
 WELLS_REFERENCE = ROOT / "perfbench" / "reference" / "wells-homo"
 
 
-def failing_after(n_ok, monkeypatch):
-    """Let the first n_ok manufactured solves run; the next one raises."""
-    calls = {"n": 0}
+def failing_at(monkeypatch, **solve):
+    """Let every manufactured solve run but the one with the given level,
+    k or D, which raises. The solve is named rather than counted, because
+    a count cannot cross into a forked lane."""
     real = cli.run_manufactured_level
 
-    def flaky(mesh, steps, k, q, D, backend, **kwargs):
-        calls["n"] += 1
-        if calls["n"] > n_ok:
+    def flaky(mesh, steps, k, q, D, backend, level=0):
+        if {"level": level, "k": k, "D": D}.items() >= solve.items():
             raise TimeSteppingError("synthetic failure")
-        return real(mesh, steps, k, q, D, backend, **kwargs)
+        return real(mesh, steps, k, q, D, backend, level=level)
 
     monkeypatch.setattr(cli, "run_manufactured_level", flaky)
 
@@ -454,7 +456,7 @@ class TestCliDispatch:
         assert exc.value.code == 2
 
     def test_solver_failure_exit_3_with_partial_table(self, tmp_path, monkeypatch):
-        failing_after(1, monkeypatch)
+        failing_at(monkeypatch, level=2)
         cfg = ExperimentConfig.from_dict(
             {
                 "kind": "convergence",
@@ -473,17 +475,18 @@ class TestCliDispatch:
         assert manifest["failure"] == {"solve": "level_2", "error": "synthetic failure"}
 
     @pytest.mark.parametrize(
-        "kind, sweep, table, first_row, failed",
+        "kind, sweep, table, first_row, failed, at",
         [
-            ("kconv", {"k_range": [1, 2]}, "kconv.csv", "1,", "k_2"),
-            ("drobust", {"d_values": [1.0, 1e-2]}, "drobust.csv", "1.000e+00,", "D_1.000e-02"),
+            ("kconv", {"k_range": [1, 2]}, "kconv.csv", "1,", "k_2", {"k": 2}),
+            ("drobust", {"d_values": [1.0, 1e-2]}, "drobust.csv", "1.000e+00,", "D_1.000e-02",
+             {"D": 1e-2}),
         ],
         ids=["kconv", "drobust"],
     )
     def test_sweep_failure_keeps_finished_rows(
-        self, tmp_path, monkeypatch, kind, sweep, table, first_row, failed
+        self, tmp_path, monkeypatch, kind, sweep, table, first_row, failed, at
     ):
-        failing_after(1, monkeypatch)
+        failing_at(monkeypatch, **at)
         cfg = ExperimentConfig.from_dict(
             {
                 "kind": kind,
@@ -542,6 +545,133 @@ class TestCliDispatch:
         assert manifest["failure"] == {
             "solve": "geometry.generate.level_2", "error": "cell 5 is not convex",
         }
+
+
+#: small studies of every manufactured kind, each with two or more solves
+LANE_STUDIES = {
+    "convergence-quad": {"kind": "convergence", "mesh_family": "quad", "levels": [1, 2],
+                         "steps_per_level": [1, 2], "k": 1, "velocity_backend": "darcy"},
+    "convergence-voro": {"kind": "convergence", "mesh_family": "voro", "levels": [1, 2],
+                         "steps_per_level": [1, 2], "k": 1},
+    "kconv": {"kind": "kconv", "mesh_family": "quad", "levels": [1], "steps_per_level": [1],
+              "k_range": [1, 2, 3], "velocity_backend": "analytic"},
+    "drobust": {"kind": "drobust", "mesh_family": "quad", "levels": [1], "steps_per_level": [1],
+                "d_values": [1.0, 1e-2, 1e-4], "velocity_backend": "analytic"},
+}
+
+
+def lane_study(tmp_path, name, **changes):
+    return ExperimentConfig.from_dict({**LANE_STUDIES[name], "out_dir": str(tmp_path), **changes})
+
+
+class TestLanes:
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        """Fail a test that hangs for a minute, and one that leaves a
+        child process behind."""
+        def hung(signum, frame):
+            raise TimeoutError("the study hung")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def lanes(monkeypatch, n):
+        monkeypatch.setattr(cli, "lane_count", lambda: n)
+
+    def test_split_is_longest_first_with_the_costliest_lane_last(self):
+        def labels(data, n):
+            solves = cli.manufactured_solves(ExperimentConfig.from_dict(data))
+            return [[s.label for s in lane] for lane in cli.split_lanes(solves, n)]
+
+        assert labels({"kind": "convergence"}, 2) == [
+            ["level_1", "level_2", "level_3"], ["level_4"]]
+        assert labels({"kind": "convergence"}, 1) == [
+            ["level_1", "level_2", "level_3", "level_4"]]
+        assert labels({"kind": "kconv", "k_range": [1, 2, 3, 4]}, 2) == [
+            ["k_1", "k_2", "k_3"], ["k_4"]]
+        d_values = [10.0 ** -e for e in range(8)]
+        lanes = labels({"kind": "drobust", "d_values": d_values}, 2)
+        assert [len(lane) for lane in lanes] == [4, 4]
+        assert sorted(sum(lanes, [])) == sorted(f"D_{d:.3e}" for d in d_values)
+
+    @pytest.mark.parametrize("name", LANE_STUDIES)
+    def test_tables_do_not_depend_on_the_lane_count(self, tmp_path, monkeypatch, name):
+        tables = []
+        for n in (1, 2, 3):
+            self.lanes(monkeypatch, n)
+            out = tmp_path / f"lanes_{n}"
+            assert cli.run(lane_study(out, name)) == 0
+            files = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+            tables.append({f: (out / f).read_bytes() for f in files})
+            manifest = json.loads((out / "manifest.json").read_text())
+            labels = [s.label for s in cli.manufactured_solves(lane_study(out, name))]
+            lanes = manifest["lanes"]
+            assert len(lanes) == min(n, len(labels))
+            assert sorted(sum((lane["solves"] for lane in lanes), [])) == sorted(labels)
+            assert all(lane["peak_rss_mb"] > 0 for lane in lanes)
+            assert sorted(manifest["slab_residuals"]) == sorted(labels)
+            assert set(manifest["timings_seconds"]) >= set(labels)
+        assert tables[0] and tables[1] == tables[0] and tables[2] == tables[0]
+
+    def test_solver_failure_in_a_child_lane(self, tmp_path, monkeypatch):
+        # the child runs D = 1 and D = 1e-4, this process D = 1e-2
+        self.lanes(monkeypatch, 2)
+        failing_at(monkeypatch, D=1e-4)
+        cfg = lane_study(tmp_path, "drobust")
+        child = cli.split_lanes(cli.manufactured_solves(cfg), 2)[1]
+        assert [s.D for s in child] == [1.0, 1e-4]
+        assert cli.run(cfg) == 3
+        lines = (tmp_path / "drobust.csv").read_text().strip().split("\n")
+        assert [line.split(",")[0] for line in lines] == ["D", "1.000e+00", "1.000e-02"]
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["failure"] == {"solve": "D_1.000e-04", "error": "synthetic failure"}
+
+    @pytest.mark.parametrize("how", ["exit", "kill"])
+    def test_a_crashed_child_fails_its_solve(self, tmp_path, monkeypatch, caplog, how):
+        self.lanes(monkeypatch, 2)
+        real = cli.run_manufactured_level
+
+        def crash(mesh, steps, k, q, D, backend, level=0):
+            if level == 2:  # in the child
+                if how == "exit":
+                    os._exit(1)
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(mesh, steps, k, q, D, backend, level=level)
+
+        monkeypatch.setattr(cli, "run_manufactured_level", crash)
+        cfg = lane_study(tmp_path, "convergence-quad", velocity_backend="analytic")
+        assert [s.label for s in cli.split_lanes(cli.manufactured_solves(cfg), 2)[1]] == ["level_2"]
+        with caplog.at_level(logging.ERROR, logger="vemtransport"):
+            assert cli.run(cfg) == 3
+        lines = (tmp_path / "convergence.csv").read_text().strip().split("\n")
+        assert len(lines) == 2 and lines[1].startswith("1,")
+        failure = json.loads((tmp_path / "manifest.json").read_text())["failure"]
+        assert failure["solve"] == "level_2"
+        assert ("exited with status 1" if how == "exit" else "killed by signal 9") in failure["error"]
+        assert "level_2 failed" in caplog.text
+
+    def test_an_error_in_this_process_kills_the_children(self, tmp_path, monkeypatch):
+        self.lanes(monkeypatch, 2)
+
+        def stuck_or_broken(mesh, steps, k, q, D, backend, level=0):
+            if level == 2:  # in the child, which only the kill ends
+                time.sleep(300)
+            raise RuntimeError("not a solver error")
+
+        monkeypatch.setattr(cli, "run_manufactured_level", stuck_or_broken)
+        cfg = lane_study(tmp_path, "convergence-quad", velocity_backend="analytic")
+        started = time.monotonic()
+        with pytest.raises(RuntimeError, match="not a solver error"):
+            cli.run(cfg)
+        assert time.monotonic() - started < 30
 
 
 class TestWells:

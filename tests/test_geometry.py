@@ -89,11 +89,46 @@ class TestVoronoiGenerator:
     def test_lloyd_energy_non_increasing(self):
         # the energy (Du, Faber & Gunzburger, SIAM Review 41, 1999) of the
         # per-seed oracle, whose steps give generate_voronoi's seeds bit for
-        # bit; the steps run on the reduced mirror (reach 4 / sqrt(n) < 1)
+        # bit; the steps after the first run on the reduced mirror
         for n_seeds, rng_seed in [(64, 7), (256, 2024), (256, 801)]:
             _, e = lloyd_voronoi_loop(n_seeds, 100, rng_seed)
             assert len(e) == 101
             assert all(e[i + 1] <= e[i] * (1.0 + 1e-12) for i in range(len(e) - 1))
+
+    @staticmethod
+    def full_mirror_mesh(n_seeds, rng_seed):
+        """generate_voronoi with every Lloyd step and the cells on the
+        full mirror (reach 1)."""
+        seeds = np.random.default_rng(rng_seed).random((n_seeds, 2))
+        for _ in range(100):
+            seeds, _ = geometry._lloyd_step(seeds, 1.0)
+        return PolyMesh(*geometry._merge_cell_polygons(
+            *geometry._cut_to_square(*geometry._voronoi_cells(seeds, 1.0))
+        ))
+
+    @pytest.mark.parametrize("rng_seed", [2024, 1, 7])
+    @pytest.mark.parametrize("n_seeds", [64, 256, 1024])
+    def test_adaptive_reach_gives_the_full_mirror_mesh(self, n_seeds, rng_seed):
+        mesh = generate_voronoi(n_seeds, lloyd_iters=100, rng_seed=rng_seed)
+        assert_same_loops(mesh, self.full_mirror_mesh(n_seeds, rng_seed), tol=1e-13)
+
+    def test_a_failed_reach_certificate_doubles_the_reach(self, monkeypatch):
+        # below 2, the first reach of a step is under 2 r_max unless the
+        # cells shrink by half in one step, so the certificate must fail
+        reaches = []
+
+        def recorded(seeds, reach=1.0, mirror=geometry._mirrored_points):
+            reaches.append(reach)
+            return mirror(seeds, reach)
+
+        monkeypatch.setattr(geometry, "REACH_PER_RADIUS", 1.0)
+        monkeypatch.setattr(geometry, "_mirrored_points", recorded)
+        mesh = generate_voronoi(256, lloyd_iters=100, rng_seed=2024)
+        monkeypatch.undo()
+        # the first relaxed step doubled its reach, and 101 is one qhull
+        # input per step and one for the cells
+        assert reaches[2] == 2.0 * reaches[1] and len(reaches) > 101
+        assert_same_loops(mesh, self.full_mirror_mesh(256, 2024), tol=1e-13)
 
     def test_deterministic_for_fixed_seed(self):
         a = generate_voronoi(32, lloyd_iters=5, rng_seed=11)
@@ -108,6 +143,15 @@ class TestVoronoiGenerator:
     def test_area_partition(self):
         m = generate_voronoi(64, lloyd_iters=0, rng_seed=5)
         assert abs(m.cell_areas.sum() - 1.0) < 1e-12
+
+
+def assert_same_loops(mesh, ref, tol):
+    """Equal cell loops, and vertices equal within tol."""
+    assert len(mesh.cells) == len(ref.cells)
+    for a, b in zip(mesh.cells, ref.cells):
+        assert np.array_equal(a, b)
+    assert mesh.vertices.shape == ref.vertices.shape
+    assert np.abs(mesh.vertices - ref.vertices).max() <= tol
 
 
 @pytest.mark.parametrize(

@@ -258,12 +258,12 @@ def test_reduced_mirror_gives_the_full_mirror_cells(monkeypatch, n, rng_seed):
     seeds = np.random.default_rng(rng_seed).random((n, 2))
     for step in range(4):  # the raw seeds, then after 1, 2 and 3 Lloyd steps
         full = _voronoi_cells(seeds)
-        centroids = _lloyd_step(seeds, 1.0)
+        centroids, _ = _lloyd_step(seeds, 1.0)
         reaches.clear()
         assert_same_cells(_voronoi_cells(seeds, reach), full)
         assert reaches[0] == reach
         reaches.clear()
-        assert np.abs(_lloyd_step(seeds, reach) - centroids).max() <= 1e-14
+        assert np.abs(_lloyd_step(seeds, reach)[0] - centroids).max() <= 1e-14
         assert reaches[0] == reach
         if step:  # relaxed cells are certified at the first reach
             assert reaches == [reach]
@@ -297,10 +297,10 @@ def test_clustered_seeds_widen_the_reach(monkeypatch, far):
     assert reaches == sorted(reaches)
     widened = reaches.copy()
     reaches.clear()
-    centroids = _lloyd_step(seeds, 0.125)
+    centroids, _ = _lloyd_step(seeds, 0.125)
     assert reaches == widened  # the Lloyd step is certified as the cells are
     assert_same_cells(loops, _voronoi_cells(seeds))
-    assert np.abs(centroids - _lloyd_step(seeds, 1.0)).max() <= 1e-14
+    assert np.abs(centroids - _lloyd_step(seeds, 1.0)[0]).max() <= 1e-14
 
 
 @pytest.mark.parametrize("lloyd_iters", [0, 10])
@@ -312,13 +312,22 @@ def test_one_delaunay_per_lloyd_step_and_one_per_mesh(monkeypatch, lloyd_iters):
         calls.append(len(points))
         return qhull(points)
 
+    radii = []
+
+    def stepped(seeds, reach, step=geometry._lloyd_step):
+        seeds, r_max = step(seeds, reach)
+        radii.append(r_max)
+        return seeds, r_max
+
     monkeypatch.setattr(geometry, "Delaunay", counted)
+    monkeypatch.setattr(geometry, "_lloyd_step", stepped)
     reaches = record_reaches(monkeypatch)
     generate_voronoi(256, lloyd_iters=lloyd_iters, rng_seed=2024)
     assert len(calls) == lloyd_iters + 1
-    # the raw seeds are mirrored in full, the relaxed ones at 4 / sqrt(256),
-    # and the final cells at the reach of the last step
-    assert reaches == [1.0] + [0.25] * lloyd_iters
+    # the raw seeds are mirrored in full; each later step, and the final
+    # cells, start at REACH_PER_RADIUS times the r_max of the step before
+    assert reaches == [1.0] + [geometry.REACH_PER_RADIUS * r for r in radii]
+    assert len(radii) == lloyd_iters
 
 
 @pytest.mark.parametrize(
@@ -338,7 +347,8 @@ def test_cells_are_qhulls_voronoi_cells_to_roundoff(family, level, seed):
         n = FAMILY_LEVEL_SIZES[family][level - 1]
         seeds, reach = np.random.default_rng(seed).random((n, 2)), 1.0
         for _ in range(100 if family == "voro" else 0):
-            seeds, reach = _lloyd_step(seeds, reach), 4.0 / np.sqrt(n)
+            seeds, r_max = _lloyd_step(seeds, reach)
+            reach = geometry.REACH_PER_RADIUS * r_max
     ref = loop_merge_cell_polygons(loop_clipped_cells(loop_voronoi_cells(seeds, reach)))
     assert_same_mesh(mesh, ref, tol=1e-14)
 
@@ -349,7 +359,7 @@ def test_kites_give_the_polygon_moments(n, rng_seed):
     # grows on small cells: up to 1.1e-13 was seen on these seeds
     seeds = np.random.default_rng(rng_seed).random((n, 2))
     for _ in range(3):  # the raw seeds, then after 1 and 2 Lloyd steps
-        energy, centroids = loop_kite_moments(seeds)
+        energy, centroids, _ = loop_kite_moments(seeds)
         cells = loop_voronoi_cells(seeds)
         assert np.abs(centroids - [_centroid(v) for v in cells]).max() <= 1e-12
         second = sum(_second_moment(v, p) for v, p in zip(cells, seeds))
