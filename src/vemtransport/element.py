@@ -57,27 +57,33 @@ def monomials(points, center, scale, k):
     """Scaled monomials ((x - center)/scale)^s, |s| <= k, at points.
 
     points is (..., m, 2), center (..., 2) and scale (...), one per
-    leading index; returns (..., m, n_poly(k)), C-contiguous: np.take
-    keeps C order, while fancy indexing would put the polynomial axis
-    outermost, a layout that changes the last bit of later matmuls.
+    leading index; returns (..., m, n_poly(k)), C-contiguous (the layout
+    changes the last bit of later matmuls): each column's product is
+    written into the preallocated output, with no gathered temporaries.
     """
-    a, b = monomial_exponents(k).T
     px, py = _power_tables(points, center, scale, k)
-    return np.take(px, a, -1) * np.take(py, b, -1)
+    phi = np.empty(px.shape[:-1] + (n_poly(k),))
+    for i, (a, b) in enumerate(monomial_exponents(k).tolist()):
+        np.multiply(px[..., a], py[..., b], out=phi[..., i])
+    return phi
 
 
 def monomial_gradients(points, center, scale, k):
     """Values and x and y derivatives of the scaled monomials from one pair
-    of power tables: (phi, gx, gy), each (..., m, n_poly(k)); phi equals
-    monomials(points, center, scale, k) bit for bit."""
-    a, b = monomial_exponents(k).T
+    of power tables: (phi, gx, gy), each (..., m, n_poly(k)), C-contiguous
+    and its own allocation (a caller keeping phi alone frees the others);
+    phi equals monomials(points, center, scale, k) bit for bit, and a
+    derivative column is (a * u**(a-1)) * v**b / scale."""
     px, py = _power_tables(points, center, scale, k)
-    phi = np.take(px, a, -1) * np.take(py, b, -1)
-    gx = a * np.take(px, np.maximum(a - 1, 0), -1) * np.take(py, b, -1)
-    gy = b * np.take(px, a, -1) * np.take(py, np.maximum(b - 1, 0), -1)
-    scale = np.asarray(scale, dtype=float)[..., None, None]
-    gx /= scale
-    gy /= scale
+    phi, gx, gy = (np.empty(px.shape[:-1] + (n_poly(k),)) for _ in range(3))
+    for i, (a, b) in enumerate(monomial_exponents(k).tolist()):
+        np.multiply(px[..., a], py[..., b], out=phi[..., i])
+        np.multiply(px[..., max(a - 1, 0)], a, out=gx[..., i])
+        np.multiply(gx[..., i], py[..., b], out=gx[..., i])
+        np.multiply(px[..., a], b, out=gy[..., i])
+        np.multiply(gy[..., i], py[..., max(b - 1, 0)], out=gy[..., i])
+    for g in (gx, gy):
+        g /= np.asarray(scale, dtype=float)[..., None, None]
     return phi, gx, gy
 
 
@@ -303,7 +309,6 @@ class VemSpace:
         self.data_phi = np.concatenate([g.data_phi.reshape(-1, g.n_poly) for g in groups])
         per_cell = np.concatenate([np.full(len(g.area), g.data_weights.shape[1]) for g in groups])
         self.data_offsets = np.concatenate([[0], np.cumsum(per_cell)])
-        self.pi0_operator = self.cell_operator([g.pi0_coef for g in groups])
 
     @property
     def num_vertex_dofs(self):
@@ -349,17 +354,6 @@ class VemSpace:
         """
         weighted = self.data_phi * (self.data_weights * values)[:, None]
         return np.add.reduceat(weighted, self.data_offsets[:-1], axis=0)
-
-    def cell_values(self, coef, tables=None):
-        """Values at data_points of per-cell polynomials.
-
-        coef holds monomial coefficients, shape (num_cells, n_poly) with
-        rows group by group, or flattened; tables replace the groups'
-        monomial values (n, m, n_poly) (e.g. by their derivatives).
-        """
-        tables = [g.data_phi for g in self.groups] if tables is None else tables
-        parts = split_stacked(np.ravel(coef), [(len(t), t.shape[2]) for t in tables])
-        return np.concatenate([np.einsum("cpm,cm->cp", t, c).ravel() for t, c in zip(tables, parts)])
 
     def load_operator(self, weights):
         """Sparse map (CSR) from values at data_points to the global load:

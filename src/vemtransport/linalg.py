@@ -7,8 +7,8 @@ from scipy.sparse.linalg import splu
 
 
 class LinalgError(RuntimeError):
-    """A factorization or solve that failed: a singular matrix (an empty
-    row or column included), a non-finite solution or a large residual."""
+    """A failed factorization or solve: a singular matrix (an empty row or
+    column included), too little memory, a non-finite solution or a large residual."""
 
 
 class SolveReport:
@@ -32,11 +32,14 @@ class Factorization:
         try:
             self._lu = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                             options={"SymmetricMode": True})
-        except RuntimeError as exc:
+        except (RuntimeError, MemoryError) as exc:
             raise LinalgError(f"sparse LU failed: {exc}") from exc
 
     def solve(self, b):
-        x = self._lu.solve(np.asarray(b, dtype=float))
+        try:
+            x = self._lu.solve(np.asarray(b, dtype=float))
+        except MemoryError as exc:
+            raise LinalgError(f"sparse LU solve failed: {exc}") from exc
         if not np.all(np.isfinite(x)):
             raise LinalgError("factorization produced non-finite solution")
         return x

@@ -11,8 +11,9 @@ with q+2 points, which avoids sampling only the collocation nodes.
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
-from .element import monomial_gradients
+from .element import monomial_maps
 from .quadrature import gauss_interval, lagrange_values
 
 
@@ -37,40 +38,42 @@ class ErrorEvaluator:
     """Stacked quadrature data for repeated norm evaluations.
 
     The exact fields are evaluated once per time, on the data-rule
-    points of all cells (VemSpace.data_points).
+    points of all cells (VemSpace.data_points). A dof vector reaches
+    them through two sparse maps: a cell operator to monomial
+    coefficients (of Pi0, and of d/dx and d/dy of Pi_nabla), and the
+    point map, whose row of a point holds its cell's monomial values.
     """
 
     def __init__(self, system):
         space = system.space
         self.space = space
-        self.pin_operator = space.cell_operator([g.pin_coef for g in space.groups])
-        # per-group monomial gradient tables at the data points, (n, m, n_poly)
-        self.gx, self.gy = zip(*(
-            monomial_gradients(g.data_points, g.centroid, g.diameter, g.k)[1:]
-            for g in space.groups
-        ))
+        self.coef_operators = [space.cell_operator([g.pi0_coef for g in space.groups])] + [
+            space.cell_operator([(m / g.diameter[:, None, None]) @ g.pin_coef for g in space.groups])
+            for m in monomial_maps(space.k)[:2]
+        ]
+        # column cell * n_poly + j as in the coefficient rows; data is a view of data_phi
+        npol, offsets = space.data_phi.shape[1], space.data_offsets
+        cols = np.repeat(npol * np.arange(len(offsets) - 1), np.diff(offsets))[:, None] + np.arange(npol)
+        self.point_map = sp.csr_matrix(
+            (space.data_phi.ravel(), cols.ravel(), npol * np.arange(len(cols) + 1)),
+            shape=(len(cols), npol * (len(offsets) - 1)),
+        )
 
     def projections(self, coeffs):
-        """L2-projection values and H1-type projection gradients of a dof
-        vector at the data points, shapes (npts,) and (npts, 2)."""
-        space = self.space
-        vals = space.cell_values(space.pi0_operator @ coeffs)
-        pin = self.pin_operator @ coeffs
-        grad = np.column_stack(
-            [space.cell_values(pin, self.gx), space.cell_values(pin, self.gy)]
-        )
-        return vals, grad
+        """Values at the data points of the L2 projection and of the x and
+        y derivatives of the H1-type projection of a dof vector: three
+        arrays of shape (npts,)."""
+        return [self.point_map @ (op @ coeffs) for op in self.coef_operators]
 
     def spatial_errors(self, coeffs, t, c_exact, grad_exact):
         """Squared L2 and H1-seminorm distances at one time."""
         pts, w = self.space.data_points, self.space.data_weights
-        vals, grad = self.projections(coeffs)
+        vals, gx, gy = self.projections(coeffs)
         ex = np.asarray(c_exact(t, pts), dtype=float)
-        gex = np.asarray(grad_exact(t, pts), dtype=float)
+        gex = np.asarray(grad_exact(t, pts), dtype=float).T
         # numpy's own sum, not a BLAS ddot, which OpenBLAS threads past ~10k entries
         l2 = float(np.einsum("i,i->", w, (ex - vals) ** 2))
-        sq = (gex - grad) ** 2
-        h1 = float(np.einsum("i,i->", w, sq[:, 0] + sq[:, 1]))
+        h1 = float(np.einsum("i,i->", w, (gex[0] - gx) ** 2 + (gex[1] - gy) ** 2))
         return l2, h1
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vemtransport import cli
+from vemtransport import cli, linalg
 from vemtransport.config import (
     FIELDS, KINDS, ConfigError, ExperimentConfig, list_presets, load_preset,
 )
@@ -503,6 +503,26 @@ class TestCliDispatch:
         assert len(lines) == 2 and lines[1].startswith(first_row)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["failure"]["solve"] == failed
+
+    def test_out_of_memory_factorization_exit_3_names_the_solve(self, tmp_path, monkeypatch):
+        # SuperLU raises MemoryError when it cannot allocate its factors
+        # (a kconv study on voro meshes at k = 10); nothing is allocated here
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Not enough memory to perform factorization.")
+
+        monkeypatch.setattr(linalg, "splu", no_memory)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "kind": "kconv", "mesh_family": "quad", "levels": [1], "steps_per_level": [1],
+            "k_range": [1], "velocity_backend": "analytic", "out_dir": str(tmp_path),
+        }))
+        assert cli.main(["kconv", "--config", str(path)]) == 3
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["failure"] == {
+            "solve": "k_1",
+            "error": "solver failure on slab 1: sparse LU failed: Not enough memory to perform"
+                     " factorization.",
+        }
 
     def test_mesh_failure_exit_3_names_the_cell(self, tmp_path, monkeypatch, caplog):
         def broken(*args, **kwargs):

@@ -129,6 +129,12 @@ class TestPowerTableKernel:
     def test_matches_pow_oracle_bitwise_and_c_contiguous(self):
         assert kernel_faults(monomials, monomial_gradients) == []
 
+    def test_gradient_outputs_own_their_memory(self):
+        # ElementGroup keeps phi alone at k = 1; views of one block would
+        # keep the two derivative tables alive with it
+        points, center, scale = kernel_cases()[2]
+        assert all(out.base is None for out in monomial_gradients(points, center, scale, 2))
+
     def test_gather_alone_passes_the_check(self):
         values = gathered_monomials(element._power_tables, take_columns)
         assert kernel_faults(values, monomial_gradients) == []

@@ -1,7 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from vemtransport import linalg
 from vemtransport.element import monomials
 from vemtransport.linalg import Factorization, LinalgError, solve
 from vemtransport.quadrature import polygon_rule
@@ -52,6 +55,21 @@ class TestSolve:
         A = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
         with pytest.raises(LinalgError):
             solve(A, np.array([1.0, 2.0]))
+
+    def test_out_of_memory_raises(self, monkeypatch):
+        # SuperLU reports a failed allocation as MemoryError, in the
+        # factorization and in a solve; nothing is allocated here
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Not enough memory to perform factorization.")
+
+        A = sp.identity(3, format="csr")
+        fact = Factorization(A)
+        fact._lu = SimpleNamespace(solve=no_memory)
+        with pytest.raises(LinalgError, match="solve failed: Not enough memory"):
+            fact.solve(np.ones(3))
+        monkeypatch.setattr(linalg, "splu", no_memory)
+        with pytest.raises(LinalgError, match="LU failed: Not enough memory"):
+            solve(A, np.ones(3))
 
     def test_symmetric_mode_solves_a_positive_definite_symmetric_part(self):
         # unsymmetric, with (A + A^T)/2 = 4 I: no pivoting is needed

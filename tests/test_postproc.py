@@ -50,9 +50,9 @@ class TestErrorNorms:
         worst = 0.0
         for t_slab, v_slab in zip(march.times, march.values):
             for t, coeffs in zip(t_slab, v_slab):
-                vals, grad = ev.projections(coeffs)
+                vals, gx, gy = ev.projections(coeffs)
                 l2, h1 = ev.spatial_errors(
-                    coeffs, t, lambda t, pts: vals, lambda t, pts: grad
+                    coeffs, t, lambda t, pts: vals, lambda t, pts: np.column_stack([gx, gy])
                 )
                 worst = max(worst, l2, h1)
         assert worst < 1e-24  # squared norms

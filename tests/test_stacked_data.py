@@ -141,7 +141,7 @@ def wells_system(mesh, k):
     return TransportSystem(mesh, k, prob), wells
 
 
-@pytest.fixture(scope="module", params=[(m, k) for m in MESHES for k in (1, 2)],
+@pytest.fixture(scope="module", params=[(m, k) for m in MESHES for k in (1, 2, 3)],
                 ids=lambda p: f"{p[0]}-k{p[1]}")
 def case(request):
     name, k = request.param
@@ -195,6 +195,15 @@ def test_spatial_errors_match_loop(case, build):
     assert l2_ref > 0.0 and h1_ref > 0.0
     assert l2 == pytest.approx(l2_ref, rel=RTOL)
     assert h1 == pytest.approx(h1_ref, rel=RTOL)
+
+
+def test_point_map_holds_the_monomial_table_without_a_copy(case):
+    mesh, k = case
+    system, _ = manufactured_system(mesh, k)
+    space = system.space
+    point_map = ErrorEvaluator(system).point_map
+    assert np.shares_memory(point_map.data, space.data_phi)
+    assert point_map.shape == (len(space.data_points), mesh.num_cells * space.data_phi.shape[1])
 
 
 def test_one_data_call_per_time_node():
