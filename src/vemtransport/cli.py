@@ -30,7 +30,7 @@ from .darcy import DarcyError, DarcyProblem, analytic_velocity, solve_darcy_mixe
 from .element import n_poly
 from .geometry import MeshError, generate_family, generate_hexa
 from .linalg import LinalgError
-from .meshio import vtk_polydata, write_polymesh, write_vtk, write_vtk_series
+from .meshio import cell_lines, vtk_polydata, write_polymesh, write_vtk, write_vtk_series
 from .postproc import csv_text, error_norms, minmax_csv, minmax_trace, observed_rate, rate_table
 from .problems import ManufacturedProblem, WellsProblem
 from .timestepping import TimeSteppingError, advance
@@ -334,8 +334,9 @@ def run_wells(config, out, timings):
     )
     if failure:
         return {}, failure
-    write_polymesh(mesh, out / "mesh.txt")
-    polydata = vtk_polydata(mesh)
+    loops = cell_lines(mesh)
+    write_polymesh(mesh, out / "mesh.txt", loops=loops)
+    polydata = vtk_polydata(mesh, loops)
     write_vtk(mesh, out / "mesh.vtk", polydata=polydata)
 
     # pure-Neumann flow: the solver removes the source mean for solvability

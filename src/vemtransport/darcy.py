@@ -12,7 +12,7 @@ its edges, and only the symmetric positive definite multiplier system is
 global.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -189,14 +189,27 @@ class _FluxGroup:
         self.A_unit = 0.5 * (consist + np.swapaxes(consist, 1, 2)) + stab
 
 
+#: cells per _FluxGroup: a cell group's local operators are built in
+#: blocks of this many cells, which keeps the batched arrays in cache
+FLUX_BLOCK = 128
+
+
 def _flux_groups(mesh, k, f):
-    """Flux groups of all cells; f is evaluated once, on the stacked
-    quadrature points of every cell. The rules and their monomial values
-    are locals here, so they are freed before the multiplier solve."""
+    """Flux groups of all cells, one list of blocks (block CellGroup,
+    _FluxGroup) per cell group of the mesh; f is evaluated once, on the
+    stacked quadrature points of every cell. The rules and their monomial
+    values are locals here, so they are freed before the multiplier solve."""
     rules, points = stack_rules(mesh.cell_groups, 2 * (k + 1))
     f_vals = split_stacked(f(points), [w.shape for _, w in rules])
-    return [_FluxGroup(mesh, cg, k, rule, fv)
-            for cg, rule, fv in zip(mesh.cell_groups, rules, f_vals)]
+    groups = []
+    for cg, (pts, w), fv in zip(mesh.cell_groups, rules, f_vals):
+        blocks = []
+        for start in range(0, len(cg.cells), FLUX_BLOCK):
+            b = slice(start, start + FLUX_BLOCK)
+            block = replace(cg, **{fd.name: getattr(cg, fd.name)[b] for fd in fields(cg)})
+            blocks.append((block, _FluxGroup(mesh, block, k, (pts[b], w[b]), fv[b])))
+        groups.append(blocks)
+    return groups
 
 
 def _boundary_moments(mesh, edges, g, k):
@@ -237,7 +250,8 @@ def solve_darcy_mixed(mesh, problem, k):
 
     nk = n_poly(k)
     n_lam = mesh.num_edges * (k + 1)
-    groups = _flux_groups(mesh, k, problem.f)
+    grouped = _flux_groups(mesh, k, problem.f)
+    blocks = [block for group in grouped for block in group]
 
     jw = 2.0 * np.arange(k + 1) + 1.0
     bd = np.asarray(mesh.boundary_edges, dtype=int)
@@ -251,10 +265,16 @@ def solve_darcy_mixed(mesh, problem, k):
         moments, er, gvals = _boundary_moments(mesh, bd[~on_dirichlet], problem.g_N, k)
         jump[bd_dofs[~on_dirichlet]] = moments / er.length[:, None]  # the owner's d holds the sign
 
+    def group_sum(values):
+        """The sum of values(block CellGroup, _FluxGroup) over all blocks,
+        summed whole per cell group of the mesh, as without blocks."""
+        return sum(float(np.concatenate([values(cg, g) for cg, g in group]).sum())
+                   for group in grouped)
+
     lam = 0.0
     if pure_neumann:
-        total_f = sum(float(g.f_moments[:, 0].sum()) for g in groups)
-        volume = sum(float(g.int_m[:, 0].sum()) for g in groups)
+        total_f = group_sum(lambda cg, g: g.f_moments[:, 0])
+        volume = group_sum(lambda cg, g: g.int_m[:, 0])
         lam = (total_f - float(np.sum(er.weights * gvals))) / volume
     free = ~np.isin(np.arange(n_lam), bd_dofs[on_dirichlet])
     free[0] &= not pure_neumann
@@ -263,7 +283,7 @@ def solve_darcy_mixed(mesh, problem, k):
 
     coef = problem.mu / problem.K_perm
     rows, cols, vals, load, local = [], [], [], np.zeros(n_free + 1), []
-    for g, cg in zip(groups, mesh.cell_groups):
+    for cg, g in blocks:
         nc, n_loc = g.A_unit.shape[:2]
         n_edge = cg.verts.shape[1] * (k + 1)
         K = np.block([[coef * g.A_unit, np.swapaxes(g.DIVR, 1, 2)],
@@ -290,7 +310,7 @@ def solve_darcy_mixed(mesh, problem, k):
 
     edge_x, pressure = np.zeros(n_lam), np.zeros((mesh.num_cells, nk))
     vel_coeffs, div_coeffs = np.zeros((mesh.num_cells, 2, nk)), np.zeros((mesh.num_cells, nk))
-    for g, cg, (K, r, dofs, d) in zip(groups, mesh.cell_groups, local):
+    for (cg, g), (K, r, dofs, d) in zip(blocks, local):
         n_edge, n_loc = dofs.shape[1], g.A_unit.shape[1]
         r[:, :n_edge] -= d * mult[dofs]
         x = np.linalg.solve(K, r[..., None])
@@ -300,8 +320,7 @@ def solve_darcy_mixed(mesh, problem, k):
         div_coeffs[cg.cells] = (g.div_map @ x[:, :n_loc, None])[..., 0]
         pressure[cg.cells] = x[:, n_loc:]
     if pure_neumann:
-        pressure[:, 0] -= sum(float(np.sum(g.int_m * pressure[cg.cells]))
-                              for g, cg in zip(groups, mesh.cell_groups)) / volume
+        pressure[:, 0] -= group_sum(lambda cg, g: g.int_m * pressure[cg.cells]) / volume
 
     flux = edge_x.reshape(mesh.num_edges, k + 1) * jw
     velocity = DiscreteVelocity(mesh, k, flux, vel_coeffs, div_coeffs, report, lam)

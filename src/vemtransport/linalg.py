@@ -24,20 +24,44 @@ class SolveReport:
 
 
 class Factorization:
-    """Reusable sparse LU factorization in SuperLU's symmetric mode, for a
-    matrix whose symmetric part is positive definite: the minimum-degree
-    ordering of A + A^T on rows and columns alike, and no pivoting."""
+    """Reusable sparse LU factorization without pivoting, for a real or
+    complex matrix whose Hermitian part is positive definite: the
+    minimum-degree ordering of A + A^T, and the diagonal pivot.
+
+    A real matrix is factored in SuperLU's symmetric mode, which orders
+    rows and columns alike. A complex one is first renumbered by reverse
+    Cuthill-McKee and then factored in SuperLU's default mode, which
+    postorders the column elimination tree and so keeps the supernodes
+    small. Complex supernodes at their full size reach OpenBLAS's
+    threaded kernels, which made the wells stage factorization 10-20
+    times slower in many fresh processes; without the renumbering the
+    default mode filled the voro L4 k = 2 stage matrix with 43.6M L+U
+    entries instead of 4.1M.
+    """
 
     def __init__(self, A):
+        A = A.tocsc()
+        self._order = None
         try:
-            self._lu = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                            options={"SymmetricMode": True})
+            if np.iscomplexobj(A.data):
+                from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+                self._order = reverse_cuthill_mckee(A, symmetric_mode=True)
+                self._lu = splu(A[self._order][:, self._order].tocsc(),
+                                permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0)
+            else:
+                self._lu = splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                                options={"SymmetricMode": True})
         except (RuntimeError, MemoryError) as exc:
             raise LinalgError(f"sparse LU failed: {exc}") from exc
 
     def solve(self, b):
         try:
-            x = self._lu.solve(np.asarray(b, dtype=float))
+            if self._order is None:
+                x = self._lu.solve(np.asarray(b, dtype=float))
+            else:
+                x = np.empty(len(b), dtype=complex)
+                x[self._order] = self._lu.solve(np.asarray(b, dtype=complex)[self._order])
         except MemoryError as exc:
             raise LinalgError(f"sparse LU solve failed: {exc}") from exc
         if not np.all(np.isfinite(x)):

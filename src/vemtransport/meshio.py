@@ -19,19 +19,22 @@ import json
 import numpy as np
 
 
-def _cell_lines(mesh):
-    """One line per cell: its vertex count, then its vertex loop."""
+def cell_lines(mesh):
+    """One line per cell: its vertex count, then its vertex loop. Both
+    formats hold these lines; a caller writing both passes them as
+    `loops` to write_polymesh and vtk_polydata."""
     return "".join(" ".join(map(str, [len(c)] + c.tolist())) + "\n" for c in mesh.cells)
 
 
-def write_polymesh(mesh, path):
-    """Write a PolyMesh in the plain-text format."""
+def write_polymesh(mesh, path, loops=None):
+    """Write a PolyMesh in the plain-text format; loops is cell_lines(mesh),
+    formatted here when not given."""
     boundary = mesh.edges[mesh.boundary_edges].tolist()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"polymesh 2d\n{mesh.num_vertices}\n")
         fh.write("".join(f"{x!r} {y!r}\n" for x, y in mesh.vertices.tolist()))
         fh.write(f"{mesh.num_cells}\n")
-        fh.write(_cell_lines(mesh))
+        fh.write(cell_lines(mesh) if loops is None else loops)
         fh.write(f"{len(boundary)}\n")
         fh.write("".join(f"{a} {b} boundary\n" for a, b in boundary))
 
@@ -42,13 +45,13 @@ def _vector_lines(values):
     return ("%.16e %.16e 0.0\n" * len(values)) % tuple(values.ravel().tolist())
 
 
-def vtk_polydata(mesh):
+def vtk_polydata(mesh, loops=None):
     """The POINTS and POLYGONS sections of the mesh's VTK files, which all
     the files of one mesh share: format them once and pass them to each
-    write_vtk call as `polydata`."""
+    write_vtk call as `polydata`. loops is as for write_polymesh."""
     size = sum(len(c) + 1 for c in mesh.cells)
     return (f"POINTS {mesh.num_vertices} double\n{_vector_lines(mesh.vertices)}"
-            f"POLYGONS {mesh.num_cells} {size}\n{_cell_lines(mesh)}")
+            f"POLYGONS {mesh.num_cells} {size}\n{cell_lines(mesh) if loops is None else loops}")
 
 
 def write_vtk(mesh, path, point_data=None, cell_data=None, title="vemtransport", polydata=None):

@@ -134,8 +134,8 @@ class WellsProblem:
         self.dt = 0.1
 
     def _bell(self, p, center):
-        d2 = np.sum((p - center[None, :]) ** 2, axis=1)
-        return np.exp(-self.sigma * d2)
+        dx, dy = p[:, 0] - center[0], p[:, 1] - center[1]
+        return np.exp(-self.sigma * (dx * dx + dy * dy))
 
     def f(self, t, p):
         out = self.s_center * self._bell(p, self.centers["c"])

@@ -68,9 +68,10 @@ class TransportSystem:
     """Assembled global operators for one mesh/degree/problem triple.
 
     Problem data is evaluated once per time on stacked points: the data
-    rules of all cells (injection; the stationary source once per
-    system) and a Gauss rule of degree 2k+4 on all boundary edges
-    (inflow and boundary form). Each global matrix is one COO -> CSR
+    rules of all cells (the stationary source once per system; the
+    injection only where the source is positive) and a Gauss rule of
+    degree 2k+4 on all boundary edges (inflow and boundary form). Each
+    global matrix is one COO -> CSR
     build from the stacked local blocks of the space's cell groups, and
     each load one sparse product with the data values.
     """
@@ -94,7 +95,16 @@ class TransportSystem:
         # per-point weights of the boundary form; the loads are linear in
         # the data values, one sparse map each
         self._bd_abs_flux = er.weights * np.abs(un)
-        self._load = self.space.load_operator(np.maximum(self._f0, 0.0))
+        load = self.space.load_operator(np.maximum(self._f0, 0.0))
+        # c_tilde is read only where f > 0: keep those points and their columns
+        read = np.unique(load.indices)
+        if len(read) == load.shape[1]:
+            self._load, self._load_points = load, self.space.data_points
+        else:
+            self._load = sp.csr_matrix((load.data, np.searchsorted(read, load.indices), load.indptr),
+                                       shape=(load.shape[0], len(read)))
+            self._load_points = self.space.data_points[read]
+            self._load_points.flags.writeable = False
         inflow = (er.weights * -np.minimum(un, 0.0))[..., None] * self._bd_trace
         points = np.arange(un.size).reshape(un.shape)
         rows, cols = np.broadcast_arrays(self._bd_dofs[:, None, :], points[..., None])
@@ -149,7 +159,7 @@ class TransportSystem:
     def rhs(self, t):
         """Source and inflow functionals (F_plus, G_inflow) at time t."""
         problem = self.problem
-        c_tilde = np.asarray(problem.c_tilde(t, self.space.data_points), dtype=float)
+        c_tilde = np.asarray(problem.c_tilde(t, self._load_points), dtype=float)
         ci = np.asarray(problem.c_inflow(t, self._bd_points, self._bd_normals), dtype=float)
         return self._load @ c_tilde, self._inflow @ ci
 

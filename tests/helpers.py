@@ -22,7 +22,9 @@ one-cell views of the batched package types (VemElement, cell_polygon,
 cell_edges) and the L2 distances of elementwise polynomials
 (velocity_l2_error, pressure_l2_error) serve the tests only, as do the
 other tools at the end (the slab system, the weighted interpolant l_tau,
-the slabwise projection pi_tau and the Matrix Market export).
+the slabwise projection pi_tau and the Matrix Market export), and so
+does the manufactured problem whose error is all temporal
+(TemporalProblem).
 """
 
 import numpy as np
@@ -34,7 +36,7 @@ from scipy.spatial import Delaunay, Voronoi, cKDTree
 from scipy.special import roots_legendre
 
 from vemtransport import polygon as polyops
-from vemtransport.darcy import _boundary_moments, _flux_groups, _legendre_values
+from vemtransport.darcy import _boundary_moments, _flux_groups, _legendre_values, analytic_velocity
 from vemtransport.element import (
     ElementGroup,
     monomial_exponents,
@@ -61,6 +63,7 @@ from vemtransport.quadrature import (
     polygon_rule,
 )
 from vemtransport.timestepping import lagrange_derivative_matrix, slab_matrix, slab_rhs
+from vemtransport.transport import TransportProblem, TransportSystem
 
 
 def _relative(points, center, scale):
@@ -1351,13 +1354,13 @@ def _saddle_dofs(mesh, cg, k):
 def _saddle_system(mesh, problem, k, gauge):
     """The monolithic saddle system [coef A, B^T; B, 0] over all flux and
     pressure dofs, with one more row and column for a pressure-mean
-    multiplier if gauge. Returns (flux groups, their (udofs, pdofs), CSR
+    multiplier if gauge. Returns (flux blocks, their (udofs, pdofs), CSR
     matrix, load with the source moments on the pressure rows, n_u)."""
     nk = n_poly(k)
     n_u = mesh.num_edges * (k + 1) + mesh.num_cells * (nk - 1)
     n_sys = n_u + mesh.num_cells * nk + int(gauge)
-    groups = _flux_groups(mesh, k, problem.f)
-    numbering = [_saddle_dofs(mesh, cg, k) for cg in mesh.cell_groups]
+    blocks = [block for group in _flux_groups(mesh, k, problem.f) for block in group]
+    numbering = [_saddle_dofs(mesh, cg, k) for cg, _ in blocks]
     rows, cols, vals = [], [], []
 
     def add(r, c, block):
@@ -1366,7 +1369,7 @@ def _saddle_system(mesh, problem, k, gauge):
         vals.append(block.ravel())
 
     rhs = np.zeros(n_sys)
-    for g, (udofs, pdofs) in zip(groups, numbering):
+    for (_, g), (udofs, pdofs) in zip(blocks, numbering):
         add(udofs, udofs, problem.mu / problem.K_perm * g.A_unit)
         add(pdofs, udofs, g.DIVR)
         add(udofs, pdofs, np.swapaxes(g.DIVR, 1, 2))
@@ -1378,7 +1381,7 @@ def _saddle_system(mesh, problem, k, gauge):
     A = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n_sys, n_sys)
     ).tocsr()
-    return groups, numbering, A, rhs, n_u
+    return blocks, numbering, A, rhs, n_u
 
 
 def _eliminated_solve(A, rhs, idx, values):
@@ -1397,7 +1400,7 @@ def _eliminated_solve(A, rhs, idx, values):
     return x
 
 
-def _saddle_fields(mesh, k, groups, numbering, x, n_u):
+def _saddle_fields(mesh, k, blocks, numbering, x, n_u):
     """Edge flux coefficients, cell velocity and divergence coefficients and
     pressure coefficients of a saddle solution x."""
     nk = n_poly(k)
@@ -1405,7 +1408,7 @@ def _saddle_fields(mesh, k, groups, numbering, x, n_u):
     flux = x[: mesh.num_edges * (k + 1)].reshape(mesh.num_edges, k + 1) * jw
     vel = np.zeros((mesh.num_cells, 2, nk))
     div = np.zeros((mesh.num_cells, nk))
-    for g, cg, (udofs, _) in zip(groups, mesh.cell_groups, numbering):
+    for (cg, g), (udofs, _) in zip(blocks, numbering):
         vel[cg.cells] = (g.vel @ x[udofs][:, None, :, None])[..., 0]
         div[cg.cells] = (g.div_map @ x[udofs][:, :, None])[..., 0]
     return flux, vel, div, x[n_u:n_u + mesh.num_cells * nk].reshape(mesh.num_cells, nk)
@@ -1424,7 +1427,7 @@ def saddle_darcy_solve(mesh, problem, k):
     coefficients, the cell velocity and divergence coefficients, the
     pressure coefficients and lam."""
     dirichlet = frozenset(int(e) for e in problem.dirichlet_edges)
-    groups, numbering, A, rhs, n_u = _saddle_system(mesh, problem, k, gauge=False)
+    blocks, numbering, A, rhs, n_u = _saddle_system(mesh, problem, k, gauge=False)
     jw = 2.0 * np.arange(k + 1) + 1.0
     bd = np.asarray(mesh.boundary_edges, dtype=int)
     on_dirichlet = np.isin(bd, list(dirichlet))
@@ -1441,17 +1444,16 @@ def saddle_darcy_solve(mesh, problem, k):
         values = (sign[~on_dirichlet, None] * moments / er.length[:, None]).ravel()
     lam = 0.0
     if not dirichlet:
-        total_f = sum(float(g.f_moments[:, 0].sum()) for g in groups)
-        volume = sum(float(g.int_m[:, 0].sum()) for g in groups)
+        total_f = sum(float(g.f_moments[:, 0].sum()) for _, g in blocks)
+        volume = sum(float(g.int_m[:, 0].sum()) for _, g in blocks)
         lam = (total_f - float(np.sum(er.weights * gvals))) / volume
-        for g, (_, pdofs) in zip(groups, numbering):
+        for (_, g), (_, pdofs) in zip(blocks, numbering):
             rhs[pdofs] -= lam * g.int_m
         idx, values = np.append(idx, n_u), np.append(values, 0.0)
     x = _eliminated_solve(A, rhs, idx, values)
-    flux, vel, div, pres = _saddle_fields(mesh, k, groups, numbering, x, n_u)
+    flux, vel, div, pres = _saddle_fields(mesh, k, blocks, numbering, x, n_u)
     if not dirichlet:
-        pres[:, 0] -= sum(float(np.sum(g.int_m * pres[cg.cells]))
-                          for g, cg in zip(groups, mesh.cell_groups)) / volume
+        pres[:, 0] -= sum(float(np.sum(g.int_m * pres[cg.cells])) for cg, g in blocks) / volume
     return flux, vel, div, pres, lam
 
 
@@ -1465,13 +1467,13 @@ def multiplier_darcy_solve(mesh, problem, k):
     on hexa meshes at k = 2. Returns the edge flux coefficients, the cell
     velocity and divergence coefficients, and the zero-mean pressure
     coefficients."""
-    groups, numbering, A, rhs, n_u = _saddle_system(mesh, problem, k, gauge=True)
+    blocks, numbering, A, rhs, n_u = _saddle_system(mesh, problem, k, gauge=True)
     bd = np.asarray(mesh.boundary_edges)
     moments, er, _ = _boundary_moments(mesh, bd, problem.g_N, k)
     idx = (bd[:, None] * (k + 1) + np.arange(k + 1)).ravel()
     values = (mesh.boundary_signs[:, None] * moments / er.length[:, None]).ravel()
     x = _eliminated_solve(A, rhs, idx, values)
-    return _saddle_fields(mesh, k, groups, numbering, x, n_u)
+    return _saddle_fields(mesh, k, blocks, numbering, x, n_u)
 
 
 class WeightedInterpolant:
@@ -1540,3 +1542,53 @@ def pi_tau(callback, ends, q):
 def export_matrix_market(A, path):
     """Debug export of a sparse matrix in Matrix Market format."""
     mmwrite(str(path), A.tocoo())
+
+
+# -- manufactured problem isolating the temporal order ---------------------
+
+
+class TemporalProblem:
+    """c = sin(t) (1 + (x - 1)^2) under u = (1, 0), with f = 1 and D = 0.1.
+
+    c is quadratic in space, so a space of degree k >= 2 reproduces it
+    and every error is temporal. The operator's reaction is
+    (div u + |f|) / 2 = 1/2, so the injected concentration is
+    c_t + u . grad c + c / 2 - D lap c. The inflow datum on x = 0 is
+    ManufacturedProblem's c - D (grad c . n) / (u . n); the normal
+    derivative of c vanishes on the other three walls.
+    """
+
+    D = 0.1
+    t_final = 1.0
+
+    def velocity(self, p):
+        return np.column_stack([np.ones(len(p)), np.zeros(len(p))])
+
+    def c(self, t, p):
+        return np.sin(t) * (1.0 + (p[:, 0] - 1.0) ** 2)
+
+    def grad_c(self, t, p):
+        return np.sin(t) * np.column_stack([2.0 * (p[:, 0] - 1.0), np.zeros(len(p))])
+
+    def f(self, t, p):
+        return np.ones(len(p))
+
+    def c_tilde(self, t, p):
+        g = 1.0 + (p[:, 0] - 1.0) ** 2
+        return np.cos(t) * g + np.sin(t) * (2.0 * (p[:, 0] - 1.0) + 0.5 * g - 2.0 * self.D)
+
+    def c_inflow(self, t, p, normal):
+        un = np.sum(self.velocity(p) * normal, axis=1)
+        gn = np.sum(self.grad_c(t, p) * normal, axis=1)
+        inflow = un < -1e-12
+        return np.where(inflow, self.c(t, p) - self.D * gn / np.where(inflow, un, -1.0), 0.0)
+
+    def c0(self, p):
+        return np.zeros(len(p))
+
+    def system(self, mesh, k):
+        """The TransportSystem of this problem on its analytic velocity."""
+        velocity = analytic_velocity(self.velocity, mesh, k)
+        return TransportSystem(mesh, k, TransportProblem(
+            D=self.D, velocity=velocity, f=self.f, c_tilde=self.c_tilde,
+            c_inflow=self.c_inflow, c0=self.c0))

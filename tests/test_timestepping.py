@@ -6,18 +6,29 @@ from vemtransport import timestepping
 from vemtransport.darcy import DarcyProblem, analytic_velocity, solve_darcy_mixed
 from vemtransport.geometry import generate_family, generate_hexa, generate_quad, generate_voronoi
 from vemtransport.linalg import Factorization
+from vemtransport.postproc import error_norms
 from vemtransport.problems import ManufacturedProblem, WellsProblem
 from vemtransport.quadrature import gauss_interval, gauss_radau, lagrange_values
 from vemtransport.timestepping import (
+    StageSolver,
     TimeSteppingError,
     advance,
     lagrange_derivative_matrix,
+    radau_stages,
     slab_matrix,
     slab_rhs,
+    stage_matrix,
 )
 from vemtransport.transport import TransportProblem, TransportSystem
 
-from helpers import block_slab_matrix, build_slab_system, l_tau, pi_tau, radau_iia_step
+from helpers import (
+    TemporalProblem,
+    block_slab_matrix,
+    build_slab_system,
+    l_tau,
+    pi_tau,
+    radau_iia_step,
+)
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +100,23 @@ class TestSlabSystem:
             got = dense_solve(mat, rhs)[-10:]
             want = radau_iia_step(L, y0, tau, q, nodes=radau.nodes)
             assert np.max(np.abs(got - want)) < 1e-10
+
+    @pytest.mark.parametrize("q", [0, 1, 2, 3, 4])
+    def test_stage_solve_matches_the_assembled_slab(self, q):
+        # the decoupled stages, real and complex-conjugate pairs, give the
+        # direct solve of kron(C, M) + tau kron(W, A0)
+        rng = np.random.default_rng(q + 10)
+        radau = gauss_radau(q)
+        n_pairs = int(np.sum(radau_stages(radau).eigenvalues.imag > 0.0))
+        assert n_pairs == (q + 1) // 2
+        for _ in range(3):
+            M = sp.csr_matrix(np.eye(10))
+            A0 = sp.csr_matrix(rng.random((10, 10)) + 10.0 * np.eye(10))
+            mat, rhs = build_slab_system(M, A0, radau, 0.08, list(rng.standard_normal((q + 1, 10))),
+                                         rng.standard_normal(10))
+            want = dense_solve(mat, rhs)
+            got = StageSolver(M, A0, radau, 0.08).solve(rhs)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_split_builders_agree(self, vem_pair):
         # the Kronecker form against the per-block assembly it replaced
@@ -260,6 +288,8 @@ class TestAdvance:
 
     @pytest.mark.parametrize("t_final,n_steps,q", [(1.0, 7, 1), (10.0, 100, 0), (1.0, 3, 2)])
     def test_one_factorization_per_march(self, system, monkeypatch, t_final, n_steps, q):
+        # one factorization per stage system, whatever the number of slabs:
+        # one per real eigenvalue of W^-1 C and one per conjugate pair
         calls = {"slab_matrix": 0, "Factorization": 0}
 
         def counted(name, fn):
@@ -271,7 +301,7 @@ class TestAdvance:
         for name in calls:
             monkeypatch.setattr(timestepping, name, counted(name, getattr(timestepping, name)))
         march = advance(system, t_final, n_steps, q)
-        assert calls == {"slab_matrix": 1, "Factorization": 1}
+        assert calls == {"slab_matrix": 1, "Factorization": q // 2 + 1}
         assert march.values.shape == (n_steps, q + 1, system.space.n_dofs)
         assert march.times.shape == (n_steps, q + 1)
         ends = np.linspace(0.0, t_final, n_steps + 1)
@@ -340,3 +370,51 @@ def test_slab_factors_without_pivoting(name):
     b = np.random.default_rng(5).standard_normal(S.shape[0])
     x = fact.solve(b)
     assert np.linalg.norm(S @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("name", PREMISE_SYSTEMS)
+def test_stages_factor_without_pivoting(name):
+    # the same premise for every stage system lam M + tau A0, Re lam > 0:
+    # a positive definite Hermitian part, so no row is exchanged, in
+    # SuperLU's symmetric mode (real lam) or its default mode (complex)
+    build, q = PREMISE_SYSTEMS[name]
+    system, tau = build()
+    M, A0 = system.mass(), system.advection_operator()
+    rng = np.random.default_rng(5)
+    stages = [lam for lam in radau_stages(gauss_radau(q)).eigenvalues if lam.imag >= 0.0]
+    assert len(stages) == q // 2 + 1
+    for lam in stages:
+        S = stage_matrix(M, A0, lam, tau)
+        assert np.iscomplexobj(S.data) == (lam.imag != 0.0)
+        dense = S.toarray()
+        assert np.linalg.eigvalsh(0.5 * (dense + dense.conj().T))[0] > 0.0
+        fact = Factorization(S)
+        assert np.array_equal(fact._lu.perm_r, fact._lu.perm_c)
+        b = rng.standard_normal(S.shape[0])
+        if lam.imag:
+            b = b + 1j * rng.standard_normal(S.shape[0])
+        x = fact.solve(b)
+        assert np.linalg.norm(S @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
+#: rate bounds of the PDE's temporal orders on 2, 4 and 8 slabs, from the
+#: rates measured on 2-16 slabs (q = 1: l2h1 2.01-2.04 and l2_final
+#: 2.94-2.97; q = 2: l2h1 3.00 and l2_final 4.53-4.68, rising toward 5),
+#: each 0.25 beyond its readings
+TEMPORAL_RATE_BOUNDS = {1: {"l2h1": (1.75, 2.25), "l2_final": (2.75, 3.25)},
+                        2: {"l2h1": (2.75, 3.25), "l2_final": (4.25, 5.25)}}
+
+
+@pytest.mark.parametrize("q", [1, 2])
+def test_pde_temporal_orders(q):
+    # the paper's orders in time on the full PDE: q+1 in L2(H1) and 2q+1
+    # at the final time, where k = 2 makes the spatial error vanish
+    problem = TemporalProblem()
+    system = problem.system(generate_family("quad", 1), 2)
+    reports = [error_norms(advance(system, problem.t_final, n_steps, q), system,
+                           problem.c, problem.grad_c) for n_steps in (2, 4, 8)]
+    for name, (low, high) in TEMPORAL_RATE_BOUNDS[q].items():
+        errors = np.array([getattr(r, name) for r in reports])
+        assert np.all(errors >= 1e-10), (name, errors)  # 100 times the 1e-12 floor
+        rates = np.log2(errors[:-1] / errors[1:])
+        assert np.all((rates > low) & (rates < high)), (name, rates)
